@@ -13,6 +13,7 @@ from .algebra import (
     lie_ideal_closure,
     lie_subalgebra_closure,
     mul,
+    mul_table,
 )
 from .certify import (
     Certificate,
@@ -66,7 +67,5 @@ __all__ = [
     "vec_from_word",
     "word_index",
 ]
-
-from .algebra import mul_table  # noqa: E402
 
 __version__ = "0.1.0"

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, SpecMismatch
-from .linalg import GradedVector, Subspace, _Arith
+from .linalg import GradedVector, Subspace, _Arith, span
 from .words import AlgebraSpec, concat, dim_component, normal_words, word_index
 
 
@@ -118,34 +118,33 @@ class _Batcher:
             self.rows = 0
 
 
-def _word_pair_brackets(spec: AlgebraSpec, f: int, arith: _Arith, batcher: _Batcher) -> None:
-    """Brackets of all basis-word pairs of total degree f (level-1 step)."""
-    for p in range(1, f // 2 + 1):
-        q = f - p
-        dp, dq = dim_component(spec, p), dim_component(spec, q)
-        if dp == 0 or dq == 0 or batcher.block.full:
-            continue
-        t1 = mul_table(spec, p, q)
-        t2 = mul_table(spec, q, p)
-        if p == q:
-            ii, jj = np.triu_indices(dp, k=1)
-        else:
-            ii, jj = np.meshgrid(np.arange(dp), np.arange(dq), indexing="ij")
-            ii, jj = ii.ravel(), jj.ravel()
-        step = 4096
-        for lo in range(0, ii.size, step):
-            if batcher.block.full:
-                break
-            i, j = ii[lo : lo + step], jj[lo : lo + step]
-            m = arith.zeros((i.size, dim_component(spec, f)))
-            r = np.arange(i.size)
-            o1 = t1[i, j]
-            k = o1 >= 0
-            np.add.at(m, (r[k], o1[k]), arith.field.one)
-            o2 = t2[j, i]
-            k = o2 >= 0
-            np.add.at(m, (r[k], o2[k]), -arith.field.one)
-            batcher.add(arith.mod(m))
+def _word_brackets(
+    spec: AlgebraSpec, p: int, q: int, arith: _Arith, same: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (i, j, m), 4096 pairs at a time: row r of m is the bracket of
+    the i[r]-th degree-p basis word with the j[r]-th degree-q one. With
+    ``same`` (p == q) only pairs i < j (antisymmetry covers the rest)."""
+    dp, dq = dim_component(spec, p), dim_component(spec, q)
+    if dp == 0 or dq == 0:
+        return
+    t1 = mul_table(spec, p, q)
+    t2 = mul_table(spec, q, p)
+    if same:
+        ii, jj = np.triu_indices(dp, k=1)
+    else:
+        ii, jj = np.meshgrid(np.arange(dp), np.arange(dq), indexing="ij")
+        ii, jj = ii.ravel(), jj.ravel()
+    for lo in range(0, ii.size, 4096):
+        i, j = ii[lo : lo + 4096], jj[lo : lo + 4096]
+        m = arith.zeros((i.size, dim_component(spec, p + q)))
+        r = np.arange(i.size)
+        o1 = t1[i, j]
+        k = o1 >= 0
+        np.add.at(m, (r[k], o1[k]), arith.field.one)
+        o2 = t2[j, i]
+        k = o2 >= 0
+        np.add.at(m, (r[k], o2[k]), -arith.field.one)
+        yield i, j, arith.mod(m)
 
 
 def _row_pair_brackets(
@@ -171,6 +170,8 @@ def _row_pair_brackets(
         v = rows_q[a + 1 :] if same else rows_q
         if v.shape[0] == 0:
             continue
+        # An entry gets one product of residues per sign (its word's degree-p
+        # prefix and suffix fix i), so |entry| < (p-1)^2 < 2^62 for p < 2^31.
         m = arith.zeros((v.shape[0], dimf))
         for i in np.flatnonzero(u != 0):
             c = u[i]
@@ -229,15 +230,13 @@ def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspac
     out = Subspace(spec)
     arith = out.arith
     for f in range(2, spec.max_degree + 1):
-        blk = out.block(f)
-        batcher = _Batcher(blk)
-        if from_full:
-            _word_pair_brackets(spec, f, arith, batcher)
-        else:
-            for p in range(1, f // 2 + 1):
-                q = f - p
-                if prev.dim_at(p) == 0 or prev.dim_at(q) == 0:
-                    continue
+        batcher = _Batcher(out.block(f))
+        for p in range(1, f // 2 + 1):
+            q = f - p
+            if from_full:
+                for _, _, m in _word_brackets(spec, p, q, arith, same=p == q):
+                    batcher.add(m)
+            elif prev.dim_at(p) and prev.dim_at(q):
                 _row_pair_brackets(
                     spec, p, q, prev.block(p).matrix, prev.block(q).matrix, arith, batcher, same=p == q
                 )
@@ -324,18 +323,10 @@ def lie_subalgebra_closure(spec: AlgebraSpec, gens: Iterable[GradedVector]) -> S
     """Smallest graded subspace containing the generators and closed under
     the bracket. Inhomogeneous generators are split into homogeneous parts
     (this can only enlarge the closure)."""
-    out = Subspace(spec)
+    out = span(spec, gens)
     arith = out.arith
-    seeds: dict[int, list[np.ndarray]] = {}
-    for g in gens:
-        if g.spec != spec:
-            raise SpecMismatch("generator over a different algebra spec")
-        for d in g.degrees():
-            seeds.setdefault(d, []).append(g.dense(d, arith))
     for f in range(1, spec.max_degree + 1):
         blk = out.block(f)
-        if f in seeds:
-            blk.insert_matrix(np.stack(seeds[f]))
         batcher = _Batcher(blk)
         for p in range(1, f // 2 + 1):
             q = f - p

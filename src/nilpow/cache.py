@@ -3,7 +3,8 @@
 Entries are JSON files keyed by a content hash of (format version, spec,
 object id). Field elements serialize canonically: residues as decimal
 integers, rationals as "num/den" in lowest terms. Corrupt or
-wrong-version entries behave as misses.
+wrong-version entries behave as misses; so do entries whose rows are not
+in canonical RREF, which `subspace_from_payload` rejects.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from .errors import CorruptCacheEntry
 from .linalg import Subspace
 from .words import AlgebraSpec
 
@@ -50,16 +52,26 @@ def subspace_to_payload(s: Subspace) -> dict:
 
 
 def subspace_from_payload(spec: AlgebraSpec, payload: dict) -> Subspace:
+    """Decode a payload, taking each degree's rows as they are; raises
+    `CorruptCacheEntry` unless they are in canonical RREF."""
     s = Subspace(spec)
     f = spec.field
-    for d_str, rows in payload["rows"].items():
-        d = int(d_str)
-        for row in rows:
+    try:
+        for d_str, rows in payload["rows"].items():
+            d = int(d_str)
+            if not 1 <= d <= spec.max_degree:
+                raise CorruptCacheEntry(f"degree {d} outside 1..{spec.max_degree}")
             blk = s.block(d)
-            v = s.arith.zeros(blk.dim)
-            for o, c in row:
-                v[int(o)] = f.parse_coeff(c)
-            blk.insert(v)
+            m = s.arith.zeros((len(rows), blk.dim))
+            for i, row in enumerate(rows):
+                for o, c in row:
+                    if type(o) is not int or not 0 <= o < blk.dim:
+                        raise CorruptCacheEntry(f"ordinal {o!r} outside degree {d}")
+                    m[i, o] = f.parse_coeff(c)
+            if not blk.load(m):
+                raise CorruptCacheEntry(f"degree {d} rows are not in canonical echelon form")
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CorruptCacheEntry(f"undecodable rows: {exc!r}") from exc
     return s
 
 

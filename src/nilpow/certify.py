@@ -18,11 +18,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .algebra import (
     DerivedTower,
     _derived_step,
+    _word_brackets,
     _word_row_brackets,
     bracket,
     derived_tower,
@@ -30,14 +29,13 @@ from .algebra import (
     ideal_closure,
     lie_ideal_closure,
     lie_subalgebra_closure,
-    mul_table,
 )
 from .errors import (
     BoundExceedsTruncation,
     InternalSoundnessFailure,
     NotALieIdeal,
 )
-from .linalg import GradedVector, Subspace
+from .linalg import GradedVector, Subspace, span
 from .words import AlgebraSpec, dim_component, format_word, normal_words
 
 VERIFIED = "VERIFIED"
@@ -62,10 +60,7 @@ def random_homogeneous(spec: AlgebraSpec, rng: random.Random, d: int) -> GradedV
 def random_lie_ideal(spec: AlgebraSpec, rng: random.Random) -> Subspace:
     """Lie-ideal closure of one random homogeneous element."""
     d = rng.randint(1, max(1, spec.max_degree - 2))
-    seed_vec = random_homogeneous(spec, rng, d)
-    s = Subspace(spec)
-    s.insert(seed_vec)
-    return lie_ideal_closure(spec, s)
+    return lie_ideal_closure(spec, span(spec, [random_homogeneous(spec, rng, d)]))
 
 
 # -- nilpotency of the ideal quotients ---------------------------------------
@@ -344,25 +339,9 @@ def degree_split_check(
     for total in range(2 * n - 1, spec.max_degree + 1):
         for p in range(n, total):
             q = total - p
-            dp, dq = dim_component(spec, p), dim_component(spec, q)
-            if dp == 0 or dq == 0:
-                continue
-            t1 = mul_table(spec, p, q)
-            t2 = mul_table(spec, q, p)
-            ii, jj = np.meshgrid(np.arange(dp), np.arange(dq), indexing="ij")
-            ii, jj = ii.ravel(), jj.ravel()
-            for lo in range(0, ii.size, 4096):
-                a, b = ii[lo : lo + 4096], jj[lo : lo + 4096]
-                m = arith.zeros((a.size, dim_component(spec, total)))
-                r = np.arange(a.size)
-                o1 = t1[a, b]
-                good = o1 >= 0
-                np.add.at(m, (r[good], o1[good]), arith.field.one)
-                o2 = t2[b, a]
-                good = o2 >= 0
-                np.add.at(m, (r[good], o2[good]), -arith.field.one)
+            for a, b, m in _word_brackets(spec, p, q, arith):
                 checked += a.size
-                bad = target.block(total).contains_matrix(arith.mod(m))
+                bad = target.block(total).contains_matrix(m)
                 if bad is not None:
                     wp = format_word(spec, normal_words(spec, p)[int(a[bad])])
                     wq = format_word(spec, normal_words(spec, q)[int(b[bad])])

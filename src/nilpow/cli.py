@@ -31,7 +31,7 @@ from .certify import (
     lemma1_check,
     random_lie_ideal,
 )
-from .errors import NilpowError
+from .errors import CorruptCacheEntry, NilpowError
 from .fields import parse_field
 from .linalg import Subspace
 from .words import AlgebraSpec, dim_component, format_word, normal_words
@@ -84,7 +84,10 @@ def _tower_with_cache(spec: AlgebraSpec, imax: int, cache_dir: str | None) -> De
         if cache_dir:
             payload = cache_mod.cache_get(cache_dir, key)
             if payload is not None:
-                loaded = cache_mod.subspace_from_payload(spec, payload)
+                try:
+                    loaded = cache_mod.subspace_from_payload(spec, payload)
+                except CorruptCacheEntry as exc:
+                    print(f"warning: ignoring cache entry {key}: {exc}", file=sys.stderr)
         if loaded is None:
             loaded = _derived_step(spec, levels[-1], from_full=j == 1)
             if cache_dir:

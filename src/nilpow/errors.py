@@ -9,6 +9,10 @@ class NonPrimeModulus(NilpowError):
     """The requested prime-field modulus is not prime."""
 
 
+class ModulusTooLarge(NilpowError):
+    """The prime-field modulus is too large for exact int64 arithmetic."""
+
+
 class CharacteristicTwo(NilpowError):
     """Coefficient fields of characteristic 2 are not admissible."""
 
@@ -43,6 +47,10 @@ class BoundExceedsTruncation(NilpowError):
 
 class NotALieIdeal(NilpowError):
     """Subspace passed where a Lie ideal is required."""
+
+
+class CorruptCacheEntry(NilpowError):
+    """A cache entry that does not decode to canonical echelon rows."""
 
 
 class InternalSoundnessFailure(NilpowError):

@@ -1,7 +1,9 @@
 """Exact coefficient fields: F_p for an odd prime p, or the rationals.
 
 Characteristic 2 is rejected everywhere: the factor 1/2 in the identity
-xy = (1/2)([x,y] + x o y) must exist. Field elements are plain values
+xy = (1/2)([x,y] + x o y) must exist. So is any p >= 2^31: the dense
+kernels hold residues in int64, where a product of two residues plus a
+residue must stay exact. Field elements are plain values
 (ints in [0, p) for F_p, `fractions.Fraction` for Q); the `Field` object
 carries the arithmetic.
 """
@@ -12,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CharacteristicTwo, DivisionByZero, NonPrimeModulus
+from .errors import CharacteristicTwo, DivisionByZero, ModulusTooLarge, NonPrimeModulus
 
 Coeff = Union[int, Fraction]
 
 DEFAULT_PRIME = 32003
+PRIME_LIMIT = 2**31  # every admissible p is below it: (p-1)^2 + p < 2^63
 
 
 def _is_prime(n: int) -> bool:
@@ -43,6 +46,8 @@ class Field:
 
     def __post_init__(self) -> None:
         if self.p is not None:
+            if self.p >= PRIME_LIMIT:
+                raise ModulusTooLarge(f"{self.p} is not below 2^31, the bound for exact int64 arithmetic")
             if not _is_prime(self.p):
                 raise NonPrimeModulus(f"{self.p} is not prime")
             if self.p == 2:

@@ -7,15 +7,22 @@ subspaces have literally equal rows and every certificate is canonical.
 
 Block internals are dense numpy arrays: int64 residues for F_p (with
 matrix products routed through float64 BLAS whenever the exactness bound
-inner*(p-1)^2 < 2^53 holds), `Fraction` object arrays for Q. The sparse
-form is the interchange format (vectors, certificates, cache); the dense
-form is what makes m=3 runs finish.
+inner*(p-1)^2 < 2^53 holds; elementwise, residue + residue*residue is
+exact as `Field` admits only p < 2^31), `Fraction` object arrays for Q.
+The sparse form is the interchange format (vectors, certificates, cache);
+the dense form is what makes m=3 runs finish.
+
+One blocked kernel, `_Block.insert_matrix`, does all insertion, after the
+echelon forms of M4RI and FFLAS-FFPACK. Per chunk of `_CHUNK` rows: a
+matmul reduces the chunk against the block, Gauss-Jordan over the chunk's
+pivots puts it in RREF, a matmul back-reduces the old rows by the new
+pivots, and an argsort merges both by pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -24,6 +31,8 @@ from .fields import Coeff, Field
 from .words import AlgebraSpec, Word, dim_component, word_index
 
 _FRACTION_ZERO = Fraction(0)
+# candidate rows per step of the elimination kernel (`_Block.insert_matrix`)
+_CHUNK = 256
 
 
 class _Arith:
@@ -32,22 +41,12 @@ class _Arith:
     def __init__(self, field: Field):
         self.field = field
         self.p = field.p
-        self.dtype = np.int64 if self.p is not None else object
 
     def zeros(self, shape) -> np.ndarray:
         if self.p is not None:
             return np.zeros(shape, dtype=np.int64)
         a = np.empty(shape, dtype=object)
         a[...] = _FRACTION_ZERO
-        return a
-
-    def array(self, rows: Sequence[Sequence[Coeff]]) -> np.ndarray:
-        if self.p is not None:
-            return np.array(rows, dtype=np.int64) % self.p
-        a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-        for i, r in enumerate(rows):
-            for j, c in enumerate(r):
-                a[i, j] = Fraction(c)
         return a
 
     def mod(self, a: np.ndarray) -> np.ndarray:
@@ -113,9 +112,6 @@ class GradedVector:
         """Sorted (ordinal, coeff) pairs at one degree."""
         return sorted(self.parts.get(d, {}).items())
 
-    def homogeneous_part(self, d: int) -> "GradedVector":
-        return GradedVector(self.spec, {d: self.parts[d]} if d in self.parts else {})
-
     def dense(self, d: int, arith: _Arith) -> np.ndarray:
         v = arith.zeros(dim_component(self.spec, d))
         for o, c in self.parts.get(d, {}).items():
@@ -171,14 +167,6 @@ class GradedVector:
         return " + ".join(bits)
 
 
-def vec_add(u: GradedVector, v: GradedVector) -> GradedVector:
-    return u + v
-
-
-def vec_scale(c: Coeff, v: GradedVector) -> GradedVector:
-    return v.scale(c)
-
-
 def vec_from_word(spec: AlgebraSpec, w: Word, coeff: Coeff = 1) -> GradedVector:
     return GradedVector.from_word(spec, w, coeff)
 
@@ -209,68 +197,94 @@ class _Block:
             self._rows = eye
         return self._rows
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Remainder of v modulo the row space (v is consumed)."""
-        if self.full:
-            return self.arith.zeros(self.dim)
-        if self.rank == 0:
-            return self.arith.mod(v)
-        coeffs = v[self.pivots]
-        return self.arith.mod(v - self.arith.matmul(coeffs[None, :], self._rows)[0])
-
     def reduce_matrix(self, m: np.ndarray) -> np.ndarray:
+        """Remainders of the rows of m modulo the row space (reduced mod p)."""
         if self.full:
             return self.arith.zeros(m.shape)
         if self.rank == 0 or m.shape[0] == 0:
             return self.arith.mod(m)
-        return self.arith.mod(m - self.arith.matmul(m[:, self.pivots], self._rows))
+        coeffs = m[:, self.pivots]
+        used = np.flatnonzero((coeffs != 0).any(axis=0))  # only these rows contribute
+        coeffs = self.arith.mod(coeffs[:, used])
+        return self.arith.mod(m - self.arith.matmul(coeffs, self._rows[used]))
 
-    def _insert_reduced(self, v: np.ndarray) -> None:
-        """v is already reduced and nonzero; make monic, back-reduce, insert."""
-        nz = np.flatnonzero(v != 0)
-        piv = int(nz[0])
-        inv = self.arith.inv(v[piv])
-        if inv != 1:
-            v = self.arith.mod(v * inv)
-        if self.rank:
-            col = self._rows[:, piv].copy()
-            hit = np.flatnonzero(col != 0)
+    def insert(self, v: np.ndarray) -> bool:
+        return self.insert_matrix(v[None, :]) > 0
+
+    def insert_matrix(self, m: np.ndarray) -> int:
+        """Insert many candidate rows, `_CHUNK` at a time (see the module
+        docstring); returns the rank growth."""
+        start = self.rank
+        for lo in range(0, m.shape[0], _CHUNK):
+            if self.full:
+                break
+            c = self.reduce_matrix(m[lo : lo + _CHUNK])
+            keep = self.arith.nonzero_rows(c)
+            if keep.size:
+                self._merge(*self._rref(c[keep]))
+        return self.rank - start
+
+    def _rref(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical RREF rows and pivots of c, a fresh matrix of nonzero
+        rows already reduced against the block (so zero in its pivot
+        columns). Gauss-Jordan over pivots in increasing column order;
+        each step touches only the rows with an entry in its column."""
+        a = self.arith
+        nz = c != 0
+        lead = np.where(nz.any(axis=1), nz.argmax(axis=1), self.dim)  # of open rows
+        piv = np.full(c.shape[0], self.dim, dtype=np.intp)  # of finished rows
+        while True:
+            i = int(np.argmin(lead))
+            col = int(lead[i])
+            if col == self.dim:
+                break
+            inv = a.inv(c[i, col])
+            if inv != 1:
+                c[i] = a.mod(c[i] * inv)
+            piv[i], lead[i] = col, self.dim
+            hit = np.flatnonzero(c[:, col] != 0)
+            hit = hit[hit != i]
             if hit.size:
-                self._rows[hit] = self.arith.mod(self._rows[hit] - col[hit, None] * v[None, :])
-        pos = int(np.searchsorted(self.pivots, piv))
-        self._rows = np.insert(self._rows, pos, v, axis=0)
-        self.pivots = np.insert(self.pivots, pos, piv)
+                c[hit] = a.mod(c[hit] - c[hit, col][:, None] * c[i][None, :])
+                open_ = hit[piv[hit] == self.dim]
+                nzh = c[open_] != 0
+                lead[open_] = np.where(nzh.any(axis=1), nzh.argmax(axis=1), self.dim)
+        done = np.flatnonzero(piv < self.dim)
+        return c[done], piv[done]
+
+    def _merge(self, new: np.ndarray, piv: np.ndarray) -> None:
+        """Add RREF rows whose pivots are new to the block."""
+        old = self._rows
+        if old.shape[0]:
+            hit = np.flatnonzero((old[:, piv] != 0).any(axis=1))
+            if hit.size:
+                old[hit] = self.arith.mod(old[hit] - self.arith.matmul(old[np.ix_(hit, piv)], new))
+        pivots = np.concatenate([self.pivots, piv])
+        order = np.argsort(pivots, kind="stable")
+        self._rows = np.concatenate([old, new])[order]
+        self.pivots = pivots[order]
         if self.rank == self.dim:
             self.full = True  # rows are now exactly the identity
 
-    def insert(self, v: np.ndarray) -> bool:
-        if self.full:
+    def load(self, m: np.ndarray) -> bool:
+        """Take m as the rows of this empty block if it is in canonical RREF:
+        no zero row, strictly increasing monic pivots, zero in the other
+        pivot columns. Returns whether it was."""
+        nz = m != 0
+        if not nz.any(axis=1).all():
             return False
-        r = self.reduce(v)
-        if not (r != 0).any():
+        piv = nz.argmax(axis=1)
+        if (np.diff(piv) <= 0).any() or not (m[:, piv] == np.eye(piv.size, dtype=np.int64)).all():
             return False
-        self._insert_reduced(r)
+        self._rows, self.pivots, self.full = m, piv, piv.size == self.dim
         return True
-
-    def insert_matrix(self, m: np.ndarray, chunk: int = 1024) -> int:
-        """Insert many candidate rows; returns the rank growth."""
-        grew = 0
-        for lo in range(0, m.shape[0], chunk):
-            if self.full:
-                break
-            c = self.reduce_matrix(self.arith.mod(m[lo : lo + chunk]))
-            keep = self.arith.nonzero_rows(c)
-            for i in keep:
-                if self.insert(c[i].copy()):
-                    grew += 1
-        return grew
 
     def contains_matrix(self, m: np.ndarray) -> Optional[int]:
         """Index of the first row not in the span, or None if all are."""
         if self.full:
             return None
         for lo in range(0, m.shape[0], 1024):
-            c = self.reduce_matrix(self.arith.mod(m[lo : lo + 1024].copy()))
+            c = self.reduce_matrix(m[lo : lo + 1024])
             bad = self.arith.nonzero_rows(c)
             if bad.size:
                 return lo + int(bad[0])
@@ -314,15 +328,12 @@ class Subspace:
         self._check(v.spec)
         return {d: self.block(d).insert(v.dense(d, self.arith)) for d in v.degrees()}
 
-    def insert_rows(self, d: int, m: np.ndarray) -> int:
-        return self.block(d).insert_matrix(m)
-
     # -- queries -------------------------------------------------------------
 
     def contains(self, v: GradedVector) -> bool:
         self._check(v.spec)
         for d in v.degrees():
-            r = self.block(d).reduce(v.dense(d, self.arith))
+            r = self.block(d).reduce_matrix(v.dense(d, self.arith)[None, :])
             if (r != 0).any():
                 return False
         return True
@@ -385,24 +396,14 @@ class Subspace:
         return f"Subspace({self.spec.m} gens, dims={self.dims()})"
 
 
-def subspace_insert(s: Subspace, v: GradedVector) -> dict[int, bool]:
-    return s.insert(v)
-
-
-def subspace_contains(s: Subspace, v: GradedVector) -> bool:
-    return s.contains(v)
-
-
-def subspace_equal_at(s: Subspace, t: Subspace, d: int) -> bool:
-    return s.equal_at(t, d)
-
-
-def subspace_dims(s: Subspace) -> list[tuple[int, int]]:
-    return s.dims()
-
-
 def span(spec: AlgebraSpec, vectors: Iterable[GradedVector]) -> Subspace:
+    """Span of the homogeneous parts of the vectors, one insertion per degree."""
     s = Subspace(spec)
+    rows: dict[int, list[np.ndarray]] = {}
     for v in vectors:
-        s.insert(v)
+        s._check(v.spec)
+        for d in v.degrees():
+            rows.setdefault(d, []).append(v.dense(d, s.arith))
+    for d, m in rows.items():
+        s.block(d).insert_matrix(np.stack(m))
     return s

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import DegreeOutOfRange, NotNormal, TruncationOverflow
 from .fields import DEFAULT_PRIME, Field
@@ -164,7 +164,3 @@ def parse_word(spec: AlgebraSpec, text: str) -> Word:
     if not is_normal(spec, w):
         raise NotNormal(f"{text!r} is not a normal word")
     return w
-
-
-def iter_all_degrees(spec: AlgebraSpec) -> Iterator[int]:
-    return iter(range(1, spec.max_degree + 1))

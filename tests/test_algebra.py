@@ -140,6 +140,19 @@ def test_derived_dims_match_oracle(m, nil):
             assert t.level(i).dim_at(d) == ranks[d], (m, nil, i, d)
 
 
+P31 = 2**31 - 1  # the largest admissible prime
+
+
+def test_derived_dims_match_oracle_at_largest_prime():
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), field=Field.prime(P31), max_degree=5)
+    t = derived_tower(spec, 2)
+    oracle = Oracle(3, (2, 2, 2), 5, p=P31)
+    levels = oracle.derived_levels(2)
+    for i in (1, 2):
+        ranks = oracle.graded_ranks(levels[i])
+        assert [t.level(i).dim_at(d) for d in range(1, 6)] == [ranks[d] for d in range(1, 6)]
+
+
 # -- closures ----------------------------------------------------------------
 
 

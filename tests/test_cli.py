@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from nilpow import AlgebraSpec, derived_tower
+from nilpow import AlgebraSpec, Field, derived_tower
 from nilpow.cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from nilpow.cli import certificate_schema, main
 
@@ -49,6 +49,14 @@ def test_characteristic_two_exits_one(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_too_large_prime_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "dims", *SPEC22, "--field", "fp:2305843009213693951", "--max-degree", "5"
+    )
+    assert code == 1 and out == ""
+    assert "2^31" in err
 
 
 def test_nil_one_warns(capsys):
@@ -146,15 +154,16 @@ def test_check_fk(capsys):
 
 
 def test_cache_round_trip(tmp_path):
-    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
-    s = derived_tower(spec, 1).level(1)
-    key = cache_key(spec, "derived[1]")
-    cache_put(tmp_path, key, subspace_to_payload(s))
-    payload = cache_get(tmp_path, key)
-    assert payload is not None
-    restored = subspace_from_payload(spec, payload)
-    for d in range(1, 7):
-        assert restored.equal_at(s, d)
+    for field in (Field.prime(32003), Field.rationals()):
+        spec = AlgebraSpec(m=2, nil=(2, 2), field=field, max_degree=6)
+        s = derived_tower(spec, 1).level(1)
+        key = cache_key(spec, "derived[1]")
+        cache_put(tmp_path, key, subspace_to_payload(s))
+        payload = cache_get(tmp_path, key)
+        assert payload is not None
+        restored = subspace_from_payload(spec, payload)
+        for d in range(1, 7):
+            assert restored.equal_at(s, d)
 
 
 def test_cache_miss_on_empty(tmp_path):
@@ -175,6 +184,39 @@ def test_cache_corrupt_entry_ignored(tmp_path, capsys):
     (tmp_path / f"{key}.json").write_text("{not json")
     assert cache_get(tmp_path, key) is None
     assert "corrupt" in capsys.readouterr().err
+
+
+def _tallest(rows):
+    return max(rows.values(), key=len)
+
+
+TAMPERS = {
+    "non-monic pivot": lambda rows: _tallest(rows)[0][0].__setitem__(1, "2"),
+    "rows out of pivot order": lambda rows: _tallest(rows).reverse(),
+    "entry in another pivot column": lambda rows: _tallest(rows)[0].append([_tallest(rows)[1][0][0], "1"]),
+    "zero row": lambda rows: _tallest(rows).append([]),
+    "ordinal out of range": lambda rows: _tallest(rows)[0].append([10**6, "1"]),
+    "negative ordinal": lambda rows: _tallest(rows)[0].append([-1, "1"]),
+    "bad coefficient": lambda rows: _tallest(rows)[0][0].__setitem__(1, "one"),
+    "bad degree": lambda rows: rows.__setitem__("99", [[[0, "1"]]]),
+    "degree rows not a list": lambda rows: rows.update({k: 7 for k in rows}),
+}
+
+
+@pytest.mark.parametrize("kind", TAMPERS)
+def test_tampered_cache_entry_never_changes_dims(capsys, tmp_path, kind):
+    args = ["dims", "--generators", "2", "--nil", "3,3", "--max-degree", "7", "--levels", "2"]
+    _, plain, _ = run_cli(capsys, *args)
+    run_cli(capsys, *args, "--cache", str(tmp_path))
+    for path in tmp_path.glob("*.json"):
+        payload = json.loads(path.read_text())
+        TAMPERS[kind](payload["rows"])
+        path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
+    assert code == 0 and out == plain
+    assert "warning: ignoring cache entry" in err
+    # the entries were rewritten: a further warm run reads them cleanly
+    assert run_cli(capsys, *args, "--cache", str(tmp_path)) == (0, plain, "")
 
 
 def test_cached_certify_matches_uncached(capsys, tmp_path):

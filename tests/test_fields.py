@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilpow import Field, parse_field
-from nilpow.errors import CharacteristicTwo, DivisionByZero, NonPrimeModulus
+from nilpow.errors import CharacteristicTwo, DivisionByZero, ModulusTooLarge, NonPrimeModulus
 
 
 def test_valid_prime_field():
@@ -23,6 +23,15 @@ def test_characteristic_two_rejected():
 def test_non_prime_rejected():
     with pytest.raises(NonPrimeModulus):
         Field.prime(32001)  # 3 * 10667
+
+
+def test_modulus_bound():
+    assert Field.prime(2**31 - 1).p == 2**31 - 1
+    for p in (2**31, 2**61 - 1):  # 2^61 - 1 is prime; its products overflow int64
+        with pytest.raises(ModulusTooLarge):
+            Field.prime(p)
+    with pytest.raises(ModulusTooLarge):
+        parse_field("fp:2305843009213693951")
 
 
 def test_rationals_valid():

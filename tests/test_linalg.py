@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilpow import AlgebraSpec, Field, GradedVector, Subspace, span, vec_from_word
+from nilpow import AlgebraSpec, Field, GradedVector, Subspace, linalg, span, vec_from_word
 from nilpow.errors import SpecMismatch
 
 from dense_oracle import Oracle
@@ -148,3 +149,73 @@ def test_rationals_path():
     # pivot is monic after echelonization
     assert s.block(2).sparse_rows() == [[(0, Fraction(1)), (1, Fraction(-2, 3))]]
     assert s.contains(v.scale(Fraction(7, 5)))
+
+
+# -- the blocked elimination kernel against a row-at-a-time reference --------
+
+
+def _lead(row):
+    return next(i for i, x in enumerate(row) if x != 0)
+
+
+def reference_insert(field, rows, candidates):
+    """Canonical RREF rows after inserting candidates one at a time, and the
+    rank growth; plain Python over field elements."""
+    rows = [list(r) for r in rows]
+    grew = 0
+    for v in candidates:
+        v = [field.elem(x) for x in v]
+        for r in rows:
+            c = v[_lead(r)]
+            if c != 0:
+                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, r)]
+        if all(x == 0 for x in v):
+            continue
+        piv = _lead(v)
+        inv = field.inv(v[piv])
+        v = [field.mul(inv, x) for x in v]
+        rows = [[field.sub(a, field.mul(r[piv], b)) for a, b in zip(r, v)] for r in rows]
+        rows = sorted(rows + [v], key=_lead)
+        grew += 1
+    return rows, grew
+
+
+def _random_rows(rng, n, dim, lo=-3, hi=3):
+    return [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(n)]
+
+
+def _kernel_cases(rng):
+    """name -> (dim, rows inserted first, the chunk under test)"""
+    basis = _random_rows(rng, 12, 20)
+    spanned = [
+        [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(20)]
+        for coeffs in _random_rows(rng, 2 * linalg._CHUNK + 7, 12, -1, 1)
+    ]
+    row = _random_rows(rng, 1, 8)[0]
+    return {
+        "zero rows": (8, _random_rows(rng, 3, 8), [[0] * 8, row, [0] * 8, [0] * 8, _random_rows(rng, 1, 8)[0]]),
+        "duplicate rows": (8, _random_rows(rng, 2, 8), [row, row, [2 * x for x in row], row, [-x for x in row]]),
+        "fills partway": (6, _random_rows(rng, 2, 6), _random_rows(rng, 10, 6)),
+        "taller than dim": (5, [], _random_rows(rng, 40, 5)),
+        "more rows than chunk": (20, basis[:3], spanned),
+    }
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+@pytest.mark.parametrize(
+    "case", ["zero rows", "duplicate rows", "fills partway", "taller than dim", "more rows than chunk"]
+)
+def test_insert_matrix_matches_reference(field, case):
+    dim, first, chunk = _kernel_cases(random.Random(case))[case]
+    blk = linalg._Block(linalg._Arith(field), dim)
+
+    def dense(rows):
+        return np.array([[field.elem(x) for x in r] for r in rows], dtype=np.int64 if field.p else object)
+
+    ref, ref_grew = reference_insert(field, [], first)
+    assert (blk.insert_matrix(dense(first)) if first else 0) == ref_grew
+    ref, ref_grew = reference_insert(field, ref, chunk)
+    assert blk.insert_matrix(dense(chunk)) == ref_grew
+    assert [[field.elem(x) for x in r] for r in blk.matrix] == ref
+    assert blk.rank == len(ref) and blk.full == (len(ref) == dim)
+    assert list(blk.pivots) == [_lead(r) for r in ref]
