@@ -5,7 +5,6 @@ certificates."""
 from .algebra import (
     DerivedTower,
     bracket,
-    derived_power,
     derived_tower,
     eval_f,
     ideal_closure,
@@ -44,7 +43,6 @@ __all__ = [
     "certify_generation",
     "concat",
     "degree_split_check",
-    "derived_power",
     "derived_tower",
     "dim_component",
     "eval_f",

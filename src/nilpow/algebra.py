@@ -6,17 +6,26 @@ degree-by-degree on echelon blocks: every contribution to degree f comes
 from strictly smaller degrees, so one increasing sweep is a fixpoint.
 Basis products are looked up in cached (p, q)-degree multiplication
 tables, which keeps the inner loops in numpy.
+
+One generator, `_brackets`, produces every bracket candidate (row x row;
+basis words enter as the identity rows of a full block), and one feeder,
+`_insert_all`, batches the candidates into an echelon block. The first
+derived power needs only brackets with degree-1 words, as [A, A] = [A_1, A].
+`derived_tower` is the one tower builder, with an optional on-disk cache.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, SpecMismatch
+from .cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
+from .errors import ArityMismatch, CorruptCacheEntry, SpecMismatch
 from .linalg import GradedVector, Subspace, _Arith, span
 from .words import AlgebraSpec, concat, dim_component, normal_words, word_index
 
@@ -93,119 +102,76 @@ def eval_f(s: int, args: Sequence[GradedVector]) -> GradedVector:
 
 # -- closure machinery -------------------------------------------------------
 
-
-class _Batcher:
-    """Buffers candidate rows and flushes them into one echelon block."""
-
-    def __init__(self, block, cap: int = 2048):
-        self.block = block
-        self.cap = cap
-        self.buf: list[np.ndarray] = []
-        self.rows = 0
-
-    def add(self, m: np.ndarray) -> None:
-        if m.shape[0] == 0 or self.block.full:
-            return
-        self.buf.append(m)
-        self.rows += m.shape[0]
-        if self.rows >= self.cap:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.buf:
-            self.block.insert_matrix(np.vstack(self.buf))
-            self.buf.clear()
-            self.rows = 0
+# candidate rows per `_Block.insert_matrix` call from `_insert_all`
+_BUFFER = 2048
 
 
-def _word_brackets(
-    spec: AlgebraSpec, p: int, q: int, arith: _Arith, same: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (i, j, m), 4096 pairs at a time: row r of m is the bracket of
-    the i[r]-th degree-p basis word with the j[r]-th degree-q one. With
-    ``same`` (p == q) only pairs i < j (antisymmetry covers the rest)."""
-    dp, dq = dim_component(spec, p), dim_component(spec, q)
-    if dp == 0 or dq == 0:
-        return
-    t1 = mul_table(spec, p, q)
-    t2 = mul_table(spec, q, p)
-    if same:
-        ii, jj = np.triu_indices(dp, k=1)
-    else:
-        ii, jj = np.meshgrid(np.arange(dp), np.arange(dq), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-    for lo in range(0, ii.size, 4096):
-        i, j = ii[lo : lo + 4096], jj[lo : lo + 4096]
-        m = arith.zeros((i.size, dim_component(spec, p + q)))
-        r = np.arange(i.size)
-        o1 = t1[i, j]
-        k = o1 >= 0
-        np.add.at(m, (r[k], o1[k]), arith.field.one)
-        o2 = t2[j, i]
-        k = o2 >= 0
-        np.add.at(m, (r[k], o2[k]), -arith.field.one)
-        yield i, j, arith.mod(m)
-
-
-def _row_pair_brackets(
+def _brackets(
     spec: AlgebraSpec,
     p: int,
     q: int,
     rows_p: np.ndarray,
     rows_q: np.ndarray,
     arith: _Arith,
-    batcher: _Batcher,
-    same: bool,
-) -> None:
-    """Brackets of every row of rows_p with every row of rows_q; with
-    ``same`` only unordered pairs (antisymmetry makes the rest redundant)."""
-    f = p + q
-    dimf = dim_component(spec, f)
+    same: bool = False,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (a, m) for every row a of the degree-p rows_p: row r of m is
+    [rows_p[a], rows_q[j]] with rows_q of degree q, where j = r, or
+    j = a+1+r under ``same`` (one row set, p == q; antisymmetry covers the
+    other pairs). Basis words enter as identity rows."""
+    dimf = dim_component(spec, p + q)
     t1 = mul_table(spec, p, q)
     t2 = mul_table(spec, q, p)
+    bq, jq = np.nonzero(rows_q)
+    xq = rows_q[bq, jq]
     for a in range(rows_p.shape[0]):
-        if batcher.block.full:
+        lo = a + 1 if same else 0
+        if lo >= rows_q.shape[0]:
             return
-        u = rows_p[a]
-        v = rows_q[a + 1 :] if same else rows_q
-        if v.shape[0] == 0:
-            continue
-        # An entry gets one product of residues per sign (its word's degree-p
+        k0 = np.searchsorted(bq, lo)
+        b, j, x = bq[k0:] - lo, jq[k0:], xq[k0:]
+        # For one i and one sign, distinct (b, j) hit distinct entries, and an
+        # entry gets one product of residues per sign (its word's degree-p
         # prefix and suffix fix i), so |entry| < (p-1)^2 < 2^62 for p < 2^31.
-        m = arith.zeros((v.shape[0], dimf))
-        for i in np.flatnonzero(u != 0):
-            c = u[i]
-            idx1 = t1[i]
-            k1 = idx1 >= 0
-            if k1.any():
-                m[:, idx1[k1]] += c * v[:, k1]
-            idx2 = t2[:, i]
-            k2 = idx2 >= 0
-            if k2.any():
-                m[:, idx2[k2]] -= c * v[:, k2]
-        batcher.add(arith.mod(m))
-
-
-def _word_row_brackets(
-    spec: AlgebraSpec, d: int, rows: np.ndarray, e: int, arith: _Arith
-) -> Iterable[tuple[int, np.ndarray]]:
-    """Yield (word ordinal a, matrix of [w_a, row] over all rows) for every
-    degree-d basis word against degree-e rows."""
-    f = d + e
-    dimf = dim_component(spec, f)
-    t1 = mul_table(spec, d, e)
-    t2 = mul_table(spec, e, d)
-    for a in range(dim_component(spec, d)):
-        m = arith.zeros((rows.shape[0], dimf))
-        idx1 = t1[a]
-        k1 = idx1 >= 0
-        if k1.any():
-            m[:, idx1[k1]] += rows[:, k1]
-        idx2 = t2[:, a]
-        k2 = idx2 >= 0
-        if k2.any():
-            m[:, idx2[k2]] -= rows[:, k2]
+        m = arith.zeros((rows_q.shape[0] - lo, dimf))
+        for i in np.flatnonzero(rows_p[a]):
+            c = rows_p[a, i]
+            for cols, sign in ((t1[i, j], c), (t2[j, i], -c)):
+                k = cols >= 0
+                m[b[k], cols[k]] += sign * x[k]
         yield a, arith.mod(m)
+
+
+def _insert_all(blk, mats: Iterable[np.ndarray]) -> None:
+    """Insert a lazy stream of candidate matrices into one echelon block,
+    up to `_BUFFER` rows per call; stops drawing once the block is full."""
+    if blk.full:
+        return
+    buf: list[np.ndarray] = []
+    rows = 0
+    for m in mats:
+        buf.append(m)
+        rows += m.shape[0]
+        if rows >= _BUFFER:
+            blk.insert_matrix(np.vstack(buf))
+            if blk.full:
+                return
+            buf, rows = [], 0
+    if rows:
+        blk.insert_matrix(np.vstack(buf))
+
+
+def _split_brackets(
+    spec: AlgebraSpec, s: Subspace, f: int, splits: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """Candidate matrices [s_p, s_{f-p}] of one subspace, for p in splits."""
+    for p in splits:
+        q = f - p
+        if s.dim_at(p) and s.dim_at(q):
+            for _, m in _brackets(
+                spec, p, q, s.block(p).matrix, s.block(q).matrix, s.arith, same=p == q
+            ):
+                yield m
 
 
 # -- derived powers ----------------------------------------------------------
@@ -227,36 +193,59 @@ class DerivedTower:
 
 
 def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspace:
+    """[prev, prev], degree by degree. ``from_full`` requires prev to be the
+    full space: then only the split p = 1 is needed, since the identity
+    [xv, w] = [x, vw] + [v, wx] gives [A, A] = [A_1, A]."""
     out = Subspace(spec)
-    arith = out.arith
     for f in range(2, spec.max_degree + 1):
-        batcher = _Batcher(out.block(f))
-        for p in range(1, f // 2 + 1):
-            q = f - p
-            if from_full:
-                for _, _, m in _word_brackets(spec, p, q, arith, same=p == q):
-                    batcher.add(m)
-            elif prev.dim_at(p) and prev.dim_at(q):
-                _row_pair_brackets(
-                    spec, p, q, prev.block(p).matrix, prev.block(q).matrix, arith, batcher, same=p == q
-                )
-        batcher.flush()
+        splits = (1,) if from_full else range(1, f // 2 + 1)
+        _insert_all(out.block(f), _split_brackets(spec, prev, f, splits))
     return out
 
 
-def derived_tower(spec: AlgebraSpec, imax: int) -> DerivedTower:
-    """Derived powers up to level imax, each truncated at max_degree."""
+def _cached(spec: AlgebraSpec, key: str, cache_dir: str | Path) -> Optional[Subspace]:
+    payload = cache_get(cache_dir, key)
+    if payload is None:
+        return None
+    try:
+        return subspace_from_payload(spec, payload)
+    except CorruptCacheEntry as exc:
+        print(f"warning: ignoring cache entry {key}: {exc}", file=sys.stderr)
+        return None
+
+
+def derived_tower(
+    spec: AlgebraSpec, imax: int, cache_dir: str | Path | None = None
+) -> DerivedTower:
+    """Derived powers up to level imax, each truncated at max_degree. With
+    ``cache_dir`` each level is read from the on-disk cache when an entry
+    decodes, and computed and written back otherwise."""
     levels = [Subspace.full_space(spec)]
-    for j in range(imax):
-        levels.append(_derived_step(spec, levels[-1], from_full=j == 0))
+    for j in range(1, imax + 1):
+        key = cache_key(spec, f"derived[{j}]")
+        level = _cached(spec, key, cache_dir) if cache_dir else None
+        if level is None:
+            level = _derived_step(spec, levels[-1], from_full=j == 1)
+            if cache_dir:
+                cache_put(cache_dir, key, subspace_to_payload(level))
+        levels.append(level)
     return DerivedTower(spec, levels)
 
 
-def derived_power(spec: AlgebraSpec, i: int) -> Subspace:
-    return derived_tower(spec, i).level(i)
-
-
 # -- closures ----------------------------------------------------------------
+
+
+def _multiples(spec: AlgebraSpec, rows: np.ndarray, e: int, arith: _Arith) -> Iterator[np.ndarray]:
+    """Left and right multiples of degree-e rows by each generator."""
+    tl = mul_table(spec, 1, e)
+    tr = mul_table(spec, e, 1)
+    for g in range(dim_component(spec, 1)):
+        for idx in (tl[g], tr[:, g]):
+            k = idx >= 0
+            if k.any():
+                m = arith.zeros((rows.shape[0], dim_component(spec, e + 1)))
+                m[:, idx[k]] = rows[:, k]
+                yield m
 
 
 def ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
@@ -269,27 +258,12 @@ def ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
     if s.spec != spec:
         raise SpecMismatch("subspace over a different algebra spec")
     out = Subspace(spec)
-    arith = out.arith
-    d1 = dim_component(spec, 1)
     for f in range(1, spec.max_degree + 1):
         blk = out.block(f)
         if s.dim_at(f):
             blk.insert_matrix(s.block(f).matrix)
-        if f < 2 or out.dim_at(f - 1) == 0 or blk.full:
-            continue
-        rows = out.block(f - 1).matrix
-        tl = mul_table(spec, 1, f - 1)
-        tr = mul_table(spec, f - 1, 1)
-        batcher = _Batcher(blk)
-        for g in range(d1):
-            for idx in (tl[g], tr[:, g]):
-                k = idx >= 0
-                if not k.any():
-                    continue
-                m = arith.zeros((rows.shape[0], dim_component(spec, f)))
-                m[:, idx[k]] = rows[:, k]
-                batcher.add(m)
-        batcher.flush()
+        if out.dim_at(f - 1):
+            _insert_all(blk, _multiples(spec, out.block(f - 1).matrix, f - 1, out.arith))
     return out
 
 
@@ -303,19 +277,22 @@ def lie_ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
     if s.spec != spec:
         raise SpecMismatch("subspace over a different algebra spec")
     out = Subspace(spec)
-    arith = out.arith
+    words = Subspace.full_space(spec)
     for f in range(1, spec.max_degree + 1):
         blk = out.block(f)
         if s.dim_at(f):
             blk.insert_matrix(s.block(f).matrix)
-        batcher = _Batcher(blk)
-        for d in range(1, f):
-            e = f - d
-            if out.dim_at(e) == 0 or blk.full:
-                continue
-            for _, m in _word_row_brackets(spec, d, out.block(e).matrix, e, arith):
-                batcher.add(m)
-        batcher.flush()
+        _insert_all(
+            blk,
+            (
+                m
+                for d in range(1, f)
+                if out.dim_at(f - d)
+                for _, m in _brackets(
+                    spec, d, f - d, words.block(d).matrix, out.block(f - d).matrix, out.arith
+                )
+            ),
+        )
     return out
 
 
@@ -324,16 +301,6 @@ def lie_subalgebra_closure(spec: AlgebraSpec, gens: Iterable[GradedVector]) -> S
     the bracket. Inhomogeneous generators are split into homogeneous parts
     (this can only enlarge the closure)."""
     out = span(spec, gens)
-    arith = out.arith
     for f in range(1, spec.max_degree + 1):
-        blk = out.block(f)
-        batcher = _Batcher(blk)
-        for p in range(1, f // 2 + 1):
-            q = f - p
-            if out.dim_at(p) == 0 or out.dim_at(q) == 0 or blk.full:
-                continue
-            _row_pair_brackets(
-                spec, p, q, out.block(p).matrix, out.block(q).matrix, arith, batcher, same=p == q
-            )
-        batcher.flush()
+        _insert_all(out.block(f), _split_brackets(spec, out, f, range(1, f // 2 + 1)))
     return out

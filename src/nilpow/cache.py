@@ -2,9 +2,10 @@
 
 Entries are JSON files keyed by a content hash of (format version, spec,
 object id). Field elements serialize canonically: residues as decimal
-integers, rationals as "num/den" in lowest terms. Corrupt or
-wrong-version entries behave as misses; so do entries whose rows are not
-in canonical RREF, which `subspace_from_payload` rejects.
+integers, rationals as "num/den" in lowest terms. Each entry stores the
+SHA-256 of its rows. Corrupt or wrong-version entries behave as misses;
+so do entries whose rows do not match their digest or are not in
+canonical RREF, which `subspace_from_payload` rejects.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import CorruptCacheEntry
 from .linalg import Subspace
 from .words import AlgebraSpec
 
-CACHE_FORMAT_VERSION = "nilpow-cache-1"
+CACHE_FORMAT_VERSION = "nilpow-cache-2"
 
 
 def spec_key(spec: AlgebraSpec) -> dict:
@@ -39,6 +40,10 @@ def cache_key(spec: AlgebraSpec, object_id: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _rows_digest(rows: dict) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
 def subspace_to_payload(s: Subspace) -> dict:
     f = s.spec.field
     rows = {}
@@ -48,15 +53,18 @@ def subspace_to_payload(s: Subspace) -> dict:
                 [[o, f.format_coeff(c)] for o, c in row]
                 for row in s.block(d).sparse_rows()
             ]
-    return {"version": CACHE_FORMAT_VERSION, "rows": rows}
+    return {"version": CACHE_FORMAT_VERSION, "rows": rows, "digest": _rows_digest(rows)}
 
 
 def subspace_from_payload(spec: AlgebraSpec, payload: dict) -> Subspace:
     """Decode a payload, taking each degree's rows as they are; raises
-    `CorruptCacheEntry` unless they are in canonical RREF."""
+    `CorruptCacheEntry` unless they match the stored digest and are in
+    canonical RREF."""
     s = Subspace(spec)
     f = spec.field
     try:
+        if payload["digest"] != _rows_digest(payload["rows"]):
+            raise CorruptCacheEntry("rows do not match their digest")
         for d_str, rows in payload["rows"].items():
             d = int(d_str)
             if not 1 <= d <= spec.max_degree:

@@ -20,9 +20,8 @@ from typing import Optional
 
 from .algebra import (
     DerivedTower,
+    _brackets,
     _derived_step,
-    _word_brackets,
-    _word_row_brackets,
     bracket,
     derived_tower,
     eval_f,
@@ -257,13 +256,14 @@ def lemma1_check(spec: AlgebraSpec, u: Subspace) -> CheckReport:
     Raises NotALieIdeal when the precondition [A, U] <= U fails.
     """
     arith = u.arith
+    words = Subspace.full_space(spec)
     checked = 0
     for e in range(1, spec.max_degree + 1):
         if u.dim_at(e) == 0:
             continue
         rows = u.block(e).matrix
         for d in range(1, spec.max_degree - e + 1):
-            for a, m in _word_row_brackets(spec, d, rows, e, arith):
+            for a, m in _brackets(spec, d, e, words.block(d).matrix, rows, arith):
                 checked += m.shape[0]
                 if u.block(d + e).contains_matrix(m) is not None:
                     w = format_word(spec, normal_words(spec, d)[a])
@@ -277,7 +277,7 @@ def lemma1_check(spec: AlgebraSpec, u: Subspace) -> CheckReport:
             continue
         rows = w_ideal.block(e).matrix
         for d in range(1, spec.max_degree - e + 1):
-            for a, m in _word_row_brackets(spec, d, rows, e, arith):
+            for a, m in _brackets(spec, d, e, words.block(d).matrix, rows, arith):
                 checked += m.shape[0]
                 bad = u.block(d + e).contains_matrix(m)
                 if bad is not None:
@@ -334,17 +334,19 @@ def degree_split_check(
     if tower is None or tower.depth < i + 1:
         tower = derived_tower(spec, i + 1)
     target = tower.level(i + 1)
-    arith = target.arith
+    words = tower.level(0)
     checked = 0
     for total in range(2 * n - 1, spec.max_degree + 1):
         for p in range(n, total):
             q = total - p
-            for a, b, m in _word_brackets(spec, p, q, arith):
-                checked += a.size
+            for a, m in _brackets(
+                spec, p, q, words.block(p).matrix, words.block(q).matrix, target.arith
+            ):
+                checked += m.shape[0]
                 bad = target.block(total).contains_matrix(m)
                 if bad is not None:
-                    wp = format_word(spec, normal_words(spec, p)[int(a[bad])])
-                    wq = format_word(spec, normal_words(spec, q)[int(b[bad])])
+                    wp = format_word(spec, normal_words(spec, p)[a])
+                    wq = format_word(spec, normal_words(spec, q)[bad])
                     return CheckReport(
                         name="degree_split",
                         passed=False,

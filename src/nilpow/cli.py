@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import cache as cache_mod
-from .algebra import DerivedTower, _derived_step, derived_tower
+from .algebra import derived_tower
 from .certify import (
     Certificate,
     certify_generation,
@@ -31,9 +31,8 @@ from .certify import (
     lemma1_check,
     random_lie_ideal,
 )
-from .errors import CorruptCacheEntry, NilpowError
+from .errors import NilpowError
 from .fields import parse_field
-from .linalg import Subspace
 from .words import AlgebraSpec, dim_component, format_word, normal_words
 
 CERT_FORMAT_VERSION = "nilpow-cert-1"
@@ -71,29 +70,6 @@ def build_spec(args: argparse.Namespace) -> AlgebraSpec:
             file=sys.stderr,
         )
     return spec
-
-
-# -- cached tower ------------------------------------------------------------
-
-
-def _tower_with_cache(spec: AlgebraSpec, imax: int, cache_dir: str | None) -> DerivedTower:
-    levels = [Subspace.full_space(spec)]
-    for j in range(1, imax + 1):
-        key = cache_mod.cache_key(spec, f"derived[{j}]")
-        loaded = None
-        if cache_dir:
-            payload = cache_mod.cache_get(cache_dir, key)
-            if payload is not None:
-                try:
-                    loaded = cache_mod.subspace_from_payload(spec, payload)
-                except CorruptCacheEntry as exc:
-                    print(f"warning: ignoring cache entry {key}: {exc}", file=sys.stderr)
-        if loaded is None:
-            loaded = _derived_step(spec, levels[-1], from_full=j == 1)
-            if cache_dir:
-                cache_mod.cache_put(cache_dir, key, cache_mod.subspace_to_payload(loaded))
-        levels.append(loaded)
-    return DerivedTower(spec, levels)
 
 
 # -- certificate serialization -----------------------------------------------
@@ -155,7 +131,7 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_dims(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     levels = args.levels
-    tower = _tower_with_cache(spec, levels, args.cache)
+    tower = derived_tower(spec, levels, cache_dir=args.cache)
     header = ["degree", "dim_A"] + [f"dim_A{i}" for i in range(1, levels + 1)]
     rows = []
     for d in range(1, spec.max_degree + 1):
@@ -184,7 +160,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    tower = _tower_with_cache(spec, args.i + 2, args.cache)
+    tower = derived_tower(spec, args.i + 2, cache_dir=args.cache)
     cert = certify_generation(spec, args.i, seed=args.seed, tower=tower)
     text = _dump_json(certificate_to_dict(cert, with_timings=args.timings))
     _write_out(text, args.out)
@@ -200,7 +176,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.which in ("identities", "all"):
         reports.append(identity_check(spec, trials=args.trials, seed=args.seed))
     if args.which in ("lemma1", "all"):
-        tower = _tower_with_cache(spec, 2, args.cache)
+        tower = derived_tower(spec, 2, cache_dir=args.cache)
         for i in (1, 2):
             rep = lemma1_check(spec, tower.level(i))
             rep.name = f"lemma1[derived power {i}]"
@@ -269,7 +245,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error; --help exits 0
+            return EXIT_ERROR
+        raise
     try:
         return args.func(args)
     except NilpowError as exc:

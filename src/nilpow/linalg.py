@@ -189,12 +189,12 @@ class _Block:
 
     @property
     def matrix(self) -> np.ndarray:
-        """RREF rows, materializing the identity for a full block."""
-        if self.full and self._rows is None:
+        """RREF rows. A block built full gives a fresh identity, not kept:
+        it would hold dim^2 entries for the life of the block."""
+        if self._rows is None:
             eye = self.arith.zeros((self.dim, self.dim))
-            for i in range(self.dim):
-                eye[i, i] = self.arith.field.one
-            self._rows = eye
+            np.fill_diagonal(eye, self.arith.field.one)
+            return eye
         return self._rows
 
     def reduce_matrix(self, m: np.ndarray) -> np.ndarray:

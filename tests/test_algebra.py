@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from nilpow import (
     Subspace,
     bracket,
     derived_tower,
+    dim_component,
     eval_f,
     ideal_closure,
     jordan,
@@ -20,6 +22,7 @@ from nilpow import (
     span,
     vec_from_word,
 )
+from nilpow.algebra import _brackets
 from nilpow.certify import random_homogeneous
 from nilpow.errors import ArityMismatch
 
@@ -235,6 +238,38 @@ def test_lie_subalgebra_closure_matches_oracle():
     ranks = oracle.graded_ranks(oracle.lie_subalgebra_closure([{(1,): 1}, {(2,): 1}]))
     for d in range(1, 7):
         assert clo.dim_at(d) == ranks[d]
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("words", [True, False], ids=["identity", "random"])
+def test_brackets_match_element_bracket(field, same, words):
+    spec = AlgebraSpec(m=2, nil=(3, 3), field=field, max_degree=7)
+    p, q = (3, 3) if same else (3, 4)
+    arith = Subspace(spec).arith
+    if words:
+        rows_p, rows_q = (Subspace.full_space(spec).block(d).matrix for d in (p, q))
+    else:
+        rng = random.Random(5)
+        rows_p, rows_q = (
+            np.stack([random_homogeneous(spec, rng, d).dense(d, arith) for _ in range(4)]
+                     + [arith.zeros(dim_component(spec, d))])
+            for d in (p, q)
+        )
+    if same:
+        rows_q = rows_p
+
+    def vec(d, row):
+        return GradedVector(spec, {d: {o: row[o] for o in np.flatnonzero(row)}})
+
+    pairs = 0
+    for a, m in _brackets(spec, p, q, rows_p, rows_q, arith, same=same):
+        for r, row in enumerate(m):
+            j = a + 1 + r if same else r
+            assert vec(p + q, row) == bracket(vec(p, rows_p[a]), vec(q, rows_q[j]))
+            pairs += 1
+    n_p, n_q = len(rows_p), len(rows_q)
+    assert pairs == (n_p * (n_p - 1) // 2 if same else n_p * n_q)
 
 
 def test_closures_are_single_sweep_stable(suite_specs):

@@ -5,6 +5,7 @@ import pytest
 from nilpow import (
     AlgebraSpec,
     Field,
+    bracket,
     certify_generation,
     degree_split_check,
     derived_tower,
@@ -136,6 +137,16 @@ def test_degree_split_property():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
     rep = degree_split_check(spec, 1, 11)
     assert rep.passed and rep.checked > 0
+
+
+def test_degree_split_reports_escape():
+    # n = 1 claims every bracket of degree >= 1 words lies in level 2
+    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
+    rep = degree_split_check(spec, 1, 1)
+    assert not rep.passed
+    assert rep.counterexample == "[x, y] escapes level 2 at degree 2"
+    xy = bracket(vec_from_word(spec, (1,)), vec_from_word(spec, (2,)))
+    assert not derived_tower(spec, 2).level(2).contains(xy)
 
 
 def test_nilpotency_propagation(suite_specs):

@@ -59,6 +59,15 @@ def test_too_large_prime_exits_one(capsys):
     assert "2^31" in err
 
 
+def test_usage_error_exits_one(capsys):
+    # argparse exits 2, which would read as INCONCLUSIVE
+    code, _, err = run_cli(capsys, "certify", "--i", "1", *SPEC22, "--max-degree", "x")
+    assert code == 1 and "invalid int value" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
 def test_nil_one_warns(capsys):
     code, _, err = run_cli(
         capsys, "dims", "--generators", "2", "--nil", "2,1", "--max-degree", "4"
@@ -190,6 +199,12 @@ def _tallest(rows):
     return max(rows.values(), key=len)
 
 
+def _change_non_pivot(rows):
+    # entries after a row's pivot sit in non-pivot columns; still canonical RREF
+    entry = next(r for r in _tallest(rows) if len(r) > 1)[-1]
+    entry[1] = "2" if entry[1] != "2" else "3"
+
+
 TAMPERS = {
     "non-monic pivot": lambda rows: _tallest(rows)[0][0].__setitem__(1, "2"),
     "rows out of pivot order": lambda rows: _tallest(rows).reverse(),
@@ -200,6 +215,8 @@ TAMPERS = {
     "bad coefficient": lambda rows: _tallest(rows)[0][0].__setitem__(1, "one"),
     "bad degree": lambda rows: rows.__setitem__("99", [[[0, "1"]]]),
     "degree rows not a list": lambda rows: rows.update({k: 7 for k in rows}),
+    "last row dropped": lambda rows: _tallest(rows).pop(),
+    "non-pivot entry changed": _change_non_pivot,
 }
 
 
