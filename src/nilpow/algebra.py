@@ -1,7 +1,7 @@
 """Graded algebra operations: product, Lie bracket, Jordan product, derived
 powers, and the associative/Lie closures, all truncated at max_degree.
 
-Element-level operations work on sparse `GradedVector`s. Closures work
+Element-level operations work on `GradedVector` rows. Closures work
 degree-by-degree on echelon blocks: every contribution to degree f comes
 from strictly smaller degrees, so one increasing sweep is a fixpoint.
 Basis products are looked up in cached (p, q)-degree multiplication
@@ -58,22 +58,22 @@ def _check_pair(u: GradedVector, v: GradedVector) -> AlgebraSpec:
 def mul(u: GradedVector, v: GradedVector) -> GradedVector:
     """Associative product; terms beyond max_degree are dropped."""
     spec = _check_pair(u, v)
-    f = spec.field
-    parts: dict[int, dict[int, object]] = {}
-    for d1, c1 in u.parts.items():
-        for d2, c2 in v.parts.items():
+    arith = _Arith(spec.field)
+    parts: dict[int, np.ndarray] = {}
+    for d1, r1 in u.parts.items():
+        for d2, r2 in v.parts.items():
             d = d1 + d2
             if d > spec.max_degree:
                 continue
             t = mul_table(spec, d1, d2)
-            tgt = parts.setdefault(d, {})
-            for o1, a in c1.items():
-                row = t[o1]
-                for o2, b in c2.items():
-                    o = row[o2]
-                    if o >= 0:
-                        o = int(o)
-                        tgt[o] = f.add(tgt.get(o, f.zero), f.mul(a, b))
+            k = t >= 0
+            tgt = parts[d] if d in parts else arith.zeros(dim_component(spec, d))
+            # For one split (d1, d2) a product word fixes both factors, so
+            # t[k] has no repeated entry and each entry gets one product of
+            # residues; reducing after each split keeps |entry| < p + (p-1)^2
+            # < 2^63 for p < 2^31.
+            tgt[t[k]] += np.outer(r1, r2)[k]
+            parts[d] = arith.mod(tgt)
     return GradedVector(spec, parts)
 
 

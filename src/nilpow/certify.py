@@ -50,10 +50,10 @@ def random_homogeneous(spec: AlgebraSpec, rng: random.Random, d: int) -> GradedV
     if dim == 0:
         return GradedVector.zero(spec)
     if spec.field.is_prime_field:
-        comp = {o: rng.randrange(spec.field.p) for o in range(dim)}
+        row = [rng.randrange(spec.field.p) for _ in range(dim)]
     else:
-        comp = {o: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for o in range(dim)}
-    return GradedVector(spec, {d: comp})
+        row = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)]
+    return GradedVector(spec, {d: row})
 
 
 def random_lie_ideal(spec: AlgebraSpec, rng: random.Random) -> Subspace:

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -172,18 +173,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     spec = build_spec(args)
+    depth = {"lemma1": 2, "fk": args.k, "all": 3}.get(args.which)
+    tower = None if depth is None else derived_tower(spec, depth, cache_dir=args.cache)
     reports = []
     if args.which in ("identities", "all"):
         reports.append(identity_check(spec, trials=args.trials, seed=args.seed))
     if args.which in ("lemma1", "all"):
-        tower = derived_tower(spec, 2, cache_dir=args.cache)
         for i in (1, 2):
             rep = lemma1_check(spec, tower.level(i))
             rep.name = f"lemma1[derived power {i}]"
             reports.append(rep)
-        import random as _random
-
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         n_random = max(1, args.trials // 20)
         for t in range(n_random):
             rep = lemma1_check(spec, random_lie_ideal(spec, rng))
@@ -193,7 +193,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.which in ("fk", "all"):
         ks = [args.k] if args.which == "fk" else [1, 2, 3]
         for k in ks:
-            reports.append(fk_identity_check(spec, k, trials=args.trials, seed=args.seed))
+            reports.append(fk_identity_check(spec, k, trials=args.trials, seed=args.seed, tower=tower))
     ok = True
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

@@ -74,10 +74,6 @@ class Field:
         return Fraction(x)
 
     @property
-    def zero(self) -> Coeff:
-        return 0 if self.p is not None else Fraction(0)
-
-    @property
     def one(self) -> Coeff:
         return 1 if self.p is not None else Fraction(1)
 
@@ -105,9 +101,6 @@ class Field:
         if self.p is not None:
             return pow(int(a), -1, self.p)
         return Fraction(1) / a
-
-    def is_zero(self, a: Coeff) -> bool:
-        return a == 0
 
     # -- text form (CLI flags, certificates, cache) --------------------------
 

@@ -1,16 +1,17 @@
 """Exact graded linear algebra over the chosen field.
 
-Elements are `GradedVector`s: per-degree sparse coefficient maps over the
-normal-word basis. Subspaces keep one reduced-row-echelon block per degree
-(monic pivots, fully back-reduced, rows sorted by pivot ordinal), so equal
-subspaces have literally equal rows and every certificate is canonical.
+Elements are `GradedVector`s: one dense coefficient row per nonzero degree
+over the normal-word basis. Subspaces keep one reduced-row-echelon block per
+degree (monic pivots, fully back-reduced, rows sorted by pivot ordinal), so
+equal subspaces have literally equal rows and every certificate is canonical.
 
-Block internals are dense numpy arrays: int64 residues for F_p (with
-matrix products routed through float64 BLAS whenever the exactness bound
-inner*(p-1)^2 < 2^53 holds; elementwise, residue + residue*residue is
-exact as `Field` admits only p < 2^31), `Fraction` object arrays for Q.
-The sparse form is the interchange format (vectors, certificates, cache);
-the dense form is what makes m=3 runs finish.
+Vector rows and block rows share one form: numpy arrays of int64 residues
+for F_p (with matrix products routed through float64 BLAS whenever the
+exactness bound inner*(p-1)^2 < 2^53 holds; elementwise, residue +
+residue*residue is exact as `Field` admits only p < 2^31), `Fraction`
+object arrays for Q. Sparse (ordinal, coeff) pairs exist only at the JSON
+boundary: `GradedVector.terms` for certificates, `_Block.sparse_rows` for
+the cache.
 
 One blocked kernel, `_Block.insert_matrix`, does all insertion, after the
 echelon forms of M4RI and FFLAS-FFPACK. Per chunk of `_CHUNK` rows: a
@@ -73,24 +74,34 @@ class _Arith:
 
 
 class GradedVector:
-    """Sparse element of the truncated algebra: degree -> {ordinal: coeff}.
+    """Element of the truncated algebra: degree -> one reduced coefficient
+    row over the normal words of that degree, in the form of block rows.
 
-    Immutable by convention; all operations return fresh vectors. Zero
-    coefficients are never stored.
+    Takes rows (arrays or sequences) or, as the public form,
+    {degree: {ordinal: coeff}} maps. Immutable by convention; all
+    operations return fresh vectors. Zero rows are never stored.
     """
 
     __slots__ = ("spec", "parts")
 
-    def __init__(self, spec: AlgebraSpec, parts: Mapping[int, Mapping[int, Coeff]] | None = None):
+    def __init__(
+        self, spec: AlgebraSpec, parts: Mapping[int, Mapping[int, Coeff] | np.ndarray] | None = None
+    ):
         self.spec = spec
         f = spec.field
-        clean: dict[int, dict[int, Coeff]] = {}
+        arith = _Arith(f)
+        clean: dict[int, np.ndarray] = {}
         for d, comp in (parts or {}).items():
             if not 1 <= d <= spec.max_degree:
                 raise SpecMismatch(f"degree {d} outside truncation range")
-            kept = {o: f.elem(c) for o, c in comp.items() if not f.is_zero(f.elem(c))}
-            if kept:
-                clean[d] = kept
+            row = arith.zeros(dim_component(spec, d))
+            if isinstance(comp, Mapping):
+                for o, c in comp.items():
+                    row[o] = f.elem(c)
+            else:
+                row = arith.mod(row + comp)  # a copy: rows may be block rows
+            if (row != 0).any():
+                clean[d] = row
         self.parts = clean
 
     @classmethod
@@ -110,13 +121,7 @@ class GradedVector:
 
     def terms(self, d: int) -> list[tuple[int, Coeff]]:
         """Sorted (ordinal, coeff) pairs at one degree."""
-        return sorted(self.parts.get(d, {}).items())
-
-    def dense(self, d: int, arith: _Arith) -> np.ndarray:
-        v = arith.zeros(dim_component(self.spec, d))
-        for o, c in self.parts.get(d, {}).items():
-            v[o] = c
-        return v
+        return _terms(self.parts[d], self.spec.field) if d in self.parts else []
 
     # -- linear operations ---------------------------------------------------
 
@@ -126,23 +131,17 @@ class GradedVector:
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         self._check(other)
-        f = self.spec.field
-        parts = {d: dict(comp) for d, comp in self.parts.items()}
-        for d, comp in other.parts.items():
-            tgt = parts.setdefault(d, {})
-            for o, c in comp.items():
-                tgt[o] = f.add(tgt.get(o, f.zero), c)
+        parts = dict(self.parts)
+        for d, row in other.parts.items():
+            parts[d] = parts[d] + row if d in parts else row
         return GradedVector(self.spec, parts)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + other.scale(self.spec.field.neg(self.spec.field.one))
 
     def scale(self, c: Coeff) -> "GradedVector":
-        f = self.spec.field
-        c = f.elem(c)
-        return GradedVector(
-            self.spec, {d: {o: f.mul(c, x) for o, x in comp.items()} for d, comp in self.parts.items()}
-        )
+        c = self.spec.field.elem(c)
+        return GradedVector(self.spec, {d: row * c for d, row in self.parts.items()})
 
     def __neg__(self) -> "GradedVector":
         return self.scale(self.spec.field.neg(self.spec.field.one))
@@ -151,7 +150,8 @@ class GradedVector:
         return (
             isinstance(other, GradedVector)
             and self.spec == other.spec
-            and self.parts == other.parts
+            and self.parts.keys() == other.parts.keys()
+            and all(np.array_equal(row, other.parts[d]) for d, row in self.parts.items())
         )
 
     def __repr__(self) -> str:
@@ -165,6 +165,11 @@ class GradedVector:
             for o, c in self.terms(d):
                 bits.append(f"{self.spec.field.format_coeff(c)}*{format_word(self.spec, basis[o])}")
         return " + ".join(bits)
+
+
+def _terms(row: np.ndarray, f: Field) -> list[tuple[int, Coeff]]:
+    """(ordinal, coeff) pairs of the nonzero entries of a row."""
+    return [(int(o), f.elem(row[o])) for o in np.flatnonzero(row != 0)]
 
 
 def vec_from_word(spec: AlgebraSpec, w: Word, coeff: Coeff = 1) -> GradedVector:
@@ -291,12 +296,7 @@ class _Block:
         return None
 
     def sparse_rows(self) -> list[list[tuple[int, Coeff]]]:
-        f = self.arith.field
-        out = []
-        for row in self.matrix:
-            nz = np.flatnonzero(row != 0)
-            out.append([(int(o), f.elem(row[o])) for o in nz])
-        return out
+        return [_terms(row, self.arith.field) for row in self.matrix]
 
 
 class Subspace:
@@ -326,14 +326,14 @@ class Subspace:
     def insert(self, v: GradedVector) -> dict[int, bool]:
         """Insert each homogeneous part; returns degree -> grew."""
         self._check(v.spec)
-        return {d: self.block(d).insert(v.dense(d, self.arith)) for d in v.degrees()}
+        return {d: self.block(d).insert(row) for d, row in v.parts.items()}
 
     # -- queries -------------------------------------------------------------
 
     def contains(self, v: GradedVector) -> bool:
         self._check(v.spec)
-        for d in v.degrees():
-            r = self.block(d).reduce_matrix(v.dense(d, self.arith)[None, :])
+        for d, row in v.parts.items():
+            r = self.block(d).reduce_matrix(row[None, :])
             if (r != 0).any():
                 return False
         return True
@@ -374,10 +374,7 @@ class Subspace:
     def basis_vectors(self, d: int) -> list[GradedVector]:
         if self.dim_at(d) == 0:
             return []
-        return [
-            GradedVector(self.spec, {d: dict(row)})
-            for row in self.block(d).sparse_rows()
-        ]
+        return [GradedVector(self.spec, {d: row}) for row in self.block(d).matrix]
 
     def copy(self) -> "Subspace":
         out = Subspace(self.spec, full=self._full)
@@ -402,8 +399,8 @@ def span(spec: AlgebraSpec, vectors: Iterable[GradedVector]) -> Subspace:
     rows: dict[int, list[np.ndarray]] = {}
     for v in vectors:
         s._check(v.spec)
-        for d in v.degrees():
-            rows.setdefault(d, []).append(v.dense(d, s.arith))
+        for d, row in v.parts.items():
+            rows.setdefault(d, []).append(row)
     for d, m in rows.items():
         s.block(d).insert_matrix(np.stack(m))
     return s

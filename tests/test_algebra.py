@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,30 @@ def test_mul_examples():
     assert mul(X, vec_from_word(S22, (2, 1))) == vec_from_word(S22, (1, 2, 1))  # x * yx = xyx
     assert mul(X, vec_from_word(S22, (1, 2))).is_zero()  # x * xy = 0
     assert mul(X, GradedVector.zero(S22)).is_zero()
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1, None], ids=["fp:5", "fp:2147483647", "q"])
+def test_mul_matches_oracle(p):
+    # inhomogeneous operands, so several splits (d1, d2) meet in one target
+    # degree; over F_{2^31-1} the residues sit near p, the int64 worst case
+    spec = AlgebraSpec(m=2, nil=(3, 3), field=Field(p), max_degree=6)
+    oracle = Oracle(2, (3, 3), 6, p=p)
+    rng = random.Random(23)
+
+    def coeff():
+        if p is None:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.randrange(max(0, p - 100), p)
+
+    def element():
+        return {d: {o: coeff() for o in range(dim_component(spec, d))} for d in rng.sample(range(1, 5), 3)}
+
+    def raw(v):
+        return {oracle.basis[d][o]: c for d in v.degrees() for o, c in v.terms(d)}
+
+    for _ in range(10):
+        u, v = GradedVector(spec, element()), GradedVector(spec, element())
+        assert raw(mul(u, v)) == oracle.vmul(raw(u), raw(v))
 
 
 def test_mul_truncates_silently():
@@ -252,7 +277,7 @@ def test_brackets_match_element_bracket(field, same, words):
     else:
         rng = random.Random(5)
         rows_p, rows_q = (
-            np.stack([random_homogeneous(spec, rng, d).dense(d, arith) for _ in range(4)]
+            np.stack([random_homogeneous(spec, rng, d).parts[d] for _ in range(4)]
                      + [arith.zeros(dim_component(spec, d))])
             for d in (p, q)
         )

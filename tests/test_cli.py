@@ -3,6 +3,8 @@ import json
 import jsonschema
 import pytest
 
+import nilpow.certify
+import nilpow.cli
 from nilpow import AlgebraSpec, Field, derived_tower
 from nilpow.cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from nilpow.cli import certificate_schema, main
@@ -160,6 +162,20 @@ def test_check_fk(capsys):
 
 
 # -- cache -------------------------------------------------------------------
+
+
+def test_check_all_builds_one_tower(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return derived_tower(*args, **kwargs)
+
+    for mod in (nilpow.cli, nilpow.certify):
+        monkeypatch.setattr(mod, "derived_tower", counted)
+    code, _, _ = run_cli(capsys, "check", "all", *SPEC22, "--max-degree", "6", "--trials", "20")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_cache_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 """Byte-identity of CLI output against committed SHA-256 hashes.
 
 `golden_hashes.json` holds, per CLI call, its exit code and the SHA-256 of
-its stdout: `certify --i 1` and `dims --levels 3` for the four suite
-presentations, plus one dims table over Q. A refactor that changes any
-certificate or dimension table byte fails here. Regenerate the file only
-for an intended output change, and say why in CHANGES.md.
+its stdout: `certify --i 1`, `dims --levels 3` and `check all --trials 100
+--seed 0` for the four suite presentations, plus one dims table over Q. A
+refactor that changes any certificate, dimension table or check report
+byte fails here. Regenerate the file only for an intended output change,
+and say why in CHANGES.md.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ CASES = json.loads(Path(__file__).with_name("golden_hashes.json").read_text())
 
 def test_golden_cases_cover_suite_specs():
     specs = {f"--generators {m} --nil {','.join(map(str, nil))} --max-degree {d}" for m, nil, d in SUITE_PARAMS}
-    for cmd in ("certify --i 1", "dims --levels 3"):
+    for cmd in ("certify --i 1", "dims --levels 3", "check all --trials 100 --seed 0"):
         covered = {c["argv"][len(cmd) + 1 :] for c in CASES if c["argv"].startswith(cmd)}
         assert specs <= covered
     assert any(c["argv"].endswith("--field q") for c in CASES)
