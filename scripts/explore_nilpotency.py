@@ -12,7 +12,7 @@ Example (the three-generator case; degree 12 needs ~2 GB and minutes):
 import argparse
 import time
 
-from nilpow import AlgebraSpec, derived_tower, nilpotency_index
+from nilpow import AlgebraSpec, nilpotency_index
 from nilpow.fields import parse_field
 
 
@@ -31,8 +31,7 @@ def main() -> None:
             m=args.generators, nil=nil, field=parse_field(args.field), max_degree=d
         )
         t0 = time.time()
-        tower = derived_tower(spec, args.k)
-        rep = nilpotency_index(spec, args.k, tower)
+        rep = nilpotency_index(spec, args.k)  # builds derived levels 1..k
         quot = ", ".join(f"{deg}:{q}" for deg, q in rep.quotient_dims)
         print(
             f"D={d:3d}  n(k={args.k})={rep.n}  quotient dims [{quot}]  "

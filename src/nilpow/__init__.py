@@ -5,7 +5,6 @@ certificates."""
 from .algebra import (
     DerivedTower,
     bracket,
-    derived_tower,
     eval_f,
     ideal_closure,
     jordan,
@@ -27,7 +26,7 @@ from .certify import (
     nilpotency_index,
 )
 from .fields import Field, parse_field
-from .linalg import GradedVector, Subspace, span, vec_from_word
+from .linalg import GradedVector, Subspace, span
 from .words import AlgebraSpec, concat, dim_component, format_word, normal_words, parse_word, word_index
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "certify_generation",
     "concat",
     "degree_split_check",
-    "derived_tower",
     "dim_component",
     "eval_f",
     "fk_identity_check",
@@ -62,7 +60,6 @@ __all__ = [
     "parse_field",
     "parse_word",
     "span",
-    "vec_from_word",
     "word_index",
 ]
 

@@ -4,23 +4,25 @@ powers, and the associative/Lie closures, all truncated at max_degree.
 Element-level operations work on `GradedVector` rows. Closures work
 degree-by-degree on echelon blocks: every contribution to degree f comes
 from strictly smaller degrees, so one increasing sweep is a fixpoint.
-Basis products are looked up in cached (p, q)-degree multiplication
-tables, which keeps the inner loops in numpy.
+`_sweep` is that sweep; each derived power and each closure is one call
+to it with its own candidate stream. Basis products are looked up in
+cached (p, q)-degree multiplication tables, which keeps the inner loops
+in numpy.
 
 One generator, `_brackets`, produces every bracket candidate (row x row;
 basis words enter as the identity rows of a full block), and one feeder,
 `_insert_all`, batches the candidates into an echelon block. The first
 derived power needs only brackets with degree-1 words, as [A, A] = [A_1, A].
-`derived_tower` is the one tower builder, with an optional on-disk cache.
+`DerivedTower` is the one tower builder: it builds each level on first
+use, through an optional on-disk cache.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -161,46 +163,64 @@ def _insert_all(blk, mats: Iterable[np.ndarray]) -> None:
         blk.insert_matrix(np.vstack(buf))
 
 
-def _split_brackets(
-    spec: AlgebraSpec, s: Subspace, f: int, splits: Iterable[int]
-) -> Iterator[np.ndarray]:
+def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[np.ndarray]]) -> Subspace:
+    """Insert candidates(out, f) into out's degree-f block for f = 1..D in
+    turn; the candidates may read out in degrees below f, already final."""
+    for f in range(1, out.spec.max_degree + 1):
+        _insert_all(out.block(f), candidates(out, f))
+    return out
+
+
+def _split_brackets(s: Subspace, f: int, splits: Iterable[int]) -> Iterator[np.ndarray]:
     """Candidate matrices [s_p, s_{f-p}] of one subspace, for p in splits."""
     for p in splits:
         q = f - p
         if s.dim_at(p) and s.dim_at(q):
             for _, m in _brackets(
-                spec, p, q, s.block(p).matrix, s.block(q).matrix, s.arith, same=p == q
+                s.spec, p, q, s.block(p).matrix, s.block(q).matrix, s.arith, same=p == q
             ):
+                yield m
+
+
+def _word_brackets(s: Subspace, f: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(d, a, m) for each degree d < f and each degree-d basis word a: row r
+    of m is [word a, row r of s_{f-d}]."""
+    words = Subspace.full_space(s.spec)
+    for d in range(1, f):
+        if s.dim_at(f - d):
+            for a, m in _brackets(
+                s.spec, d, f - d, words.block(d).matrix, s.block(f - d).matrix, s.arith
+            ):
+                yield d, a, m
+
+
+def _multiples(s: Subspace, e: int) -> Iterator[np.ndarray]:
+    """Left and right multiples of the degree-e rows of s by each generator."""
+    if not s.dim_at(e):
+        return
+    rows = s.block(e).matrix
+    tl = mul_table(s.spec, 1, e)
+    tr = mul_table(s.spec, e, 1)
+    for g in range(dim_component(s.spec, 1)):
+        for idx in (tl[g], tr[:, g]):
+            k = idx >= 0
+            if k.any():
+                m = s.arith.zeros((rows.shape[0], dim_component(s.spec, e + 1)))
+                m[:, idx[k]] = rows[:, k]
                 yield m
 
 
 # -- derived powers ----------------------------------------------------------
 
 
-@dataclass
-class DerivedTower:
-    """Levels 0..imax of the derived series; level 0 is the full space."""
-
-    spec: AlgebraSpec
-    levels: list[Subspace]
-
-    def level(self, i: int) -> Subspace:
-        return self.levels[i]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-
 def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspace:
     """[prev, prev], degree by degree. ``from_full`` requires prev to be the
     full space: then only the split p = 1 is needed, since the identity
     [xv, w] = [x, vw] + [v, wx] gives [A, A] = [A_1, A]."""
-    out = Subspace(spec)
-    for f in range(2, spec.max_degree + 1):
-        splits = (1,) if from_full else range(1, f // 2 + 1)
-        _insert_all(out.block(f), _split_brackets(spec, prev, f, splits))
-    return out
+    return _sweep(
+        Subspace(spec),
+        lambda out, f: _split_brackets(prev, f, (1,) if from_full else range(1, f // 2 + 1)),
+    )
 
 
 def _cached(spec: AlgebraSpec, key: str, cache_dir: str | Path) -> Optional[Subspace]:
@@ -214,57 +234,42 @@ def _cached(spec: AlgebraSpec, key: str, cache_dir: str | Path) -> Optional[Subs
         return None
 
 
-def derived_tower(
-    spec: AlgebraSpec, imax: int, cache_dir: str | Path | None = None
-) -> DerivedTower:
-    """Derived powers up to level imax, each truncated at max_degree. With
-    ``cache_dir`` each level is read from the on-disk cache when an entry
-    decodes, and computed and written back otherwise."""
-    levels = [Subspace.full_space(spec)]
-    for j in range(1, imax + 1):
-        key = cache_key(spec, f"derived[{j}]")
-        level = _cached(spec, key, cache_dir) if cache_dir else None
-        if level is None:
-            level = _derived_step(spec, levels[-1], from_full=j == 1)
-            if cache_dir:
-                cache_put(cache_dir, key, subspace_to_payload(level))
-        levels.append(level)
-    return DerivedTower(spec, levels)
+class DerivedTower:
+    """The derived series of one spec, each level truncated at max_degree;
+    level 0 is the full space. `level(i)` builds the levels up to i that
+    are missing. With ``cache_dir`` each level is read from the on-disk
+    cache when an entry decodes, and computed and written back otherwise."""
+
+    def __init__(self, spec: AlgebraSpec, cache_dir: str | Path | None = None):
+        self.spec = spec
+        self.cache_dir = cache_dir
+        self.levels = [Subspace.full_space(spec)]
+
+    def level(self, i: int) -> Subspace:
+        if i < 0:
+            raise ValueError(f"derived level must be >= 0, got {i}")
+        while len(self.levels) <= i:
+            j = len(self.levels)
+            key = cache_key(self.spec, f"derived[{j}]")
+            level = _cached(self.spec, key, self.cache_dir) if self.cache_dir else None
+            if level is None:
+                level = _derived_step(self.spec, self.levels[-1], from_full=j == 1)
+                if self.cache_dir:
+                    cache_put(self.cache_dir, key, subspace_to_payload(level))
+            self.levels.append(level)
+        return self.levels[i]
 
 
 # -- closures ----------------------------------------------------------------
 
 
-def _multiples(spec: AlgebraSpec, rows: np.ndarray, e: int, arith: _Arith) -> Iterator[np.ndarray]:
-    """Left and right multiples of degree-e rows by each generator."""
-    tl = mul_table(spec, 1, e)
-    tr = mul_table(spec, e, 1)
-    for g in range(dim_component(spec, 1)):
-        for idx in (tl[g], tr[:, g]):
-            k = idx >= 0
-            if k.any():
-                m = arith.zeros((rows.shape[0], dim_component(spec, e + 1)))
-                m[:, idx[k]] = rows[:, k]
-                yield m
-
-
 def ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
-    """Smallest two-sided associative ideal containing s, degree-wise.
-
-    One increasing sweep over target degrees: the degree-f slice is the
-    degree-f slice of s plus all one-generator left/right multiples of the
-    already-closed degree f-1 slice.
-    """
+    """Smallest two-sided associative ideal containing s, degree-wise: the
+    degree-f slice is that of s plus all one-generator left/right multiples
+    of the already-closed degree f-1 slice."""
     if s.spec != spec:
         raise SpecMismatch("subspace over a different algebra spec")
-    out = Subspace(spec)
-    for f in range(1, spec.max_degree + 1):
-        blk = out.block(f)
-        if s.dim_at(f):
-            blk.insert_matrix(s.block(f).matrix)
-        if out.dim_at(f - 1):
-            _insert_all(blk, _multiples(spec, out.block(f - 1).matrix, f - 1, out.arith))
-    return out
+    return _sweep(s.copy(), lambda out, f: _multiples(out, f - 1))
 
 
 def lie_ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
@@ -276,31 +281,11 @@ def lie_ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
     """
     if s.spec != spec:
         raise SpecMismatch("subspace over a different algebra spec")
-    out = Subspace(spec)
-    words = Subspace.full_space(spec)
-    for f in range(1, spec.max_degree + 1):
-        blk = out.block(f)
-        if s.dim_at(f):
-            blk.insert_matrix(s.block(f).matrix)
-        _insert_all(
-            blk,
-            (
-                m
-                for d in range(1, f)
-                if out.dim_at(f - d)
-                for _, m in _brackets(
-                    spec, d, f - d, words.block(d).matrix, out.block(f - d).matrix, out.arith
-                )
-            ),
-        )
-    return out
+    return _sweep(s.copy(), lambda out, f: (m for _, _, m in _word_brackets(out, f)))
 
 
 def lie_subalgebra_closure(spec: AlgebraSpec, gens: Iterable[GradedVector]) -> Subspace:
     """Smallest graded subspace containing the generators and closed under
     the bracket. Inhomogeneous generators are split into homogeneous parts
     (this can only enlarge the closure)."""
-    out = span(spec, gens)
-    for f in range(1, spec.max_degree + 1):
-        _insert_all(out.block(f), _split_brackets(spec, out, f, range(1, f // 2 + 1)))
-    return out
+    return _sweep(span(spec, gens), lambda out, f: _split_brackets(out, f, range(1, f // 2 + 1)))

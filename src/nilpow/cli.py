@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import cache as cache_mod
-from .algebra import derived_tower
+from .algebra import DerivedTower
 from .certify import (
     Certificate,
     certify_generation,
@@ -132,7 +132,7 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_dims(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     levels = args.levels
-    tower = derived_tower(spec, levels, cache_dir=args.cache)
+    tower = DerivedTower(spec, cache_dir=args.cache)
     header = ["degree", "dim_A"] + [f"dim_A{i}" for i in range(1, levels + 1)]
     rows = []
     for d in range(1, spec.max_degree + 1):
@@ -161,7 +161,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    tower = derived_tower(spec, args.i + 2, cache_dir=args.cache)
+    tower = DerivedTower(spec, cache_dir=args.cache)
     cert = certify_generation(spec, args.i, seed=args.seed, tower=tower)
     text = _dump_json(certificate_to_dict(cert, with_timings=args.timings))
     _write_out(text, args.out)
@@ -173,8 +173,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    depth = {"lemma1": 2, "fk": args.k, "all": 3}.get(args.which)
-    tower = None if depth is None else derived_tower(spec, depth, cache_dir=args.cache)
+    tower = DerivedTower(spec, cache_dir=args.cache)
     reports = []
     if args.which in ("identities", "all"):
         reports.append(identity_check(spec, trials=args.trials, seed=args.seed))
@@ -208,6 +207,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+def _int_from(lo: int):
+    """argparse type: an integer >= lo."""
+
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"{text} is below {lo}")
+        return int(text)
+
+    return integer
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nilpow",
@@ -218,7 +228,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dims", help="dimension table of derived powers")
     _add_spec_args(d)
-    d.add_argument("--levels", type=int, default=2, help="deepest derived power to tabulate")
+    d.add_argument("--levels", type=_int_from(0), default=2, help="deepest derived power to tabulate")
     d.add_argument("--out", default=None)
     d.add_argument("--cache", default=os.environ.get("NILPOW_CACHE"))
     d.set_defaults(func=cmd_dims)
@@ -235,9 +245,9 @@ def make_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="run property suites")
     k.add_argument("which", choices=["identities", "lemma1", "fk", "all"])
     _add_spec_args(k)
-    k.add_argument("--trials", type=int, default=100)
+    k.add_argument("--trials", type=_int_from(0), default=100)
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--k", type=int, default=2, help="level for the fk suite")
+    k.add_argument("--k", type=_int_from(1), default=2, help="level for the fk suite")
     k.add_argument("--cache", default=os.environ.get("NILPOW_CACHE"))
     k.set_defaults(func=cmd_check)
     return p

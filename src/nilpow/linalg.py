@@ -105,10 +105,6 @@ class GradedVector:
         self.parts = clean
 
     @classmethod
-    def zero(cls, spec: AlgebraSpec) -> "GradedVector":
-        return cls(spec)
-
-    @classmethod
     def from_word(cls, spec: AlgebraSpec, w: Word, coeff: Coeff = 1) -> "GradedVector":
         d, o = word_index(spec, w)
         return cls(spec, {d: {o: coeff}})
@@ -172,25 +168,25 @@ def _terms(row: np.ndarray, f: Field) -> list[tuple[int, Coeff]]:
     return [(int(o), f.elem(row[o])) for o in np.flatnonzero(row != 0)]
 
 
-def vec_from_word(spec: AlgebraSpec, w: Word, coeff: Coeff = 1) -> GradedVector:
-    return GradedVector.from_word(spec, w, coeff)
-
-
 class _Block:
-    """RREF rows of one graded component. ``full`` marks the whole component."""
+    """RREF rows of one graded component; a block built full keeps no rows."""
 
-    __slots__ = ("arith", "dim", "_rows", "pivots", "full")
+    __slots__ = ("arith", "dim", "_rows", "pivots")
 
     def __init__(self, arith: _Arith, dim: int, full: bool = False):
         self.arith = arith
         self.dim = dim
-        self.full = full
         self._rows: Optional[np.ndarray] = None if full else arith.zeros((0, dim))
         self.pivots = np.arange(dim, dtype=np.intp) if full else np.empty(0, dtype=np.intp)
 
     @property
     def rank(self) -> int:
-        return self.dim if self.full else self._rows.shape[0]
+        return self.dim if self._rows is None else self._rows.shape[0]
+
+    @property
+    def full(self) -> bool:
+        """The rows span the whole component (they are then the identity)."""
+        return self.rank == self.dim
 
     @property
     def matrix(self) -> np.ndarray:
@@ -268,8 +264,6 @@ class _Block:
         order = np.argsort(pivots, kind="stable")
         self._rows = np.concatenate([old, new])[order]
         self.pivots = pivots[order]
-        if self.rank == self.dim:
-            self.full = True  # rows are now exactly the identity
 
     def load(self, m: np.ndarray) -> bool:
         """Take m as the rows of this empty block if it is in canonical RREF:
@@ -281,7 +275,7 @@ class _Block:
         piv = nz.argmax(axis=1)
         if (np.diff(piv) <= 0).any() or not (m[:, piv] == np.eye(piv.size, dtype=np.int64)).all():
             return False
-        self._rows, self.pivots, self.full = m, piv, piv.size == self.dim
+        self._rows, self.pivots = m, piv
         return True
 
     def contains_matrix(self, m: np.ndarray) -> Optional[int]:
@@ -379,14 +373,9 @@ class Subspace:
     def copy(self) -> "Subspace":
         out = Subspace(self.spec, full=self._full)
         for d, blk in self._blocks.items():
-            nb = out.block(d)
-            nb.full = blk.full
-            if blk.full:
-                nb._rows = None
-                nb.pivots = np.arange(blk.dim, dtype=np.intp)
-            else:
-                nb._rows = blk.matrix.copy()
-                nb.pivots = blk.pivots.copy()
+            if blk._rows is not None:
+                nb = out.block(d)
+                nb._rows, nb.pivots = blk._rows.copy(), blk.pivots.copy()
         return out
 
     def __repr__(self) -> str:

@@ -12,10 +12,10 @@ import pytest
 
 from nilpow import (
     AlgebraSpec,
+    DerivedTower,
     Field,
     certify_generation,
     degree_split_check,
-    derived_tower,
     dim_component,
     fk_identity_check,
     identity_check,
@@ -65,7 +65,7 @@ def test_criterion_2_lemma1_containment():
     times = []
     for spec in capped_specs(8):
         t0 = time.time()
-        tower = derived_tower(spec, 2)
+        tower = DerivedTower(spec)
         for i in (1, 2):
             ok &= lemma1_check(spec, tower.level(i)).passed
         rng = random.Random(202)
@@ -80,7 +80,7 @@ def test_criterion_3_oracle_equivalence():
     for m, nil, _ in SUITE_PARAMS:
         spec = AlgebraSpec(m=m, nil=nil, max_degree=6)
         oracle = Oracle(m, nil, 6)
-        tower = derived_tower(spec, 2)
+        tower = DerivedTower(spec)
         levels = oracle.derived_levels(2)
         id1 = ideal_closure(spec, tower.level(1))
         oracle_id1 = oracle.graded_ranks(oracle.ideal_closure(levels[1]))
@@ -97,7 +97,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_known_small_values():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=12)
     ok = all(dim_component(spec, d) == 2 for d in range(1, 13))
-    tower = derived_tower(spec, 3)
+    tower = DerivedTower(spec)
     ok &= [tower.level(1).dim_at(d) for d in range(2, 6)] == [1, 2, 1, 2]
     rep1 = nilpotency_index(spec, 1, tower)
     ok &= rep1.n == 3 and rep1.total_dim == 3

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilpow.algebra
 from nilpow import (
     AlgebraSpec,
+    DerivedTower,
     Field,
     GradedVector,
     Subspace,
     bracket,
-    derived_tower,
     dim_component,
     eval_f,
     ideal_closure,
@@ -21,23 +22,22 @@ from nilpow import (
     lie_subalgebra_closure,
     mul,
     span,
-    vec_from_word,
 )
 from nilpow.algebra import _brackets
-from nilpow.certify import random_homogeneous
+from nilpow.certify import nilpotency_index, random_homogeneous
 from nilpow.errors import ArityMismatch
 
 from dense_oracle import Oracle
 
 S22 = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
-X = vec_from_word(S22, (1,))
-Y = vec_from_word(S22, (2,))
+X = GradedVector.from_word(S22, (1,))
+Y = GradedVector.from_word(S22, (2,))
 
 
 def test_mul_examples():
-    assert mul(X, vec_from_word(S22, (2, 1))) == vec_from_word(S22, (1, 2, 1))  # x * yx = xyx
-    assert mul(X, vec_from_word(S22, (1, 2))).is_zero()  # x * xy = 0
-    assert mul(X, GradedVector.zero(S22)).is_zero()
+    assert mul(X, GradedVector.from_word(S22, (2, 1))) == GradedVector.from_word(S22, (1, 2, 1))  # x * yx = xyx
+    assert mul(X, GradedVector.from_word(S22, (1, 2))).is_zero()  # x * xy = 0
+    assert mul(X, GradedVector(S22)).is_zero()
 
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1, None], ids=["fp:5", "fp:2147483647", "q"])
@@ -66,19 +66,19 @@ def test_mul_matches_oracle(p):
 
 def test_mul_truncates_silently():
     s = AlgebraSpec(m=2, nil=(2, 2), max_degree=3)
-    u = vec_from_word(s, (1, 2))
-    v = vec_from_word(s, (1, 2))
+    u = GradedVector.from_word(s, (1, 2))
+    v = GradedVector.from_word(s, (1, 2))
     assert mul(u, v).is_zero()  # degree 4 > D dropped
 
 
 def test_bracket_examples():
-    assert bracket(X, Y) == vec_from_word(S22, (1, 2)) - vec_from_word(S22, (2, 1))
+    assert bracket(X, Y) == GradedVector.from_word(S22, (1, 2)) - GradedVector.from_word(S22, (2, 1))
     assert bracket(X, X).is_zero()
-    assert bracket(X, vec_from_word(S22, (2, 1))) == vec_from_word(S22, (1, 2, 1))
+    assert bracket(X, GradedVector.from_word(S22, (2, 1))) == GradedVector.from_word(S22, (1, 2, 1))
 
 
 def test_jordan_examples():
-    assert jordan(X, Y) == vec_from_word(S22, (1, 2)) + vec_from_word(S22, (2, 1))
+    assert jordan(X, Y) == GradedVector.from_word(S22, (1, 2)) + GradedVector.from_word(S22, (2, 1))
     assert jordan(X, X).is_zero()  # 2x^2 = 0 by the relation
     u, v = bracket(X, Y), jordan(X, Y)
     assert jordan(u, v) == jordan(v, u)
@@ -126,19 +126,19 @@ def test_bilinearity(sv):
 
 def test_derived_dims_m2():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=5)
-    t = derived_tower(spec, 1)
+    t = DerivedTower(spec)
     assert t.level(1).dims() == [(2, 1), (3, 2), (4, 1), (5, 2)]
 
 
 def test_one_generator_is_commutative():
     spec = AlgebraSpec(m=1, nil=(4,), max_degree=8)
-    t = derived_tower(spec, 1)
+    t = DerivedTower(spec)
     assert t.level(1).dims() == []
 
 
 def test_third_derived_power_first_degree():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=10)
-    t = derived_tower(spec, 3)
+    t = DerivedTower(spec)
     assert t.level(3).dims() == [(10, 1)]
     # the single basis vector is the alternating commutator xyxyxyxyxy - yxyxyxyxyx
     [v] = t.level(3).basis_vectors(10)
@@ -146,9 +146,24 @@ def test_third_derived_power_first_degree():
     assert v.terms(10) == [(0, f.one), (1, f.neg(f.one))]
 
 
+def test_tower_builds_missing_levels_once(monkeypatch):
+    calls = []
+    step = nilpow.algebra._derived_step
+    monkeypatch.setattr(
+        nilpow.algebra, "_derived_step", lambda *a, **k: calls.append(a) or step(*a, **k)
+    )
+    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=10)
+    t = DerivedTower(spec)
+    one = t.level(1)
+    nilpotency_index(spec, 3, t)
+    assert t.level(1) is one and len(calls) == 3
+    with pytest.raises(ValueError):
+        t.level(-1)
+
+
 def test_tower_chain_containment(suite_specs):
     for spec in suite_specs:
-        t = derived_tower(spec, 3)
+        t = DerivedTower(spec)
         for i in range(3):
             upper, lower = t.level(i), t.level(i + 1)
             for d in range(1, spec.max_degree + 1):
@@ -159,7 +174,7 @@ def test_tower_chain_containment(suite_specs):
 @pytest.mark.parametrize("m,nil", [(2, (2, 2)), (2, (3, 3)), (3, (2, 2, 2)), (1, (4,))])
 def test_derived_dims_match_oracle(m, nil):
     spec = AlgebraSpec(m=m, nil=tuple(nil), max_degree=6)
-    t = derived_tower(spec, 2)
+    t = DerivedTower(spec)
     oracle = Oracle(m, nil, 6)
     levels = oracle.derived_levels(2)
     for i in (1, 2):
@@ -173,7 +188,7 @@ P31 = 2**31 - 1  # the largest admissible prime
 
 def test_derived_dims_match_oracle_at_largest_prime():
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), field=Field.prime(P31), max_degree=5)
-    t = derived_tower(spec, 2)
+    t = DerivedTower(spec)
     oracle = Oracle(3, (2, 2, 2), 5, p=P31)
     levels = oracle.derived_levels(2)
     for i in (1, 2):
@@ -205,12 +220,25 @@ def test_ideal_closure_idempotent():
 def test_ideal_closure_matches_oracle(suite_specs):
     for spec in suite_specs:
         small = AlgebraSpec(m=spec.m, nil=spec.nil, field=spec.field, max_degree=6)
-        t = derived_tower(small, 1)
+        t = DerivedTower(small)
         clo = ideal_closure(small, t.level(1))
         oracle = Oracle(small.m, small.nil, 6)
         ranks = oracle.graded_ranks(oracle.ideal_closure(oracle.derived_levels(1)[1]))
         for d in range(1, 7):
             assert clo.dim_at(d) == ranks[d]
+
+
+@pytest.mark.parametrize("close", [ideal_closure, lie_ideal_closure])
+def test_closure_leaves_input_unchanged(close):
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=6)
+    rng = random.Random(3)
+    s = span(spec, [random_homogeneous(spec, rng, d) for d in (2, 3, 3)])
+    dims = s.dims()
+    rows = {d: s.block(d).matrix.copy() for d, _ in dims}
+    clo = close(spec, s)
+    assert clo.dim_at(3) > s.dim_at(3)  # the closure changed a block s has rows in
+    assert s.dims() == dims
+    assert all(np.array_equal(s.block(d).matrix, m) for d, m in rows.items())
 
 
 def test_lie_ideal_closure_of_zero():
@@ -219,7 +247,7 @@ def test_lie_ideal_closure_of_zero():
 
 def test_derived_powers_are_lie_ideals():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
-    t = derived_tower(spec, 2)
+    t = DerivedTower(spec)
     for i in (1, 2):
         clo = lie_ideal_closure(spec, t.level(i))
         for d in range(1, 9):
@@ -259,7 +287,7 @@ def test_lie_subalgebra_closure_empty():
 def test_lie_subalgebra_closure_matches_oracle():
     spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=6)
     oracle = Oracle(2, (3, 3), 6)
-    clo = lie_subalgebra_closure(spec, [vec_from_word(spec, (1,)), vec_from_word(spec, (2,))])
+    clo = lie_subalgebra_closure(spec, [GradedVector.from_word(spec, (1,)), GradedVector.from_word(spec, (2,))])
     ranks = oracle.graded_ranks(oracle.lie_subalgebra_closure([{(1,): 1}, {(2,): 1}]))
     for d in range(1, 7):
         assert clo.dim_at(d) == ranks[d]
@@ -300,7 +328,7 @@ def test_brackets_match_element_bracket(field, same, words):
 def test_closures_are_single_sweep_stable(suite_specs):
     # re-running a closure on its own output must not grow anything
     for spec in suite_specs[:2]:
-        t = derived_tower(spec, 1)
+        t = DerivedTower(spec)
         clo = ideal_closure(spec, t.level(1))
         assert ideal_closure(spec, clo).dims() == clo.dims()
         lclo = lie_ideal_closure(spec, t.level(1))
@@ -324,7 +352,7 @@ def test_eval_f_recursion():
 
 
 def test_eval_f_multilinearity_zero():
-    args = [X, GradedVector.zero(S22), X, Y]
+    args = [X, GradedVector(S22), X, Y]
     assert eval_f(2, args).is_zero()
 
 
@@ -339,7 +367,7 @@ def test_eval_f_arity():
 @given(st.integers(0, 2**31))
 def test_eval_f_lands_in_derived_power(seed):
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=10)
-    t = derived_tower(spec, 2)
+    t = DerivedTower(spec)
     rng = random.Random(seed)
     args = [random_homogeneous(spec, rng, rng.randint(1, 2)) for _ in range(4)]
     assert t.level(2).contains(eval_f(2, args))

@@ -2,20 +2,22 @@ import random
 
 import pytest
 
+import nilpow.certify
 from nilpow import (
     AlgebraSpec,
+    DerivedTower,
     Field,
+    GradedVector,
+    Subspace,
     bracket,
     certify_generation,
     degree_split_check,
-    derived_tower,
     fk_identity_check,
     generating_set,
     identity_check,
     lemma1_check,
     nilpotency_index,
     span,
-    vec_from_word,
 )
 from nilpow.certify import random_lie_ideal
 from nilpow.errors import BoundExceedsTruncation, NotALieIdeal
@@ -53,7 +55,7 @@ def test_nilpotency_not_found_is_a_value():
 
 def test_nilpotency_monotone_in_k(suite_specs):
     for spec in suite_specs:
-        tower = derived_tower(spec, 3)
+        tower = DerivedTower(spec)
         ns = [nilpotency_index(spec, k, tower).n for k in (1, 2, 3)]
         found = [n for n in ns if n is not None]
         assert found == sorted(found)
@@ -68,14 +70,14 @@ def test_generating_set_i1():
     gens = generating_set(spec, 1, 11)
     assert len(gens) == 28  # dims of the first derived power over degrees 2..20
     assert all(max(g.degrees()) <= 20 for g in gens)
-    tower = derived_tower(spec, 1)
+    tower = DerivedTower(spec)
     assert all(tower.level(1).contains(g) for g in gens)
 
 
 def test_generating_set_i0_is_degree_one_basis():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
     gens = generating_set(spec, 0, 3)
-    assert gens == [vec_from_word(spec, (1,)), vec_from_word(spec, (2,))]
+    assert gens == [GradedVector.from_word(spec, (1,)), GradedVector.from_word(spec, (2,))]
 
 
 def test_generating_set_empty_when_derived_power_zero():
@@ -145,8 +147,8 @@ def test_degree_split_reports_escape():
     rep = degree_split_check(spec, 1, 1)
     assert not rep.passed
     assert rep.counterexample == "[x, y] escapes level 2 at degree 2"
-    xy = bracket(vec_from_word(spec, (1,)), vec_from_word(spec, (2,)))
-    assert not derived_tower(spec, 2).level(2).contains(xy)
+    xy = bracket(GradedVector.from_word(spec, (1,)), GradedVector.from_word(spec, (2,)))
+    assert not DerivedTower(spec).level(2).contains(xy)
 
 
 def test_nilpotency_propagation(suite_specs):
@@ -164,7 +166,7 @@ def test_nilpotency_propagation(suite_specs):
 
 def test_lemma1_on_derived_powers():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
-    tower = derived_tower(spec, 2)
+    tower = DerivedTower(spec)
     for i in (1, 2):
         rep = lemma1_check(spec, tower.level(i))
         assert rep.passed
@@ -179,8 +181,6 @@ def test_lemma1_on_random_ideals(suite_specs):
 
 
 def test_lemma1_vacuous_on_zero():
-    from nilpow import Subspace
-
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
     rep = lemma1_check(spec, Subspace(spec))
     assert rep.passed
@@ -188,9 +188,20 @@ def test_lemma1_vacuous_on_zero():
 
 def test_lemma1_rejects_non_ideal():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
-    not_ideal = span(spec, [vec_from_word(spec, (1, 2))])  # xy alone is no Lie ideal
-    with pytest.raises(NotALieIdeal):
+    not_ideal = span(spec, [GradedVector.from_word(spec, (1, 2))])  # xy alone is no Lie ideal
+    with pytest.raises(NotALieIdeal, match=r"^\[x, U_2\] not inside U at degree 3$"):
         lemma1_check(spec, not_ideal)
+
+
+def test_lemma1_reports_escape(monkeypatch):
+    # an ideal closure that returns the whole algebra is the only way to make
+    # the containment fail: the first pass still runs on a true Lie ideal
+    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
+    u = DerivedTower(spec).level(2)
+    monkeypatch.setattr(nilpow.certify, "ideal_closure", lambda spec, s: Subspace.full_space(spec))
+    rep = lemma1_check(spec, u)
+    assert not rep.passed and rep.checked == 6
+    assert rep.counterexample == "[row 1 of id([U,U])_1, x] escapes U at degree 2"
 
 
 # -- fk identities -----------------------------------------------------------

@@ -3,9 +3,8 @@ import json
 import jsonschema
 import pytest
 
-import nilpow.certify
-import nilpow.cli
-from nilpow import AlgebraSpec, Field, derived_tower
+import nilpow.algebra
+from nilpow import AlgebraSpec, DerivedTower, Field
 from nilpow.cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from nilpow.cli import certificate_schema, main
 
@@ -68,6 +67,20 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "fk", *SPEC22, "--max-degree", "6", "--k", "-1"],
+        ["check", "identities", *SPEC22, "--max-degree", "6", "--trials", "-3"],
+        ["dims", *SPEC22, "--max-degree", "6", "--levels", "-1"],
+    ],
+)
+def test_out_of_range_integer_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"argument {argv[-2]}: {argv[-1]} is below" in err
 
 
 def test_nil_one_warns(capsys):
@@ -165,23 +178,25 @@ def test_check_fk(capsys):
 
 
 def test_check_all_builds_one_tower(capsys, monkeypatch):
+    # the tower builds its levels through nilpow.algebra; lemma1_check's
+    # own [U, U] steps go through nilpow.certify and are not counted
     calls = []
+    step = nilpow.algebra._derived_step
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return derived_tower(*args, **kwargs)
+        return step(*args, **kwargs)
 
-    for mod in (nilpow.cli, nilpow.certify):
-        monkeypatch.setattr(mod, "derived_tower", counted)
+    monkeypatch.setattr(nilpow.algebra, "_derived_step", counted)
     code, _, _ = run_cli(capsys, "check", "all", *SPEC22, "--max-degree", "6", "--trials", "20")
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def test_cache_round_trip(tmp_path):
     for field in (Field.prime(32003), Field.rationals()):
         spec = AlgebraSpec(m=2, nil=(2, 2), field=field, max_degree=6)
-        s = derived_tower(spec, 1).level(1)
+        s = DerivedTower(spec).level(1)
         key = cache_key(spec, "derived[1]")
         cache_put(tmp_path, key, subspace_to_payload(s))
         payload = cache_get(tmp_path, key)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilpow import AlgebraSpec, Field, GradedVector, Subspace, linalg, span, vec_from_word
+from nilpow import AlgebraSpec, Field, GradedVector, Subspace, linalg, span
 from nilpow.errors import SpecMismatch
 
 from dense_oracle import Oracle
 
 S22 = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
-XY = vec_from_word(S22, (1, 2))
-YX = vec_from_word(S22, (2, 1))
+XY = GradedVector.from_word(S22, (1, 2))
+YX = GradedVector.from_word(S22, (2, 1))
 COMM = XY - YX  # xy - yx
 
 
@@ -32,10 +32,10 @@ def test_vec_add_and_scale():
 def test_spec_mismatch_rejected():
     other = AlgebraSpec(m=2, nil=(2, 2), max_degree=7)
     with pytest.raises(SpecMismatch):
-        COMM + vec_from_word(other, (1, 2))
+        COMM + GradedVector.from_word(other, (1, 2))
     s = Subspace(S22)
     with pytest.raises(SpecMismatch):
-        s.insert(vec_from_word(other, (1, 2)))
+        s.insert(GradedVector.from_word(other, (1, 2)))
 
 
 def test_insert_examples():
@@ -52,7 +52,7 @@ def test_contains_examples():
     s = span(S22, [COMM])
     assert s.contains(COMM.scale(3))
     assert not s.contains(XY)
-    assert Subspace(S22).contains(GradedVector.zero(S22))
+    assert Subspace(S22).contains(GradedVector(S22))
 
 
 def test_dims_and_equality():
