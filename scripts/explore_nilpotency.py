@@ -12,7 +12,7 @@ Example (the three-generator case; degree 12 needs ~2 GB and minutes):
 import argparse
 import time
 
-from nilpow import AlgebraSpec, nilpotency_index
+from nilpow import AlgebraSpec, DerivedTower, nilpotency_index
 from nilpow.fields import parse_field
 
 
@@ -31,7 +31,7 @@ def main() -> None:
             m=args.generators, nil=nil, field=parse_field(args.field), max_degree=d
         )
         t0 = time.time()
-        rep = nilpotency_index(spec, args.k)  # builds derived levels 1..k
+        rep = nilpotency_index(DerivedTower(spec), args.k)  # builds derived levels 1..k
         quot = ", ".join(f"{deg}:{q}" for deg, q in rep.quotient_dims)
         print(
             f"D={d:3d}  n(k={args.k})={rep.n}  quotient dims [{quot}]  "

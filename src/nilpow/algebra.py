@@ -14,7 +14,8 @@ basis words enter as the identity rows of a full block), and one feeder,
 `_insert_all`, batches the candidates into an echelon block. The first
 derived power needs only brackets with degree-1 words, as [A, A] = [A_1, A].
 `DerivedTower` is the one tower builder: it builds each level on first
-use, through an optional on-disk cache.
+use, through an optional on-disk cache. Subspaces and towers carry their
+spec, so the closures take only the subspace.
 """
 
 from __future__ import annotations
@@ -182,11 +183,11 @@ def _split_brackets(s: Subspace, f: int, splits: Iterable[int]) -> Iterator[np.n
                 yield m
 
 
-def _word_brackets(s: Subspace, f: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(d, a, m) for each degree d < f and each degree-d basis word a: row r
-    of m is [word a, row r of s_{f-d}]."""
+def _word_brackets(s: Subspace, f: int, lo: int = 1) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(d, a, m) for each degree lo <= d < f and each degree-d basis word a:
+    row r of m is [word a, row r of s_{f-d}]."""
     words = Subspace.full_space(s.spec)
-    for d in range(1, f):
+    for d in range(lo, f):
         if s.dim_at(f - d):
             for a, m in _brackets(
                 s.spec, d, f - d, words.block(d).matrix, s.block(f - d).matrix, s.arith
@@ -263,24 +264,20 @@ class DerivedTower:
 # -- closures ----------------------------------------------------------------
 
 
-def ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
+def ideal_closure(s: Subspace) -> Subspace:
     """Smallest two-sided associative ideal containing s, degree-wise: the
     degree-f slice is that of s plus all one-generator left/right multiples
     of the already-closed degree f-1 slice."""
-    if s.spec != spec:
-        raise SpecMismatch("subspace over a different algebra spec")
     return _sweep(s.copy(), lambda out, f: _multiples(out, f - 1))
 
 
-def lie_ideal_closure(spec: AlgebraSpec, s: Subspace) -> Subspace:
+def lie_ideal_closure(s: Subspace) -> Subspace:
     """Smallest Lie ideal of the bracket algebra containing s.
 
     Bracketing by basis words of every degree, not only degree 1: Lie
     multiples by the degree-1 slice alone do not generate multiples by
     higher components.
     """
-    if s.spec != spec:
-        raise SpecMismatch("subspace over a different algebra spec")
     return _sweep(s.copy(), lambda out, f: (m for _, _, m in _word_brackets(out, f)))
 
 

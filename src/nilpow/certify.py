@@ -8,6 +8,11 @@ i-th derived power in every degree up to the truncation bound. All
 verdicts are explicitly "up to max_degree": VERIFIED additionally
 requires max_degree >= 2n-1 so at least one degree governed by the
 generation argument is exercised.
+
+Every pipeline step reads the presentation from the object it receives: a
+`DerivedTower` (nilpotency index, generating set, certificate, fk and
+degree-split checks) or a `Subspace` (Lemma-1 check), so the index n, the
+tower and the generators always come from one spec.
 """
 
 from __future__ import annotations
@@ -16,11 +21,10 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import (
     DerivedTower,
-    _brackets,
     _derived_step,
     _word_brackets,
     bracket,
@@ -59,7 +63,7 @@ def random_homogeneous(spec: AlgebraSpec, rng: random.Random, d: int) -> GradedV
 def random_lie_ideal(spec: AlgebraSpec, rng: random.Random) -> Subspace:
     """Lie-ideal closure of one random homogeneous element."""
     d = rng.randint(1, max(1, spec.max_degree - 2))
-    return lie_ideal_closure(spec, span(spec, [random_homogeneous(spec, rng, d)]))
+    return lie_ideal_closure(span(spec, [random_homogeneous(spec, rng, d)]))
 
 
 # -- nilpotency of the ideal quotients ---------------------------------------
@@ -79,13 +83,11 @@ class NilpotencyReport:
         return self.n is not None
 
 
-def nilpotency_index(
-    spec: AlgebraSpec, k: int, tower: DerivedTower | None = None
-) -> NilpotencyReport:
+def nilpotency_index(tower: DerivedTower, k: int) -> NilpotencyReport:
     """Smallest degree n at which the whole component lies in the ideal of
     the k-th derived power; None if no such degree up to max_degree."""
-    tower = tower or DerivedTower(spec)
-    ideal = ideal_closure(spec, tower.level(k))
+    spec = tower.spec
+    ideal = ideal_closure(tower.level(k))
     qdims = [
         (d, dim_component(spec, d) - ideal.dim_at(d))
         for d in range(1, spec.max_degree + 1)
@@ -102,23 +104,16 @@ def nilpotency_index(
     return NilpotencyReport(k=k, n=n, quotient_dims=qdims, total_dim=total)
 
 
-def generating_set(
-    spec: AlgebraSpec, i: int, n: int, tower: DerivedTower | None = None
-) -> list[GradedVector]:
+def generating_set(tower: DerivedTower, i: int, n: int) -> list[GradedVector]:
     """Echelon basis of the i-th derived power in degrees <= 2n-2 (for i=0,
     the degree-1 component: the nonzero generators)."""
     bound = 2 * n - 2
-    if bound > spec.max_degree:
+    if bound > tower.spec.max_degree:
         raise BoundExceedsTruncation(
-            f"bound {bound} exceeds max degree {spec.max_degree}"
+            f"bound {bound} exceeds max degree {tower.spec.max_degree}"
         )
-    if i == 0:
-        return [GradedVector.from_word(spec, w) for w in normal_words(spec, 1)]
-    tower = tower or DerivedTower(spec)
-    gens: list[GradedVector] = []
-    for d in range(1, bound + 1):
-        gens.extend(tower.level(i).basis_vectors(d))
-    return gens
+    top = 1 if i == 0 else bound
+    return [g for d in range(1, top + 1) for g in tower.level(i).basis_vectors(d)]
 
 
 # -- the main certificate ----------------------------------------------------
@@ -144,81 +139,61 @@ class Certificate:
         return self.verdict == VERIFIED
 
 
-def certify_generation(
-    spec: AlgebraSpec, i: int, seed: int = 0, tower: DerivedTower | None = None
-) -> Certificate:
+def certify_generation(tower: DerivedTower, i: int, seed: int = 0) -> Certificate:
     """Run the full generation pipeline for the i-th derived power (i >= 1)."""
     if i < 1:
         raise ValueError("certification target index must be >= 1")
+    spec = tower.spec
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    tower = tower or DerivedTower(spec)
     tower.level(i + 2)  # builds every level the pipeline reads
     timings["tower"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    rep = nilpotency_index(spec, i + 2, tower)
+    rep = nilpotency_index(tower, i + 2)
     timings["nilpotency"] = (time.perf_counter() - t0) * 1000.0
 
     target = tower.level(i)
     dims_target = target.dims(all_degrees=True)
-
-    def inconclusive(reason: str, gens=None, dims_closure=None) -> Certificate:
-        return Certificate(
-            spec=spec,
-            i=i,
-            n=rep.n,
-            bound=None if rep.n is None else 2 * rep.n - 2,
-            generators=gens or [],
-            dims_target=dims_target,
-            dims_closure=dims_closure or [],
-            quotient_dims=rep.quotient_dims,
-            verdict=INCONCLUSIVE,
-            reason=reason,
-            seed=seed,
-            timings_ms=timings,
-        )
-
-    if rep.n is None:
-        return inconclusive(
-            f"nilpotency index for k={i + 2} not found up to degree {spec.max_degree}"
-        )
     n = rep.n
-    bound = 2 * n - 2
-    if spec.max_degree < 2 * n - 1:
-        if bound > spec.max_degree:
-            return inconclusive(f"bound {bound} exceeds max degree {spec.max_degree}")
-        return inconclusive(
-            f"max degree {spec.max_degree} below {2 * n - 1}, no governed degree exercised"
+    bound = None if n is None else 2 * n - 2
+    gens: list[GradedVector] = []
+    dims_closure: list[tuple[int, int]] = []
+    if n is None:
+        reason = f"nilpotency index for k={i + 2} not found up to degree {spec.max_degree}"
+    elif bound > spec.max_degree:
+        reason = f"bound {bound} exceeds max degree {spec.max_degree}"
+    elif spec.max_degree < 2 * n - 1:
+        reason = f"max degree {spec.max_degree} below {2 * n - 1}, no governed degree exercised"
+    else:
+        t0 = time.perf_counter()
+        gens = generating_set(tower, i, n)
+        timings["generators"] = (time.perf_counter() - t0) * 1000.0
+
+        t0 = time.perf_counter()
+        closure = lie_subalgebra_closure(spec, gens)
+        timings["closure"] = (time.perf_counter() - t0) * 1000.0
+
+        t0 = time.perf_counter()
+        dims_closure = closure.dims(all_degrees=True)
+        for (d, dim_t), (_, dim_c) in zip(dims_target, dims_closure):
+            if dim_c > dim_t:
+                raise InternalSoundnessFailure(
+                    f"closure dimension {dim_c} exceeds target {dim_t} at degree {d}"
+                )
+        if not target.contains_subspace(closure):
+            raise InternalSoundnessFailure("closure escaped the target subspace")
+        timings["verify"] = (time.perf_counter() - t0) * 1000.0
+
+        reason = next(
+            (
+                f"closure dimension {dim_c} below target {dim_t} at degree {d}"
+                for (d, dim_t), (_, dim_c) in zip(dims_target, dims_closure)
+                if dim_c < dim_t
+            ),
+            None,
         )
-
-    t0 = time.perf_counter()
-    gens = generating_set(spec, i, n, tower)
-    timings["generators"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    closure = lie_subalgebra_closure(spec, gens)
-    timings["closure"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    dims_closure = closure.dims(all_degrees=True)
-    for (d, dim_t), (_, dim_c) in zip(dims_target, dims_closure):
-        if dim_c > dim_t:
-            raise InternalSoundnessFailure(
-                f"closure dimension {dim_c} exceeds target {dim_t} at degree {d}"
-            )
-    if not target.contains_subspace(closure):
-        raise InternalSoundnessFailure("closure escaped the target subspace")
-    timings["verify"] = (time.perf_counter() - t0) * 1000.0
-
-    for (d, dim_t), (_, dim_c) in zip(dims_target, dims_closure):
-        if dim_c < dim_t:
-            return inconclusive(
-                f"closure dimension {dim_c} below target {dim_t} at degree {d}",
-                gens=gens,
-                dims_closure=dims_closure,
-            )
     return Certificate(
         spec=spec,
         i=i,
@@ -228,8 +203,8 @@ def certify_generation(
         dims_target=dims_target,
         dims_closure=dims_closure,
         quotient_dims=rep.quotient_dims,
-        verdict=VERIFIED,
-        reason=None,
+        verdict=VERIFIED if reason is None else INCONCLUSIVE,
+        reason=reason,
         seed=seed,
         timings_ms=timings,
     )
@@ -248,47 +223,53 @@ class CheckReport:
     trials: Optional[int] = None
 
 
-def lemma1_check(spec: AlgebraSpec, u: Subspace) -> CheckReport:
+def _first_escape(
+    u: Subspace, s: Subspace, degrees: Iterable[int], lo: int = 1
+) -> tuple[int, Optional[dict]]:
+    """Test the brackets [w, row r of s_e] against u_f for f in ``degrees``,
+    w a basis word of degree f - e >= lo. Returns the rows tested and, for
+    the first bracket outside u, the fields w, v (word r of degree e), r, e
+    and f; None if every bracket lies in u."""
+    spec = u.spec
+    checked = 0
+    for f in degrees:
+        for d, a, m in _word_brackets(s, f, lo):
+            checked += m.shape[0]
+            r = u.block(f).contains_matrix(m)
+            if r is not None:
+                e = f - d
+                w = format_word(spec, normal_words(spec, d)[a])
+                v = format_word(spec, normal_words(spec, e)[r])
+                return checked, dict(w=w, v=v, r=r, e=e, f=f)
+    return checked, None
+
+
+def lemma1_check(u: Subspace) -> CheckReport:
     """Verify [id([U,U]), A] <= U for a Lie ideal U, degree-wise.
 
     Raises NotALieIdeal when the precondition [A, U] <= U fails.
     """
-    checked = 0
-
-    def first_escape(s: Subspace, message: str) -> Optional[str]:
-        """``message`` filled in for the first bracket [w, row r of s_e] outside
-        U_f, w a basis word; adds the brackets tested to ``checked``."""
-        nonlocal checked
-        for f in range(2, spec.max_degree + 1):
-            for d, a, m in _word_brackets(s, f):
-                checked += m.shape[0]
-                r = u.block(f).contains_matrix(m)
-                if r is not None:
-                    w = format_word(spec, normal_words(spec, d)[a])
-                    return message.format(w=w, r=r, e=f - d, f=f)
-        return None
-
-    escape = first_escape(u, "[{w}, U_{e}] not inside U at degree {f}")
-    if escape is not None:
-        raise NotALieIdeal(escape)
-    w_ideal = ideal_closure(spec, _derived_step(spec, u, from_full=False))
-    escape = first_escape(w_ideal, "[row {r} of id([U,U])_{e}, {w}] escapes U at degree {f}")
-    return CheckReport(name="lemma1", passed=escape is None, checked=checked, counterexample=escape)
+    degrees = range(2, u.spec.max_degree + 1)
+    checked, hit = _first_escape(u, u, degrees)
+    if hit is not None:
+        raise NotALieIdeal("[{w}, U_{e}] not inside U at degree {f}".format(**hit))
+    w_ideal = ideal_closure(_derived_step(u.spec, u, from_full=False))
+    more, hit = _first_escape(u, w_ideal, degrees)
+    escape = hit and "[row {r} of id([U,U])_{e}, {w}] escapes U at degree {f}".format(**hit)
+    return CheckReport(name="lemma1", passed=hit is None, checked=checked + more, counterexample=escape)
 
 
-def fk_identity_check(
-    spec: AlgebraSpec,
-    k: int,
-    trials: int = 100,
-    seed: int = 0,
-    tower: DerivedTower | None = None,
-) -> CheckReport:
+def fk_identity_check(tower: DerivedTower, k: int, trials: int = 100, seed: int = 0) -> CheckReport:
     """Seeded random check that level-k bracketed evaluations land in the
-    associative ideal of the k-th derived power."""
-    tower = tower or DerivedTower(spec)
-    ideal = ideal_closure(spec, tower.level(k))
-    rng = random.Random(seed)
+    associative ideal of the k-th derived power. With 2^k > max_degree every
+    evaluation truncates to zero, so no trial is run."""
+    spec = tower.spec
+    report = CheckReport(name=f"f_{k}", passed=True, checked=0, seed=seed, trials=trials)
     nargs = 2**k
+    if nargs > spec.max_degree:
+        return report
+    ideal = ideal_closure(tower.level(k))
+    rng = random.Random(seed)
     for t in range(trials):
         degrees = [1] * nargs
         budget = spec.max_degree - nargs
@@ -296,47 +277,22 @@ def fk_identity_check(
             degrees[rng.randrange(nargs)] += 1
             budget -= 1
         args = [random_homogeneous(spec, rng, d) for d in degrees]
-        val = eval_f(k, args)
-        if not ideal.contains(val):
-            return CheckReport(
-                name=f"f_{k}",
-                passed=False,
-                checked=t + 1,
-                counterexample=f"trial {t}: evaluation of degrees {degrees} escapes the ideal",
-                seed=seed,
-                trials=trials,
-            )
-    return CheckReport(name=f"f_{k}", passed=True, checked=trials, seed=seed, trials=trials)
+        report.checked = t + 1
+        if not ideal.contains(eval_f(k, args)):
+            report.passed = False
+            report.counterexample = f"trial {t}: evaluation of degrees {degrees} escapes the ideal"
+            break
+    return report
 
 
-def degree_split_check(
-    spec: AlgebraSpec, i: int, n: int, tower: DerivedTower | None = None
-) -> CheckReport:
+def degree_split_check(tower: DerivedTower, i: int, n: int) -> CheckReport:
     """For every total degree >= 2n-1 and every split p+q with p >= n, all
     basis-word brackets from degrees (p, q) lie in the (i+1)-st derived
     power."""
-    tower = tower or DerivedTower(spec)
-    target = tower.level(i + 1)
-    words = tower.level(0)
-    checked = 0
-    for total in range(2 * n - 1, spec.max_degree + 1):
-        for p in range(n, total):
-            q = total - p
-            for a, m in _brackets(
-                spec, p, q, words.block(p).matrix, words.block(q).matrix, target.arith
-            ):
-                checked += m.shape[0]
-                bad = target.block(total).contains_matrix(m)
-                if bad is not None:
-                    wp = format_word(spec, normal_words(spec, p)[a])
-                    wq = format_word(spec, normal_words(spec, q)[bad])
-                    return CheckReport(
-                        name="degree_split",
-                        passed=False,
-                        checked=checked,
-                        counterexample=f"[{wp}, {wq}] escapes level {i + 1} at degree {total}",
-                    )
-    return CheckReport(name="degree_split", passed=True, checked=checked)
+    degrees = range(2 * n - 1, tower.spec.max_degree + 1)
+    checked, hit = _first_escape(tower.level(i + 1), tower.level(0), degrees, lo=n)
+    escape = hit and "[{w}, {v}] escapes level {level} at degree {f}".format(level=i + 1, **hit)
+    return CheckReport(name="degree_split", passed=hit is None, checked=checked, counterexample=escape)
 
 
 def identity_check(

@@ -161,8 +161,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    tower = DerivedTower(spec, cache_dir=args.cache)
-    cert = certify_generation(spec, args.i, seed=args.seed, tower=tower)
+    cert = certify_generation(DerivedTower(spec, cache_dir=args.cache), args.i, seed=args.seed)
     text = _dump_json(certificate_to_dict(cert, with_timings=args.timings))
     _write_out(text, args.out)
     if cert.verified:
@@ -179,20 +178,20 @@ def cmd_check(args: argparse.Namespace) -> int:
         reports.append(identity_check(spec, trials=args.trials, seed=args.seed))
     if args.which in ("lemma1", "all"):
         for i in (1, 2):
-            rep = lemma1_check(spec, tower.level(i))
+            rep = lemma1_check(tower.level(i))
             rep.name = f"lemma1[derived power {i}]"
             reports.append(rep)
         rng = random.Random(args.seed)
         n_random = max(1, args.trials // 20)
         for t in range(n_random):
-            rep = lemma1_check(spec, random_lie_ideal(spec, rng))
+            rep = lemma1_check(random_lie_ideal(spec, rng))
             rep.name = f"lemma1[random ideal {t}]"
             rep.seed = args.seed
             reports.append(rep)
     if args.which in ("fk", "all"):
         ks = [args.k] if args.which == "fk" else [1, 2, 3]
         for k in ks:
-            reports.append(fk_identity_check(spec, k, trials=args.trials, seed=args.seed, tower=tower))
+            reports.append(fk_identity_check(tower, k, trials=args.trials, seed=args.seed))
     ok = True
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

@@ -97,6 +97,8 @@ class GradedVector:
             row = arith.zeros(dim_component(spec, d))
             if isinstance(comp, Mapping):
                 for o, c in comp.items():
+                    if not 0 <= o < row.size:
+                        raise SpecMismatch(f"ordinal {o} outside the degree-{d} basis")
                     row[o] = f.elem(c)
             else:
                 row = arith.mod(row + comp)  # a copy: rows may be block rows

@@ -67,10 +67,10 @@ def test_criterion_2_lemma1_containment():
         t0 = time.time()
         tower = DerivedTower(spec)
         for i in (1, 2):
-            ok &= lemma1_check(spec, tower.level(i)).passed
+            ok &= lemma1_check(tower.level(i)).passed
         rng = random.Random(202)
         for _ in range(20):
-            ok &= lemma1_check(spec, random_lie_ideal(spec, rng)).passed
+            ok &= lemma1_check(random_lie_ideal(spec, rng)).passed
         times.append(f"{spec.m}gen {time.time() - t0:.1f}s")
     report(2, "lemma-1 containment, derived powers + 20 random ideals/spec", ok, "; ".join(times))
 
@@ -82,7 +82,7 @@ def test_criterion_3_oracle_equivalence():
         oracle = Oracle(m, nil, 6)
         tower = DerivedTower(spec)
         levels = oracle.derived_levels(2)
-        id1 = ideal_closure(spec, tower.level(1))
+        id1 = ideal_closure(tower.level(1))
         oracle_id1 = oracle.graded_ranks(oracle.ideal_closure(levels[1]))
         oracle_l1 = oracle.graded_ranks(levels[1])
         oracle_l2 = oracle.graded_ranks(levels[2])
@@ -99,10 +99,10 @@ def test_criterion_4_known_small_values():
     ok = all(dim_component(spec, d) == 2 for d in range(1, 13))
     tower = DerivedTower(spec)
     ok &= [tower.level(1).dim_at(d) for d in range(2, 6)] == [1, 2, 1, 2]
-    rep1 = nilpotency_index(spec, 1, tower)
+    rep1 = nilpotency_index(tower, 1)
     ok &= rep1.n == 3 and rep1.total_dim == 3
     ok &= tower.level(3).dims()[0] == (10, 1)  # first nonzero degree and its dim
-    rep3 = nilpotency_index(spec, 3, tower)
+    rep3 = nilpotency_index(tower, 3)
     ok &= rep3.n == 11
     report(4, "known values for m=2, nil=(2,2)", ok, f"n(1)={rep1.n}, n(3)={rep3.n}")
 
@@ -110,7 +110,7 @@ def test_criterion_4_known_small_values():
 def test_criterion_5_end_to_end_certification():
     t0 = time.time()
     spec2 = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
-    cert2 = certify_generation(spec2, 1)
+    cert2 = certify_generation(DerivedTower(spec2), 1)
     ok = cert2.verified and cert2.n == 11 and cert2.bound == 20
     t2 = time.time() - t0
 
@@ -120,7 +120,7 @@ def test_criterion_5_end_to_end_certification():
     # budget-sized degree is INCONCLUSIVE, never a wrong VERIFIED.
     t0 = time.time()
     spec3 = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=9)
-    cert3 = certify_generation(spec3, 1)
+    cert3 = certify_generation(DerivedTower(spec3), 1)
     ok &= cert3.verdict == "INCONCLUSIVE"
     t3 = time.time() - t0
     report(
@@ -133,7 +133,7 @@ def test_criterion_5_end_to_end_certification():
 
 def test_criterion_6_degree_split():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
-    rep = degree_split_check(spec, 1, 11)
+    rep = degree_split_check(DerivedTower(spec), 1, 11)
     report(6, "degree-split bracket membership on the verified instance", rep.passed,
            f"{rep.checked} basis pairs")
 
@@ -142,7 +142,7 @@ def test_criterion_7_fk_suite():
     ok = True
     for spec in make_suite_specs():
         for k in (1, 2, 3):
-            ok &= fk_identity_check(spec, k, trials=100, seed=303).passed
+            ok &= fk_identity_check(DerivedTower(spec), k, trials=100, seed=303).passed
     report(7, "f_k evaluations inside id of k-th derived power, k=1..3", ok)
 
 

@@ -155,7 +155,7 @@ def test_tower_builds_missing_levels_once(monkeypatch):
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=10)
     t = DerivedTower(spec)
     one = t.level(1)
-    nilpotency_index(spec, 3, t)
+    nilpotency_index(t, 3)
     assert t.level(1) is one and len(calls) == 3
     with pytest.raises(ValueError):
         t.level(-1)
@@ -200,19 +200,19 @@ def test_derived_dims_match_oracle_at_largest_prime():
 
 
 def test_ideal_closure_of_zero():
-    assert ideal_closure(S22, Subspace(S22)).dims() == []
+    assert ideal_closure(Subspace(S22)).dims() == []
 
 
 def test_ideal_closure_of_commutator():
     comm = bracket(X, Y)
-    clo = ideal_closure(S22, span(S22, [comm]))
+    clo = ideal_closure(span(S22, [comm]))
     assert clo.dims() == [(2, 1)] + [(d, 2) for d in range(3, 7)]
 
 
 def test_ideal_closure_idempotent():
     comm = bracket(X, Y)
-    clo = ideal_closure(S22, span(S22, [comm]))
-    again = ideal_closure(S22, clo)
+    clo = ideal_closure(span(S22, [comm]))
+    again = ideal_closure(clo)
     for d in range(1, 7):
         assert clo.equal_at(again, d)
 
@@ -221,7 +221,7 @@ def test_ideal_closure_matches_oracle(suite_specs):
     for spec in suite_specs:
         small = AlgebraSpec(m=spec.m, nil=spec.nil, field=spec.field, max_degree=6)
         t = DerivedTower(small)
-        clo = ideal_closure(small, t.level(1))
+        clo = ideal_closure(t.level(1))
         oracle = Oracle(small.m, small.nil, 6)
         ranks = oracle.graded_ranks(oracle.ideal_closure(oracle.derived_levels(1)[1]))
         for d in range(1, 7):
@@ -235,21 +235,21 @@ def test_closure_leaves_input_unchanged(close):
     s = span(spec, [random_homogeneous(spec, rng, d) for d in (2, 3, 3)])
     dims = s.dims()
     rows = {d: s.block(d).matrix.copy() for d, _ in dims}
-    clo = close(spec, s)
+    clo = close(s)
     assert clo.dim_at(3) > s.dim_at(3)  # the closure changed a block s has rows in
     assert s.dims() == dims
     assert all(np.array_equal(s.block(d).matrix, m) for d, m in rows.items())
 
 
 def test_lie_ideal_closure_of_zero():
-    assert lie_ideal_closure(S22, Subspace(S22)).dims() == []
+    assert lie_ideal_closure(Subspace(S22)).dims() == []
 
 
 def test_derived_powers_are_lie_ideals():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
     t = DerivedTower(spec)
     for i in (1, 2):
-        clo = lie_ideal_closure(spec, t.level(i))
+        clo = lie_ideal_closure(t.level(i))
         for d in range(1, 9):
             assert clo.equal_at(t.level(i), d)
 
@@ -258,7 +258,7 @@ def test_lie_ideal_closure_contains_seed():
     rng = random.Random(5)
     v = random_homogeneous(S22, rng, 2)
     s = span(S22, [v])
-    clo = lie_ideal_closure(S22, s)
+    clo = lie_ideal_closure(s)
     assert clo.contains(v)
 
 
@@ -267,7 +267,7 @@ def test_lie_ideal_closure_matches_oracle():
     oracle = Oracle(3, (2, 2, 2), 5)
     rng = random.Random(17)
     v = random_homogeneous(spec, rng, 2)
-    clo = lie_ideal_closure(spec, span(spec, [v]))
+    clo = lie_ideal_closure(span(spec, [v]))
     dv = {oracle.basis[2][o]: c for o, c in v.terms(2)}
     ranks = oracle.graded_ranks(oracle.lie_ideal_closure([dv]))
     for d in range(1, 6):
@@ -329,10 +329,10 @@ def test_closures_are_single_sweep_stable(suite_specs):
     # re-running a closure on its own output must not grow anything
     for spec in suite_specs[:2]:
         t = DerivedTower(spec)
-        clo = ideal_closure(spec, t.level(1))
-        assert ideal_closure(spec, clo).dims() == clo.dims()
-        lclo = lie_ideal_closure(spec, t.level(1))
-        assert lie_ideal_closure(spec, lclo).dims() == lclo.dims()
+        clo = ideal_closure(t.level(1))
+        assert ideal_closure(clo).dims() == clo.dims()
+        lclo = lie_ideal_closure(t.level(1))
+        assert lie_ideal_closure(lclo).dims() == lclo.dims()
 
 
 # -- recursive bracketed elements -------------------------------------------

@@ -25,7 +25,7 @@ from nilpow.errors import BoundExceedsTruncation, NotALieIdeal
 
 def test_nilpotency_index_k1_m2():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
-    rep = nilpotency_index(spec, 1)
+    rep = nilpotency_index(DerivedTower(spec), 1)
     assert rep.n == 3
     assert rep.quotient_dims[:3] == [(1, 2), (2, 1), (3, 0)]
     assert all(q == 0 for d, q in rep.quotient_dims if d >= 3)
@@ -36,27 +36,27 @@ def test_nilpotency_index_commutative_case():
     # one generator: the first derived power is zero, so the quotient is the
     # whole algebra, nilpotent of index equal to the nil exponent
     spec = AlgebraSpec(m=1, nil=(4,), max_degree=8)
-    rep = nilpotency_index(spec, 1)
+    rep = nilpotency_index(DerivedTower(spec), 1)
     assert rep.n == 4
     assert rep.quotient_dims == [(1, 1), (2, 1), (3, 1)] + [(d, 0) for d in range(4, 9)]
 
 
 def test_nilpotency_index_k3_m2():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=12)
-    rep = nilpotency_index(spec, 3)
+    rep = nilpotency_index(DerivedTower(spec), 3)
     assert rep.n == 11
 
 
 def test_nilpotency_not_found_is_a_value():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
-    rep = nilpotency_index(spec, 3)
+    rep = nilpotency_index(DerivedTower(spec), 3)
     assert rep.n is None and not rep.found
 
 
 def test_nilpotency_monotone_in_k(suite_specs):
     for spec in suite_specs:
         tower = DerivedTower(spec)
-        ns = [nilpotency_index(spec, k, tower).n for k in (1, 2, 3)]
+        ns = [nilpotency_index(tower, k).n for k in (1, 2, 3)]
         found = [n for n in ns if n is not None]
         assert found == sorted(found)
         # once an index is not found, deeper ones cannot be found either
@@ -67,7 +67,7 @@ def test_nilpotency_monotone_in_k(suite_specs):
 
 def test_generating_set_i1():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
-    gens = generating_set(spec, 1, 11)
+    gens = generating_set(DerivedTower(spec), 1, 11)
     assert len(gens) == 28  # dims of the first derived power over degrees 2..20
     assert all(max(g.degrees()) <= 20 for g in gens)
     tower = DerivedTower(spec)
@@ -76,24 +76,24 @@ def test_generating_set_i1():
 
 def test_generating_set_i0_is_degree_one_basis():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
-    gens = generating_set(spec, 0, 3)
+    gens = generating_set(DerivedTower(spec), 0, 3)
     assert gens == [GradedVector.from_word(spec, (1,)), GradedVector.from_word(spec, (2,))]
 
 
 def test_generating_set_empty_when_derived_power_zero():
     spec = AlgebraSpec(m=1, nil=(4,), max_degree=8)
-    assert generating_set(spec, 1, 4) == []
+    assert generating_set(DerivedTower(spec), 1, 4) == []
 
 
 def test_generating_set_bound_exceeds_truncation():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=10)
     with pytest.raises(BoundExceedsTruncation):
-        generating_set(spec, 1, 11)
+        generating_set(DerivedTower(spec), 1, 11)
 
 
 def test_certify_verified_m2():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
-    cert = certify_generation(spec, 1)
+    cert = certify_generation(DerivedTower(spec), 1)
     assert cert.verified
     assert cert.n == 11 and cert.bound == 20
     assert cert.dims_target == cert.dims_closure
@@ -102,7 +102,7 @@ def test_certify_verified_m2():
 
 def test_certify_trivial_m1():
     spec = AlgebraSpec(m=1, nil=(4,), max_degree=8)
-    cert = certify_generation(spec, 1)
+    cert = certify_generation(DerivedTower(spec), 1)
     assert cert.verified
     assert cert.generators == []
     assert all(dim == 0 for _, dim in cert.dims_target)
@@ -111,12 +111,12 @@ def test_certify_trivial_m1():
 def test_certify_inconclusive_small_degree():
     # at D=10 the nilpotency index n=11 is not yet visible
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=10)
-    cert = certify_generation(spec, 1)
+    cert = certify_generation(DerivedTower(spec), 1)
     assert cert.verdict == "INCONCLUSIVE"
     assert "not found" in cert.reason
     # at D=12 the index is found but the generation bound overshoots D
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=12)
-    cert = certify_generation(spec, 1)
+    cert = certify_generation(DerivedTower(spec), 1)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.n == 11
     assert "bound 20 exceeds max degree 12" in cert.reason
@@ -124,38 +124,64 @@ def test_certify_inconclusive_small_degree():
 
 def test_certify_inconclusive_when_index_not_found():
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)
-    cert = certify_generation(spec, 1)
+    cert = certify_generation(DerivedTower(spec), 1)
     assert cert.verdict == "INCONCLUSIVE"
     assert "not found" in cert.reason
+
+
+def test_certify_inconclusive_when_closure_falls_short(monkeypatch):
+    # a closure that loses the degree-2 generator [x, y] falls short there
+    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
+    close = nilpow.certify.lie_subalgebra_closure
+    monkeypatch.setattr(
+        nilpow.certify, "lie_subalgebra_closure", lambda spec, gens: close(spec, gens[1:])
+    )
+    cert = certify_generation(DerivedTower(spec), 1)
+    assert cert.verdict == "INCONCLUSIVE"
+    assert cert.reason == "closure dimension 0 below target 1 at degree 2"
+    assert cert.n == 11 and cert.bound == 20
+    assert cert.generators == generating_set(DerivedTower(spec), 1, 11)
+    assert len(cert.generators) == 28 and cert.generators[0].degrees() == [2]
+    assert cert.dims_closure == close(spec, cert.generators[1:]).dims(all_degrees=True)
+    assert cert.dims_closure[1] == (2, 0)
 
 
 def test_certify_rejects_i_zero():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
     with pytest.raises(ValueError):
-        certify_generation(spec, 0)
+        certify_generation(DerivedTower(spec), 0)
 
 
 def test_degree_split_property():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
-    rep = degree_split_check(spec, 1, 11)
+    rep = degree_split_check(DerivedTower(spec), 1, 11)
     assert rep.passed and rep.checked > 0
 
 
 def test_degree_split_reports_escape():
     # n = 1 claims every bracket of degree >= 1 words lies in level 2
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
-    rep = degree_split_check(spec, 1, 1)
+    rep = degree_split_check(DerivedTower(spec), 1, 1)
     assert not rep.passed
     assert rep.counterexample == "[x, y] escapes level 2 at degree 2"
     xy = bracket(GradedVector.from_word(spec, (1,)), GradedVector.from_word(spec, (2,)))
     assert not DerivedTower(spec).level(2).contains(xy)
 
 
+def test_degree_split_brackets_start_at_degree_n():
+    # only words of degree >= n = 3 enter on the left, so the first escape
+    # is [xxy, xx] at degree 5, not a bracket with a shorter left word
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=9)
+    rep = degree_split_check(DerivedTower(spec), 1, 3)
+    assert not rep.passed and rep.checked == 4
+    assert rep.counterexample == "[xxy, xx] escapes level 2 at degree 5"
+
+
 def test_nilpotency_propagation(suite_specs):
     # once the quotient vanishes it stays vanished at every larger degree
     for spec in suite_specs:
         for k in (1, 2):
-            rep = nilpotency_index(spec, k)
+            rep = nilpotency_index(DerivedTower(spec), k)
             if rep.n is None:
                 continue
             assert all(q == 0 for d, q in rep.quotient_dims if d >= rep.n)
@@ -168,7 +194,7 @@ def test_lemma1_on_derived_powers():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
     tower = DerivedTower(spec)
     for i in (1, 2):
-        rep = lemma1_check(spec, tower.level(i))
+        rep = lemma1_check(tower.level(i))
         assert rep.passed
 
 
@@ -176,13 +202,13 @@ def test_lemma1_on_random_ideals(suite_specs):
     rng = random.Random(42)
     for spec in suite_specs:
         for _ in range(3):
-            rep = lemma1_check(spec, random_lie_ideal(spec, rng))
+            rep = lemma1_check(random_lie_ideal(spec, rng))
             assert rep.passed
 
 
 def test_lemma1_vacuous_on_zero():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
-    rep = lemma1_check(spec, Subspace(spec))
+    rep = lemma1_check(Subspace(spec))
     assert rep.passed
 
 
@@ -190,7 +216,7 @@ def test_lemma1_rejects_non_ideal():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
     not_ideal = span(spec, [GradedVector.from_word(spec, (1, 2))])  # xy alone is no Lie ideal
     with pytest.raises(NotALieIdeal, match=r"^\[x, U_2\] not inside U at degree 3$"):
-        lemma1_check(spec, not_ideal)
+        lemma1_check(not_ideal)
 
 
 def test_lemma1_reports_escape(monkeypatch):
@@ -198,8 +224,8 @@ def test_lemma1_reports_escape(monkeypatch):
     # the containment fail: the first pass still runs on a true Lie ideal
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
     u = DerivedTower(spec).level(2)
-    monkeypatch.setattr(nilpow.certify, "ideal_closure", lambda spec, s: Subspace.full_space(spec))
-    rep = lemma1_check(spec, u)
+    monkeypatch.setattr(nilpow.certify, "ideal_closure", lambda s: Subspace.full_space(s.spec))
+    rep = lemma1_check(u)
     assert not rep.passed and rep.checked == 6
     assert rep.counterexample == "[row 1 of id([U,U])_1, x] escapes U at degree 2"
 
@@ -210,13 +236,13 @@ def test_lemma1_reports_escape(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2])
 def test_fk_identity_suite(k):
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=12)
-    rep = fk_identity_check(spec, k, trials=50, seed=7)
+    rep = fk_identity_check(DerivedTower(spec), k, trials=50, seed=7)
     assert rep.passed and rep.trials == 50 and rep.seed == 7
 
 
 def test_fk_k3_m3():
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)
-    rep = fk_identity_check(spec, 3, trials=20, seed=1)
+    rep = fk_identity_check(DerivedTower(spec), 3, trials=20, seed=1)
     assert rep.passed
 
 

@@ -117,6 +117,18 @@ def test_certify_small_degree_exit_two(capsys):
     jsonschema.validate(cert, certificate_schema())
 
 
+def test_certify_no_governed_degree_exit_two(capsys):
+    # n = 11 gives bound 20 = D, but no degree 2n-1 = 21 is exercised
+    code, out, err = run_cli(capsys, "certify", "--i", "1", *SPEC22, "--max-degree", "20")
+    assert code == 2
+    cert = json.loads(out)
+    assert cert["verdict"] == "INCONCLUSIVE"
+    assert cert["reason"] == "max degree 20 below 21, no governed degree exercised"
+    assert cert["n"] == 11 and cert["bound"] == 20 and cert["generators"] == []
+    assert f"INCONCLUSIVE: {cert['reason']}" in err
+    jsonschema.validate(cert, certificate_schema())
+
+
 def test_certify_trivial_single_generator(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "--i", "1", "--generators", "1", "--nil", "4", "--max-degree", "8"
@@ -174,12 +186,22 @@ def test_check_fk(capsys):
     assert "f_2: pass" in out
 
 
+def test_check_fk_vacuous_counts_no_checks(capsys):
+    # 2^k = 4 arguments of degree >= 1 have total degree above D = 3
+    code, out, _ = run_cli(
+        capsys, "check", "fk", *SPEC22, "--max-degree", "3", "--k", "2", "--trials", "3"
+    )
+    assert code == 0
+    assert out == "f_2: pass (0 checks seed=0)\n"
+
+
 # -- cache -------------------------------------------------------------------
 
 
 def test_check_all_builds_one_tower(capsys, monkeypatch):
     # the tower builds its levels through nilpow.algebra; lemma1_check's
-    # own [U, U] steps go through nilpow.certify and are not counted
+    # own [U, U] steps go through nilpow.certify and are not counted. At
+    # D = 6 the f_3 check is vacuous (2^3 > 6), so level 3 is never built.
     calls = []
     step = nilpow.algebra._derived_step
 
@@ -190,7 +212,7 @@ def test_check_all_builds_one_tower(capsys, monkeypatch):
     monkeypatch.setattr(nilpow.algebra, "_derived_step", counted)
     code, _, _ = run_cli(capsys, "check", "all", *SPEC22, "--max-degree", "6", "--trials", "20")
     assert code == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_cache_round_trip(tmp_path):

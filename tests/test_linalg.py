@@ -36,6 +36,9 @@ def test_spec_mismatch_rejected():
     s = Subspace(S22)
     with pytest.raises(SpecMismatch):
         s.insert(GradedVector.from_word(other, (1, 2)))
+    for ordinal in (-1, 5):  # degree 2 has the two words xy, yx
+        with pytest.raises(SpecMismatch):
+            GradedVector(S22, {2: {ordinal: 1}})
 
 
 def test_insert_examples():
