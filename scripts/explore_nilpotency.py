@@ -3,7 +3,9 @@
 truncation degree for one presentation. Used to discover how large a
 truncation degree a VERIFIED certificate would need.
 
-Example (the three-generator case; degree 12 needs ~2 GB and minutes):
+Example (the three-generator case; with one BLAS thread degree 11 takes
+about 4 s and 0.25 GB, degree 12 about 17 s and 0.7 GB, and degree 13,
+where the quotient first vanishes, about 65 s and 2.4 GB):
 
     python3 scripts/explore_nilpotency.py --generators 3 --nil 2,2,2 \
         --k 3 --degrees 8,9,10,11

@@ -219,7 +219,7 @@ def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspac
     full space: then only the split p = 1 is needed, since the identity
     [xv, w] = [x, vw] + [v, wx] gives [A, A] = [A_1, A]."""
     return _sweep(
-        Subspace(spec),
+        Subspace(spec, multigraded=prev.multigraded),
         lambda out, f: _split_brackets(prev, f, (1,) if from_full else range(1, f // 2 + 1)),
     )
 

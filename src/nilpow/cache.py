@@ -4,8 +4,9 @@ Entries are JSON files keyed by a content hash of (format version, spec,
 object id). Field elements serialize canonically: residues as decimal
 integers, rationals as "num/den" in lowest terms. Each entry stores the
 SHA-256 of its rows. Corrupt or wrong-version entries behave as misses;
-so do entries whose rows do not match their digest or are not in
-canonical RREF, which `subspace_from_payload` rejects.
+so do entries whose rows do not match their digest, are not in canonical
+RREF or have a row across two multidegrees (the cached derived powers are
+multigraded), which `subspace_from_payload` rejects.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def subspace_to_payload(s: Subspace) -> dict:
 
 
 def subspace_from_payload(spec: AlgebraSpec, payload: dict) -> Subspace:
-    """Decode a payload, taking each degree's rows as they are; raises
-    `CorruptCacheEntry` unless they match the stored digest and are in
-    canonical RREF."""
+    """Decode a payload into a multigraded subspace, taking each degree's
+    rows as they are; raises `CorruptCacheEntry` unless they match the
+    stored digest, are in canonical RREF and are each multihomogeneous."""
     s = Subspace(spec)
     f = spec.field
     try:

@@ -5,6 +5,17 @@ over the normal-word basis. Subspaces keep one reduced-row-echelon block per
 degree (monic pivots, fully back-reduced, rows sorted by pivot ordinal), so
 equal subspaces have literally equal rows and every certificate is canonical.
 
+The relations are multihomogeneous, so the derived powers and the closures
+built from them are spanned by multihomogeneous rows. A subspace built only
+from such rows is multigraded: each block keeps the RREF of each Z^m
+multidegree part over that part's columns (`words.multidegree_parts`). The
+parts have disjoint column supports, so the union of their rows is the
+block's canonical RREF; `_Block.matrix` scatters them back into degree
+columns in pivot order and keeps the result until the next insertion. A row
+inserted into such a block goes to the part of its leading column; a row
+with entries in two parts is an engine bug. Membership reduces a row in
+every part, so it is exact for any row. Other subspaces keep one part.
+
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
 exactness bound inner*(p-1)^2 < 2^53 holds; elementwise, residue +
@@ -13,11 +24,12 @@ object arrays for Q. Sparse (ordinal, coeff) pairs exist only at the JSON
 boundary: `GradedVector.terms` for certificates, `_Block.sparse_rows` for
 the cache.
 
-One blocked kernel, `_Block.insert_matrix`, does all insertion, after the
-echelon forms of M4RI and FFLAS-FFPACK. Per chunk of `_CHUNK` rows: a
-matmul reduces the chunk against the block, Gauss-Jordan over the chunk's
-pivots puts it in RREF, a matmul back-reduces the old rows by the new
-pivots, and an argsort merges both by pivot.
+One blocked kernel, `_Echelon.insert_matrix`, does all insertion into a
+part, after the echelon forms of M4RI and FFLAS-FFPACK. Per chunk of
+`_CHUNK` rows: a matmul reduces the chunk against the part, Gauss-Jordan
+over the chunk's pivots puts it in RREF, a matmul back-reduces the old rows
+by the new pivots, and old and new rows are written once into a new array
+in pivot order.
 """
 
 from __future__ import annotations
@@ -27,12 +39,12 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import SpecMismatch
+from .errors import CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
 from .fields import Coeff, Field
-from .words import AlgebraSpec, Word, dim_component, word_index
+from .words import AlgebraSpec, Word, dim_component, multidegree_parts, word_index
 
 _FRACTION_ZERO = Fraction(0)
-# candidate rows per step of the elimination kernel (`_Block.insert_matrix`)
+# candidate rows per step of the elimination kernel (`_Echelon.insert_matrix`)
 _CHUNK = 256
 
 
@@ -170,71 +182,57 @@ def _terms(row: np.ndarray, f: Field) -> list[tuple[int, Coeff]]:
     return [(int(o), f.elem(row[o])) for o in np.flatnonzero(row != 0)]
 
 
-class _Block:
-    """RREF rows of one graded component; a block built full keeps no rows."""
+class _Echelon:
+    """Canonical RREF rows over one set of columns, grown by the blocked
+    kernel. A stored row array is never written in place: each insertion
+    builds a new one, so copies of a block may share them."""
 
-    __slots__ = ("arith", "dim", "_rows", "pivots")
+    __slots__ = ("arith", "dim", "rows", "pivots")
 
-    def __init__(self, arith: _Arith, dim: int, full: bool = False):
+    def __init__(self, arith: _Arith, dim: int, rows=None, pivots=None):
         self.arith = arith
         self.dim = dim
-        self._rows: Optional[np.ndarray] = None if full else arith.zeros((0, dim))
-        self.pivots = np.arange(dim, dtype=np.intp) if full else np.empty(0, dtype=np.intp)
+        self.rows = arith.zeros((0, dim)) if rows is None else rows
+        self.pivots = np.empty(0, dtype=np.intp) if pivots is None else pivots
 
     @property
     def rank(self) -> int:
-        return self.dim if self._rows is None else self._rows.shape[0]
-
-    @property
-    def full(self) -> bool:
-        """The rows span the whole component (they are then the identity)."""
-        return self.rank == self.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """RREF rows. A block built full gives a fresh identity, not kept:
-        it would hold dim^2 entries for the life of the block."""
-        if self._rows is None:
-            eye = self.arith.zeros((self.dim, self.dim))
-            np.fill_diagonal(eye, self.arith.field.one)
-            return eye
-        return self._rows
+        return self.rows.shape[0]
 
     def reduce_matrix(self, m: np.ndarray) -> np.ndarray:
         """Remainders of the rows of m modulo the row space (reduced mod p)."""
-        if self.full:
+        if self.rank == self.dim:
             return self.arith.zeros(m.shape)
         if self.rank == 0 or m.shape[0] == 0:
             return self.arith.mod(m)
         coeffs = m[:, self.pivots]
         used = np.flatnonzero((coeffs != 0).any(axis=0))  # only these rows contribute
         coeffs = self.arith.mod(coeffs[:, used])
-        return self.arith.mod(m - self.arith.matmul(coeffs, self._rows[used]))
+        return self.arith.mod(m - self.arith.matmul(coeffs, self.rows[used]))
 
-    def insert(self, v: np.ndarray) -> bool:
-        return self.insert_matrix(v[None, :]) > 0
-
-    def insert_matrix(self, m: np.ndarray) -> int:
-        """Insert many candidate rows, `_CHUNK` at a time (see the module
-        docstring); returns the rank growth."""
-        start = self.rank
+    def insert_matrix(self, m: np.ndarray) -> None:
+        """Insert the rows of m, `_CHUNK` at a time (see the module docstring)."""
+        if self.dim == 1:  # any nonzero row spans one column
+            if self.rank == 0 and (m != 0).any():
+                self.rows = self.arith.zeros((1, 1))
+                self.rows[0, 0] = self.arith.field.one
+                self.pivots = np.zeros(1, dtype=np.intp)
+            return
         for lo in range(0, m.shape[0], _CHUNK):
-            if self.full:
+            if self.rank == self.dim:
                 break
             c = self.reduce_matrix(m[lo : lo + _CHUNK])
             keep = self.arith.nonzero_rows(c)
             if keep.size:
                 self._merge(*self._rref(c[keep]))
-        return self.rank - start
 
     def _rref(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Canonical RREF rows and pivots of c, a fresh matrix of nonzero
-        rows already reduced against the block (so zero in its pivot
+        rows already reduced against the rows (so zero in their pivot
         columns). Gauss-Jordan over pivots in increasing column order;
         each step touches only the rows with an entry in its column."""
         a = self.arith
-        nz = c != 0
-        lead = np.where(nz.any(axis=1), nz.argmax(axis=1), self.dim)  # of open rows
+        lead = (c != 0).argmax(axis=1)  # of open rows
         piv = np.full(c.shape[0], self.dim, dtype=np.intp)  # of finished rows
         while True:
             i = int(np.argmin(lead))
@@ -245,8 +243,9 @@ class _Block:
             if inv != 1:
                 c[i] = a.mod(c[i] * inv)
             piv[i], lead[i] = col, self.dim
-            hit = np.flatnonzero(c[:, col] != 0)
-            hit = hit[hit != i]
+            hit = c[:, col] != 0
+            hit[i] = False
+            hit = np.flatnonzero(hit)
             if hit.size:
                 c[hit] = a.mod(c[hit] - c[hit, col][:, None] * c[i][None, :])
                 open_ = hit[piv[hit] == self.dim]
@@ -256,29 +255,173 @@ class _Block:
         return c[done], piv[done]
 
     def _merge(self, new: np.ndarray, piv: np.ndarray) -> None:
-        """Add RREF rows whose pivots are new to the block."""
-        old = self._rows
-        if old.shape[0]:
-            hit = np.flatnonzero((old[:, piv] != 0).any(axis=1))
-            if hit.size:
-                old[hit] = self.arith.mod(old[hit] - self.arith.matmul(old[np.ix_(hit, piv)], new))
-        pivots = np.concatenate([self.pivots, piv])
-        order = np.argsort(pivots, kind="stable")
-        self._rows = np.concatenate([old, new])[order]
-        self.pivots = pivots[order]
+        """Add RREF rows whose pivots are new: back-reduce the old rows by
+        them, and write old and new rows once each into one array, at their
+        `searchsorted` positions in pivot order."""
+        order = np.argsort(piv)
+        new, piv = new[order], piv[order]
+        old, opiv = self.rows, self.pivots
+        if not opiv.size:
+            self.rows, self.pivots = new, piv
+            return
+        at_new = np.searchsorted(opiv, piv) + np.arange(piv.size)
+        at_old = np.searchsorted(piv, opiv) + np.arange(opiv.size)
+        rows = np.empty((opiv.size + piv.size, self.dim), dtype=old.dtype)
+        rows[at_new] = new
+        rows[at_old] = old
+        hit = np.flatnonzero((old[:, piv] != 0).any(axis=1))
+        if hit.size:
+            a = self.arith
+            rows[at_old[hit]] = a.mod(old[hit] - a.matmul(old[hit[:, None], piv], new))
+        pivots = np.empty(rows.shape[0], dtype=np.intp)
+        pivots[at_new], pivots[at_old] = piv, opiv
+        self.rows, self.pivots = rows, pivots
+
+
+class _Block:
+    """RREF rows of one graded component. A multigraded block keeps one
+    `_Echelon` per multidegree part, over that part's columns; any other
+    block keeps one over all columns. A block built full keeps no rows."""
+
+    __slots__ = ("arith", "dim", "rank", "_part_of", "_cols", "_parts", "_matrix", "_pivots")
+
+    def __init__(self, arith: _Arith, dim: int, full: bool = False, parts=None):
+        """``parts`` is the component's multidegree table (`multidegree_parts`);
+        None, like a table of one part, keeps one part."""
+        self.arith = arith
+        self.dim = dim
+        self._part_of, self._cols = parts if parts is not None and len(parts[1]) > 1 else (None, None)
+        sizes = [dim] if self._cols is None else [c.size for c in self._cols]
+        self._parts = None if full else [_Echelon(arith, n) for n in sizes]
+        self.rank = dim if full else 0
+        self._matrix = self._pivots = None  # parts put together, until the next insertion
+
+    @property
+    def full(self) -> bool:
+        """The rows span the whole component (they are then the identity)."""
+        return self.rank == self.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """RREF rows in degree columns, sorted by pivot. A block built full
+        gives a fresh identity, not kept: it would hold dim^2 entries for the
+        life of the block."""
+        if self._parts is None:
+            eye = self.arith.zeros((self.dim, self.dim))
+            np.fill_diagonal(eye, self.arith.field.one)
+            return eye
+        if self._cols is None:
+            return self._parts[0].rows
+        if self._matrix is None:
+            self._assemble()
+        return self._matrix
+
+    @property
+    def pivots(self) -> np.ndarray:
+        if self._parts is None:
+            return np.arange(self.dim, dtype=np.intp)
+        if self._cols is None:
+            return self._parts[0].pivots
+        if self._matrix is None:
+            self._assemble()
+        return self._pivots
+
+    def _assemble(self) -> None:
+        """Scatter the rows of the parts into degree columns, in pivot order."""
+        piv = np.concatenate([c[e.pivots] for c, e in zip(self._cols, self._parts)])
+        at = np.empty(piv.size, dtype=np.intp)
+        at[np.argsort(piv)] = np.arange(piv.size)
+        out = self.arith.zeros((piv.size, self.dim))
+        r = 0
+        for c, e in zip(self._cols, self._parts):
+            if e.rank:
+                out[at[r : r + e.rank, None], c] = e.rows
+                r += e.rank
+        self._matrix, self._pivots = out, np.sort(piv)
+
+    def _route(self, m: np.ndarray, error: type[Exception]) -> list[tuple[int, np.ndarray]]:
+        """(part, those rows on the part's columns) for each part that leads
+        a nonzero row of m; raises ``error`` if a row has an entry outside the
+        part of its leading column."""
+        nz = m != 0
+        rows = np.flatnonzero(nz.any(axis=1))
+        part = self._part_of[nz.argmax(axis=1)[rows]]
+        rows = rows[np.argsort(part, kind="stable")]
+        out, routed, lo = [], 0, 0
+        for k, n in enumerate(np.bincount(part, minlength=len(self._cols))):
+            if n:
+                sub = m[rows[lo : lo + n, None], self._cols[k]]
+                routed += np.count_nonzero(sub)
+                out.append((k, sub))
+                lo += n
+        if routed != np.count_nonzero(nz):
+            raise error("a row has entries in two multidegree parts")
+        return out
+
+    def reduce_matrix(self, m: np.ndarray) -> np.ndarray:
+        """Remainders of the rows of m modulo the row space (reduced mod p),
+        part by part, so exact for any row. Parts that are full or where m
+        is zero leave zero remainders."""
+        if self._parts is None:
+            return self.arith.zeros(m.shape)
+        if self._cols is None:
+            return self._parts[0].reduce_matrix(m)
+        out = self.arith.zeros(m.shape)
+        live = (m != 0).any(axis=0)
+        for c, e in zip(self._cols, self._parts):
+            if e.rank < e.dim and live[c].any():
+                out[:, c] = e.reduce_matrix(m[:, c])
+        return out
+
+    def insert(self, v: np.ndarray) -> bool:
+        return self.insert_matrix(v[None, :]) > 0
+
+    def insert_matrix(self, m: np.ndarray) -> int:
+        """Insert many candidate rows, each into the part of its leading
+        column; returns the rank growth. A row with entries in two parts
+        is an engine bug (`InternalSoundnessFailure`)."""
+        if self.full:
+            return 0
+        start = self.rank
+        if self._cols is None:
+            self._parts[0].insert_matrix(m)
+            self.rank = self._parts[0].rank
+        else:
+            for k, sub in self._route(m, InternalSoundnessFailure):
+                self._parts[k].insert_matrix(sub)
+            self.rank = sum(e.rank for e in self._parts)
+            if self.rank > start:
+                self._matrix = self._pivots = None
+        return self.rank - start
 
     def load(self, m: np.ndarray) -> bool:
         """Take m as the rows of this empty block if it is in canonical RREF:
         no zero row, strictly increasing monic pivots, zero in the other
-        pivot columns. Returns whether it was."""
+        pivot columns. Returns whether it was; raises `CorruptCacheEntry`
+        if a row has entries in two multidegree parts."""
         nz = m != 0
         if not nz.any(axis=1).all():
             return False
         piv = nz.argmax(axis=1)
         if (np.diff(piv) <= 0).any() or not (m[:, piv] == np.eye(piv.size, dtype=np.int64)).all():
             return False
-        self._rows, self.pivots = m, piv
+        if self._cols is None:
+            self._parts[0].rows, self._parts[0].pivots = m, piv
+        else:
+            for k, sub in self._route(m, CorruptCacheEntry):
+                self._parts[k].rows, self._parts[k].pivots = sub, (sub != 0).argmax(axis=1)
+            self._matrix, self._pivots = m, piv
+        self.rank = piv.size
         return True
+
+    def copy(self) -> "_Block":
+        """An independent block; it shares the row arrays, never rewritten."""
+        out = _Block.__new__(_Block)
+        for name in _Block.__slots__:
+            setattr(out, name, getattr(self, name))
+        if self._parts is not None:
+            out._parts = [_Echelon(e.arith, e.dim, e.rows, e.pivots) for e in self._parts]
+        return out
 
     def contains_matrix(self, m: np.ndarray) -> Optional[int]:
         """Index of the first row not in the span, or None if all are."""
@@ -296,13 +439,16 @@ class _Block:
 
 
 class Subspace:
-    """Graded subspace as one echelon block per degree."""
+    """Graded subspace as one echelon block per degree. It is multigraded,
+    with blocks split by multidegree, while every row it took was
+    multihomogeneous."""
 
-    def __init__(self, spec: AlgebraSpec, full: bool = False):
+    def __init__(self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True):
         self.spec = spec
         self.arith = _Arith(spec.field)
         self._blocks: dict[int, _Block] = {}
         self._full = full
+        self.multigraded = multigraded
 
     @classmethod
     def full_space(cls, spec: AlgebraSpec) -> "Subspace":
@@ -310,7 +456,8 @@ class Subspace:
 
     def block(self, d: int) -> _Block:
         if d not in self._blocks:
-            self._blocks[d] = _Block(self.arith, dim_component(self.spec, d), full=self._full)
+            parts = multidegree_parts(self.spec, d) if self.multigraded and not self._full else None
+            self._blocks[d] = _Block(self.arith, dim_component(self.spec, d), self._full, parts)
         return self._blocks[d]
 
     def _check(self, spec: AlgebraSpec) -> None:
@@ -320,8 +467,17 @@ class Subspace:
     # -- span building -------------------------------------------------------
 
     def insert(self, v: GradedVector) -> dict[int, bool]:
-        """Insert each homogeneous part; returns degree -> grew."""
+        """Insert each homogeneous part; returns degree -> grew. A part that
+        is not multihomogeneous first puts every block into one part."""
         self._check(v.spec)
+        if self.multigraded and not all(
+            _multihomogeneous(self.spec, d, row[None, :]) for d, row in v.parts.items()
+        ):
+            self.multigraded = False
+            for d, blk in self._blocks.items():
+                if blk._cols is not None:
+                    self._blocks[d] = _Block(self.arith, blk.dim)
+                    self._blocks[d].load(blk.matrix)
         return {d: self.block(d).insert(row) for d, row in v.parts.items()}
 
     # -- queries -------------------------------------------------------------
@@ -373,25 +529,33 @@ class Subspace:
         return [GradedVector(self.spec, {d: row}) for row in self.block(d).matrix]
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.spec, full=self._full)
-        for d, blk in self._blocks.items():
-            if blk._rows is not None:
-                nb = out.block(d)
-                nb._rows, nb.pivots = blk._rows.copy(), blk.pivots.copy()
+        out = Subspace(self.spec, full=self._full, multigraded=self.multigraded)
+        out._blocks = {d: blk.copy() for d, blk in self._blocks.items()}
         return out
 
     def __repr__(self) -> str:
         return f"Subspace({self.spec.m} gens, dims={self.dims()})"
 
 
+def _multihomogeneous(spec: AlgebraSpec, d: int, m: np.ndarray) -> bool:
+    """Whether each row of the degree-d matrix m lies in one multidegree part."""
+    part_of, _ = multidegree_parts(spec, d)
+    nz = m != 0
+    lead = part_of[nz.argmax(axis=1)]
+    return not (nz & (part_of[None, :] != lead[:, None])).any()
+
+
 def span(spec: AlgebraSpec, vectors: Iterable[GradedVector]) -> Subspace:
-    """Span of the homogeneous parts of the vectors, one insertion per degree."""
-    s = Subspace(spec)
+    """Span of the homogeneous parts of the vectors, one insertion per
+    degree; multigraded when every part is multihomogeneous."""
     rows: dict[int, list[np.ndarray]] = {}
     for v in vectors:
-        s._check(v.spec)
+        if v.spec != spec:
+            raise SpecMismatch("operands over different algebra specs")
         for d, row in v.parts.items():
             rows.setdefault(d, []).append(row)
-    for d, m in rows.items():
-        s.block(d).insert_matrix(np.stack(m))
+    mats = {d: np.stack(m) for d, m in rows.items()}
+    s = Subspace(spec, multigraded=all(_multihomogeneous(spec, d, m) for d, m in mats.items()))
+    for d, m in mats.items():
+        s.block(d).insert_matrix(m)
     return s

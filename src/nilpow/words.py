@@ -14,6 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .errors import DegreeOutOfRange, NotNormal, TruncationOverflow
 from .fields import DEFAULT_PRIME, Field
 
@@ -91,6 +93,21 @@ def normal_words(spec: AlgebraSpec, d: int) -> tuple[Word, ...]:
 
 def dim_component(spec: AlgebraSpec, d: int) -> int:
     return len(normal_words(spec, d))
+
+
+@lru_cache(maxsize=None)
+def multidegree_parts(spec: AlgebraSpec, d: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The degree-d basis split by multidegree (the number of each generator
+    in a word): the part of each ordinal, and the increasing ordinals of each
+    part. Parts are numbered in the order of their first ordinal."""
+    parts: dict[tuple[int, ...], list[int]] = {}
+    for o, w in enumerate(normal_words(spec, d)):
+        parts.setdefault(tuple(w.count(g) for g in range(1, spec.m + 1)), []).append(o)
+    cols = tuple(np.array(c, dtype=np.intp) for c in parts.values())
+    part_of = np.empty(dim_component(spec, d), dtype=np.intp)
+    for k, c in enumerate(cols):
+        part_of[c] = k
+    return part_of, cols
 
 
 @lru_cache(maxsize=None)

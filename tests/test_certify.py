@@ -47,6 +47,16 @@ def test_nilpotency_index_k3_m2():
     assert rep.n == 11
 
 
+def test_m3_quotient_dims_d11():
+    # the three-generator case at the largest degree in the docs: the
+    # quotient by id(A^(3)) is still nonzero at degree 11
+    tower = DerivedTower(AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=11))
+    rep = nilpotency_index(tower, 3)
+    assert rep.n is None
+    assert rep.quotient_dims[9:] == [(10, 771), (11, 132)]
+    assert [tower.level(3).dim_at(d) for d in range(8, 12)] == [3, 81, 558, 2334]
+
+
 def test_nilpotency_not_found_is_a_value():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
     rep = nilpotency_index(DerivedTower(spec), 3)

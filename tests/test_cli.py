@@ -5,8 +5,10 @@ import pytest
 
 import nilpow.algebra
 from nilpow import AlgebraSpec, DerivedTower, Field
-from nilpow.cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
+from nilpow.cache import _rows_digest, cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from nilpow.cli import certificate_schema, main
+from nilpow.errors import CorruptCacheEntry
+from nilpow.words import multidegree_parts
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +289,32 @@ def test_tampered_cache_entry_never_changes_dims(capsys, tmp_path, kind):
     assert "warning: ignoring cache entry" in err
     # the entries were rewritten: a further warm run reads them cleanly
     assert run_cli(capsys, *args, "--cache", str(tmp_path)) == (0, plain, "")
+
+
+def test_entry_across_multidegrees_is_a_miss(capsys, tmp_path):
+    # an entry in a non-pivot column of another multidegree keeps the rows in
+    # canonical RREF, and the recomputed digest matches: only the multidegree
+    # guard of `_Block.load` rejects it
+    args = ["dims", "--generators", "2", "--nil", "3,3", "--max-degree", "7", "--levels", "2"]
+    _, plain, _ = run_cli(capsys, *args)
+    run_cli(capsys, *args, "--cache", str(tmp_path))
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=7)
+    path = tmp_path / f"{cache_key(spec, 'derived[1]')}.json"
+    payload = json.loads(path.read_text())
+    d, rows = max(payload["rows"].items(), key=lambda kv: len(kv[1]))
+    part_of, _ = multidegree_parts(spec, int(d))
+    pivots = {row[0][0] for row in rows}
+    row = rows[0]
+    col = next(c for c in range(part_of.size) if c not in pivots and part_of[c] != part_of[row[0][0]])
+    row.append([col, "1"])
+    row.sort()
+    payload["digest"] = _rows_digest(payload["rows"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptCacheEntry, match="two multidegree parts"):
+        subspace_from_payload(spec, payload)
+    code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
+    assert code == 0 and out == plain
+    assert "warning: ignoring cache entry" in err
 
 
 def test_cached_certify_matches_uncached(capsys, tmp_path):

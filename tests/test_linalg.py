@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilpow import AlgebraSpec, Field, GradedVector, Subspace, linalg, span
-from nilpow.errors import SpecMismatch
+from nilpow.errors import CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
+from nilpow.words import multidegree_parts
 
 from dense_oracle import Oracle
 
@@ -222,3 +224,96 @@ def test_insert_matrix_matches_reference(field, case):
     assert [[field.elem(x) for x in r] for r in blk.matrix] == ref
     assert blk.rank == len(ref) and blk.full == (len(ref) == dim)
     assert list(blk.pivots) == [_lead(r) for r in ref]
+
+
+# -- multigraded blocks against one-part blocks --------------------------------
+
+
+MULTIGRADED_CASES = [(3, (2, 2, 2), 5), (2, (3, 3), 6)]  # (m, nil, degree)
+
+
+def _multihomogeneous_rows(rng, cols, dim, n):
+    """n integer rows, each on the columns of one random part: random rows,
+    up to half the part's size of them, then combinations of those (zero in
+    a part of one column), so the span stays a proper subspace."""
+    drawn = [[] for _ in cols]
+    rows = []
+    for _ in range(n):
+        k = rng.randrange(len(cols))
+        row = np.zeros(dim, dtype=np.int64)
+        if len(drawn[k]) < cols[k].size // 2:
+            row[cols[k]] = [rng.randint(-4, 4) for _ in cols[k]]
+            drawn[k].append(row)
+        else:
+            for r in drawn[k]:
+                row += rng.randint(-3, 3) * r
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+@pytest.mark.parametrize("m, nil, d", MULTIGRADED_CASES)
+def test_multigraded_block_matches_one_part(field, m, nil, d):
+    spec = AlgebraSpec(m=m, nil=nil, field=field, max_degree=d)
+    part_of, cols = multidegree_parts(spec, d)
+    dim = part_of.size
+    arith = linalg._Arith(field)
+    rng = random.Random(f"{m}-{d}-{field}")
+    elem = lambda x: field.elem(x if isinstance(x, Fraction) else int(x))
+
+    def dense(rows):
+        return np.array([[elem(x) for x in r] for r in rows], dtype=np.int64 if field.p else object)
+
+    rows = _multihomogeneous_rows(rng, cols, dim, 2 * linalg._CHUNK + 40)
+    split, one = linalg._Block(arith, dim, parts=(part_of, cols)), linalg._Block(arith, dim)
+    assert len(split._parts) == len(cols) > 1
+    for lo, hi in ((0, 30), (30, len(rows))):  # the second call meets earlier rows
+        assert split.insert_matrix(dense(rows[lo:hi])) == one.insert_matrix(dense(rows[lo:hi]))
+        assert split.rank == one.rank < dim
+        assert np.array_equal(split.matrix, one.matrix)
+        assert np.array_equal(split.pivots, one.pivots)
+
+    # Rows that are not multihomogeneous: sums of two rows from different
+    # parts, each in the span or not. `escape` has its leading column in a
+    # span row while the row is outside: routing it by that column alone
+    # would call it contained.
+    inside = list(one.matrix)
+    outside = []
+    for c in cols:
+        row = np.zeros(dim, dtype=np.int64)
+        row[c] = [rng.randint(-4, 4) for _ in c]
+        if one.contains_matrix(dense([row])) is not None:
+            outside.append(row)
+    lead = lambda r: int(np.flatnonzero(r != 0)[0])
+    pairs = [(a, b) for a in inside for b in inside + outside if part_of[lead(a)] != part_of[lead(b)]]
+    escape = next(a + b for a, b in pairs if lead(a) < lead(b) and any(b is r for r in outside))
+    rows = [a + b for a, b in rng.sample(pairs, 40)] + [escape]
+    verdicts = [one.contains_matrix(dense([r])) is None for r in rows]
+    assert [split.contains_matrix(dense([r])) is None for r in rows] == verdicts
+    assert True in verdicts and not verdicts[-1]
+    assert split.contains_matrix(dense(rows)) == one.contains_matrix(dense(rows)) == verdicts.index(False)
+
+
+def test_multigraded_guards():
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=6)
+    table = multidegree_parts(spec, 3)
+    blk = linalg._Block(linalg._Arith(spec.field), table[0].size, parts=table)
+    two_parts = np.zeros((1, table[0].size), dtype=np.int64)
+    two_parts[0, [table[1][0][0], table[1][1][0]]] = 1
+    with pytest.raises(InternalSoundnessFailure):
+        blk.insert_matrix(two_parts)
+    with pytest.raises(CorruptCacheEntry):
+        blk.load(two_parts)
+    assert blk.rank == 0
+
+
+def test_insert_outside_one_part_splits_no_more():
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=4)
+    x, y, xy, yx = (GradedVector.from_word(spec, w) for w in [(1,), (2,), (1, 2), (2, 1)])
+    s = span(spec, [x, xy - yx])
+    assert s.multigraded
+    s.insert(x + y)
+    assert not s.multigraded and s.dims() == [(1, 2), (2, 1)]
+    s.insert(xy)
+    assert s.contains(yx) and not s.contains(GradedVector.from_word(spec, (1, 1)))
+    assert not span(spec, [x + y]).multigraded
