@@ -10,9 +10,13 @@ cached (p, q)-degree multiplication tables, which keeps the inner loops
 in numpy.
 
 One generator, `_brackets`, produces every bracket candidate (row x row;
-basis words enter as the identity rows of a full block), and one feeder,
-`_insert_all`, batches the candidates into an echelon block. The first
-derived power needs only brackets with degree-1 words, as [A, A] = [A_1, A].
+basis words enter as the identity rows of a full block). It reads the rows
+of blocks as entries (`_Block.entries`) and yields the candidates as
+`linalg.Entries`: each product of two entries is one entry, unreduced, so
+no candidate matrix is as wide as its degree. One feeder, `_insert_all`,
+batches the candidates into an echelon block, which forms dense rows only
+over the columns of each multidegree part they reach. The first derived
+power needs only brackets with degree-1 words, as [A, A] = [A_1, A].
 `DerivedTower` is the one tower builder: it builds each level on first
 use, through an optional on-disk cache. Subspaces and towers carry their
 spec, so the closures take only the subspace.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from .errors import ArityMismatch, CorruptCacheEntry, SpecMismatch
-from .linalg import GradedVector, Subspace, _Arith, span
+from .linalg import Entries, GradedVector, Subspace, _Arith, span
 from .words import AlgebraSpec, concat, dim_component, normal_words, word_index
 
 
@@ -105,66 +109,62 @@ def eval_f(s: int, args: Sequence[GradedVector]) -> GradedVector:
 
 # -- closure machinery -------------------------------------------------------
 
-# candidate rows per `_Block.insert_matrix` call from `_insert_all`
+# candidate rows per `_Block.insert_matrix` call from `_insert_all`; they
+# arrive as entries, and the block forms one dense matrix per part they reach
 _BUFFER = 2048
 
 
 def _brackets(
-    spec: AlgebraSpec,
-    p: int,
-    q: int,
-    rows_p: np.ndarray,
-    rows_q: np.ndarray,
-    arith: _Arith,
-    same: bool = False,
-) -> Iterator[tuple[int, np.ndarray]]:
+    spec: AlgebraSpec, p: int, q: int, rows_p: Entries, rows_q: Entries, same: bool = False
+) -> Iterator[tuple[int, Entries]]:
     """Yield (a, m) for every row a of the degree-p rows_p: row r of m is
     [rows_p[a], rows_q[j]] with rows_q of degree q, where j = r, or
     j = a+1+r under ``same`` (one row set, p == q; antisymmetry covers the
-    other pairs). Basis words enter as identity rows."""
+    other pairs). Both row sets are sorted by row; m holds each product of
+    two entries as an entry of its own, unreduced."""
     dimf = dim_component(spec, p + q)
     t1 = mul_table(spec, p, q)
     t2 = mul_table(spec, q, p)
-    bq, jq = np.nonzero(rows_q)
-    xq = rows_q[bq, jq]
+    ptr = np.searchsorted(rows_p.row, np.arange(rows_p.shape[0] + 1))
+    bq, jq, xq = rows_q.row, rows_q.col, rows_q.val
     for a in range(rows_p.shape[0]):
         lo = a + 1 if same else 0
         if lo >= rows_q.shape[0]:
             return
         k0 = np.searchsorted(bq, lo)
         b, j, x = bq[k0:] - lo, jq[k0:], xq[k0:]
-        # For one i and one sign, distinct (b, j) hit distinct entries, and an
-        # entry gets one product of residues per sign (its word's degree-p
-        # prefix and suffix fix i), so |entry| < (p-1)^2 < 2^62 for p < 2^31.
-        m = arith.zeros((rows_q.shape[0] - lo, dimf))
-        for i in np.flatnonzero(rows_p[a]):
-            c = rows_p[a, i]
-            for cols, sign in ((t1[i, j], c), (t2[j, i], -c)):
-                k = cols >= 0
-                m[b[k], cols[k]] += sign * x[k]
-        yield a, arith.mod(m)
+        i, c = rows_p.col[ptr[a] : ptr[a + 1], None], rows_p.val[ptr[a] : ptr[a + 1], None]
+        # Product words of row a's entry i with rows_q's entry j: u_i v_j with
+        # coefficient c*x, and v_j u_i with -c*x. An entry gets at most one
+        # product per sign (its word's degree-p prefix and suffix fix the
+        # factors), so a sum at one position stays below (p-1)^2 < 2^62.
+        cols = np.concatenate([t1[i, j], t2[j, i]])
+        cx = c * x
+        vals = np.concatenate([cx, -cx])
+        k = cols >= 0
+        yield a, Entries((rows_q.shape[0] - lo, dimf), b[k.nonzero()[1]], cols[k], vals[k])
 
 
-def _insert_all(blk, mats: Iterable[np.ndarray]) -> None:
-    """Insert a lazy stream of candidate matrices into one echelon block,
-    up to `_BUFFER` rows per call; stops drawing once the block is full."""
+def _insert_all(blk, mats: Iterable[Entries]) -> None:
+    """Insert a lazy stream of candidate rows into one echelon block, up to
+    `_BUFFER` rows per call; stops drawing once the block is full."""
     if blk.full:
         return
-    buf: list[np.ndarray] = []
+    buf: list[Entries] = []
     rows = 0
     for m in mats:
         buf.append(m)
         rows += m.shape[0]
         if rows >= _BUFFER:
-            blk.insert_matrix(np.vstack(buf))
+            blk.insert_matrix(Entries.stack(buf))
             if blk.full:
                 return
             buf, rows = [], 0
     if rows:
-        blk.insert_matrix(np.vstack(buf))
+        blk.insert_matrix(Entries.stack(buf))
 
 
-def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[np.ndarray]]) -> Subspace:
+def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries]]) -> Subspace:
     """Insert candidates(out, f) into out's degree-f block for f = 1..D in
     turn; the candidates may read out in degrees below f, already final."""
     for f in range(1, out.spec.max_degree + 1):
@@ -172,43 +172,42 @@ def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[np.ndar
     return out
 
 
-def _split_brackets(s: Subspace, f: int, splits: Iterable[int]) -> Iterator[np.ndarray]:
-    """Candidate matrices [s_p, s_{f-p}] of one subspace, for p in splits."""
+def _split_brackets(s: Subspace, f: int, splits: Iterable[int]) -> Iterator[Entries]:
+    """Candidate rows [s_p, s_{f-p}] of one subspace, for p in splits."""
     for p in splits:
         q = f - p
         if s.dim_at(p) and s.dim_at(q):
-            for _, m in _brackets(
-                s.spec, p, q, s.block(p).matrix, s.block(q).matrix, s.arith, same=p == q
-            ):
+            rows_p = s.block(p).entries()
+            rows_q = rows_p if p == q else s.block(q).entries()
+            for _, m in _brackets(s.spec, p, q, rows_p, rows_q, same=p == q):
                 yield m
 
 
-def _word_brackets(s: Subspace, f: int, lo: int = 1) -> Iterator[tuple[int, int, np.ndarray]]:
+def _word_brackets(s: Subspace, f: int, lo: int = 1) -> Iterator[tuple[int, int, Entries]]:
     """(d, a, m) for each degree lo <= d < f and each degree-d basis word a:
     row r of m is [word a, row r of s_{f-d}]."""
     words = Subspace.full_space(s.spec)
     for d in range(lo, f):
         if s.dim_at(f - d):
-            for a, m in _brackets(
-                s.spec, d, f - d, words.block(d).matrix, s.block(f - d).matrix, s.arith
-            ):
+            rows_q = s.block(f - d).entries()
+            for a, m in _brackets(s.spec, d, f - d, words.block(d).entries(), rows_q):
                 yield d, a, m
 
 
-def _multiples(s: Subspace, e: int) -> Iterator[np.ndarray]:
+def _multiples(s: Subspace, e: int) -> Iterator[Entries]:
     """Left and right multiples of the degree-e rows of s by each generator."""
     if not s.dim_at(e):
         return
-    rows = s.block(e).matrix
+    rows = s.block(e).entries()
+    shape = (rows.shape[0], dim_component(s.spec, e + 1))
     tl = mul_table(s.spec, 1, e)
     tr = mul_table(s.spec, e, 1)
     for g in range(dim_component(s.spec, 1)):
         for idx in (tl[g], tr[:, g]):
-            k = idx >= 0
-            if k.any():
-                m = s.arith.zeros((rows.shape[0], dim_component(s.spec, e + 1)))
-                m[:, idx[k]] = rows[:, k]
-                yield m
+            if (idx >= 0).any():
+                cols = idx[rows.col]
+                k = cols >= 0
+                yield Entries(shape, rows.row[k], cols[k], rows.val[k])
 
 
 # -- derived powers ----------------------------------------------------------

@@ -10,19 +10,23 @@ built from them are spanned by multihomogeneous rows. A subspace built only
 from such rows is multigraded: each block keeps the RREF of each Z^m
 multidegree part over that part's columns (`words.multidegree_parts`). The
 parts have disjoint column supports, so the union of their rows is the
-block's canonical RREF; `_Block.matrix` scatters them back into degree
-columns in pivot order and keeps the result until the next insertion. A row
-inserted into such a block goes to the part of its leading column; a row
-with entries in two parts is an engine bug. Membership reduces a row in
-every part, so it is exact for any row. Other subspaces keep one part.
+block's canonical RREF; `_Block.matrix` scatters them into degree columns in
+pivot order when asked. A row with entries in two parts is an engine bug.
+Membership reduces a row in every part where it has entries, so it is exact
+for any row. Other subspaces keep one part.
 
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
 exactness bound inner*(p-1)^2 < 2^53 holds; elementwise, residue +
 residue*residue is exact as `Field` admits only p < 2^31), `Fraction`
-object arrays for Q. Sparse (ordinal, coeff) pairs exist only at the JSON
-boundary: `GradedVector.terms` for certificates, `_Block.sparse_rows` for
-the cache.
+object arrays for Q. Candidate rows travel as `Entries`: (row, column,
+value) triples, unreduced, that add up where they meet. The bracket
+generators read blocks the same way (`_Block.entries`), and
+`_Block.insert_matrix` groups a batch of entries by part and scatters them
+into one dense matrix per part over that part's own columns, reducing each
+sum once; no candidate matrix is as wide as its degree unless the block has
+one part. Sparse (ordinal, coeff) pairs remain the JSON form:
+`GradedVector.terms` for certificates, `_Block.sparse_rows` for the cache.
 
 One blocked kernel, `_Echelon.insert_matrix`, does all insertion into a
 part, after the echelon forms of M4RI and FFLAS-FFPACK. Per chunk of
@@ -64,6 +68,15 @@ class _Arith:
 
     def mod(self, a: np.ndarray) -> np.ndarray:
         return a % self.p if self.p is not None else a
+
+    def scatter(self, size: int, at: np.ndarray, val: np.ndarray) -> np.ndarray:
+        """A reduced flat array of the given size whose entry i is the sum
+        of the values val[t] with at[t] == i."""
+        out = self.zeros(size)
+        np.add.at(out, at, val)
+        if self.p is not None:
+            np.remainder(out, self.p, out=out)
+        return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact product of reduced (entries in [0, p)) operand matrices."""
@@ -182,6 +195,39 @@ def _terms(row: np.ndarray, f: Field) -> list[tuple[int, Coeff]]:
     return [(int(o), f.elem(row[o])) for o in np.flatnonzero(row != 0)]
 
 
+class Entries:
+    """A matrix of the given shape as its entries: row[t], col[t] holds
+    val[t]. Entries at one position add up, and values need not be
+    reduced, so bracket products enter as they are formed."""
+
+    __slots__ = ("shape", "row", "col", "val")
+
+    def __init__(self, shape: tuple[int, int], row: np.ndarray, col: np.ndarray, val: np.ndarray):
+        self.shape, self.row, self.col, self.val = shape, row, col, val
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> "Entries":
+        """The nonzero entries of a dense matrix, sorted by row."""
+        row, col = np.nonzero(m)
+        return cls(m.shape, row, col, m[row, col])
+
+    @classmethod
+    def stack(cls, pieces: list["Entries"]) -> "Entries":
+        """The rows of the pieces one after another (all of one width)."""
+        if len(pieces) == 1:
+            return pieces[0]
+        at = np.cumsum([0] + [e.shape[0] for e in pieces])
+        row = np.concatenate([e.row for e in pieces])
+        row += np.repeat(at[:-1], [e.row.size for e in pieces])
+        col = np.concatenate([e.col for e in pieces])
+        val = np.concatenate([e.val for e in pieces])
+        return cls((int(at[-1]), pieces[0].shape[1]), row, col, val)
+
+    def dense(self, arith: _Arith) -> np.ndarray:
+        n, dim = self.shape
+        return arith.scatter(n * dim, self.row * dim + self.col, self.val).reshape(n, dim)
+
+
 class _Echelon:
     """Canonical RREF rows over one set of columns, grown by the blocked
     kernel. A stored row array is never written in place: each insertion
@@ -283,7 +329,7 @@ class _Block:
     `_Echelon` per multidegree part, over that part's columns; any other
     block keeps one over all columns. A block built full keeps no rows."""
 
-    __slots__ = ("arith", "dim", "rank", "_part_of", "_cols", "_parts", "_matrix", "_pivots")
+    __slots__ = ("arith", "dim", "rank", "_part_of", "_cols", "_pos", "_width", "_parts", "_entries")
 
     def __init__(self, arith: _Arith, dim: int, full: bool = False, parts=None):
         """``parts`` is the component's multidegree table (`multidegree_parts`);
@@ -291,10 +337,11 @@ class _Block:
         self.arith = arith
         self.dim = dim
         self._part_of, self._cols = parts if parts is not None and len(parts[1]) > 1 else (None, None)
+        self._pos = self._width = None  # of a block with parts, once rows arrive
         sizes = [dim] if self._cols is None else [c.size for c in self._cols]
         self._parts = None if full else [_Echelon(arith, n) for n in sizes]
         self.rank = dim if full else 0
-        self._matrix = self._pivots = None  # parts put together, until the next insertion
+        self._entries = None  # of a block with parts, kept until the next insertion
 
     @property
     def full(self) -> bool:
@@ -303,18 +350,12 @@ class _Block:
 
     @property
     def matrix(self) -> np.ndarray:
-        """RREF rows in degree columns, sorted by pivot. A block built full
-        gives a fresh identity, not kept: it would hold dim^2 entries for the
-        life of the block."""
-        if self._parts is None:
-            eye = self.arith.zeros((self.dim, self.dim))
-            np.fill_diagonal(eye, self.arith.field.one)
-            return eye
-        if self._cols is None:
+        """RREF rows in degree columns, sorted by pivot. Of a block with
+        parts, or built full, a fresh matrix, not kept: a full block would
+        hold dim^2 entries for the life of the block."""
+        if self._parts is not None and self._cols is None:
             return self._parts[0].rows
-        if self._matrix is None:
-            self._assemble()
-        return self._matrix
+        return self.entries().dense(self.arith)
 
     @property
     def pivots(self) -> np.ndarray:
@@ -322,76 +363,101 @@ class _Block:
             return np.arange(self.dim, dtype=np.intp)
         if self._cols is None:
             return self._parts[0].pivots
-        if self._matrix is None:
-            self._assemble()
-        return self._pivots
+        return np.sort(np.concatenate([c[e.pivots] for c, e in zip(self._cols, self._parts)]))
 
-    def _assemble(self) -> None:
-        """Scatter the rows of the parts into degree columns, in pivot order."""
+    def entries(self) -> Entries:
+        """The RREF rows as entries in degree columns, sorted by row; rows
+        are in pivot order, as in `matrix`. Generators read blocks this way,
+        so no degree-wide matrix is formed."""
+        if self._parts is None:
+            i = np.arange(self.dim)
+            return Entries((self.dim, self.dim), i, i, np.full(self.dim, self.arith.field.one))
+        if self._cols is None:
+            return Entries.of(self._parts[0].rows)
+        if self._entries is None:
+            self._entries = self._gather()
+        return self._entries
+
+    def _gather(self) -> Entries:
         piv = np.concatenate([c[e.pivots] for c, e in zip(self._cols, self._parts)])
         at = np.empty(piv.size, dtype=np.intp)
         at[np.argsort(piv)] = np.arange(piv.size)
-        out = self.arith.zeros((piv.size, self.dim))
-        r = 0
+        rows, cols, vals = [], [], []
+        r0 = 0
         for c, e in zip(self._cols, self._parts):
-            if e.rank:
-                out[at[r : r + e.rank, None], c] = e.rows
-                r += e.rank
-        self._matrix, self._pivots = out, np.sort(piv)
+            r, j = np.nonzero(e.rows)
+            rows.append(at[r0 + r])
+            cols.append(c[j])
+            vals.append(e.rows[r, j])
+            r0 += e.rank
+        order = np.argsort(np.concatenate(rows), kind="stable")
+        return Entries(
+            (piv.size, self.dim),
+            np.concatenate(rows)[order],
+            np.concatenate(cols)[order],
+            np.concatenate(vals)[order],
+        )
 
-    def _route(self, m: np.ndarray, error: type[Exception]) -> list[tuple[int, np.ndarray]]:
-        """(part, those rows on the part's columns) for each part that leads
-        a nonzero row of m; raises ``error`` if a row has an entry outside the
-        part of its leading column."""
-        nz = m != 0
-        rows = np.flatnonzero(nz.any(axis=1))
-        part = self._part_of[nz.argmax(axis=1)[rows]]
-        rows = rows[np.argsort(part, kind="stable")]
-        out, routed, lo = [], 0, 0
-        for k, n in enumerate(np.bincount(part, minlength=len(self._cols))):
-            if n:
-                sub = m[rows[lo : lo + n, None], self._cols[k]]
-                routed += np.count_nonzero(sub)
-                out.append((k, sub))
-                lo += n
-        if routed != np.count_nonzero(nz):
-            raise error("a row has entries in two multidegree parts")
-        return out
-
-    def reduce_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Remainders of the rows of m modulo the row space (reduced mod p),
-        part by part, so exact for any row. Parts that are full or where m
-        is zero leave zero remainders."""
-        if self._parts is None:
-            return self.arith.zeros(m.shape)
+    def _group(
+        self, m, error: type[Exception] | None = None
+    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The rows of m (dense, or `Entries`) by part: (k, rows, sub) for
+        each part k that is not full and where m has entries. ``sub`` holds
+        those rows of m on the part's columns, reduced, and ``rows`` their
+        indices in m. With ``error``, a row with entries in two parts raises
+        it before anything is returned; without, such a row gives a piece in
+        each part. In a one-part block every row is in the piece."""
         if self._cols is None:
-            return self._parts[0].reduce_matrix(m)
-        out = self.arith.zeros(m.shape)
-        live = (m != 0).any(axis=0)
-        for c, e in zip(self._cols, self._parts):
-            if e.rank < e.dim and live[c].any():
-                out[:, c] = e.reduce_matrix(m[:, c])
-        return out
+            if self.rank == self.dim:
+                return []
+            sub = m if isinstance(m, np.ndarray) else m.dense(self.arith)
+            return [(0, np.arange(m.shape[0]), sub)]
+        if isinstance(m, np.ndarray):
+            m = Entries.of(m)
+        if self._pos is None:  # the column of each ordinal in its part
+            self._pos = np.empty(self.dim, dtype=np.intp)
+            for c in self._cols:
+                self._pos[c] = np.arange(c.size)
+            self._width = np.array([c.size for c in self._cols])
+        part = self._part_of[m.col]
+        has = np.zeros((len(self._parts), m.shape[0]), dtype=bool)  # part k meets row r
+        has[part, m.row] = True
+        if error is not None and (has.sum(axis=0) > 1).any():
+            raise error("a row has entries in two multidegree parts")
+        row, col, val = m.row, m.col, m.val
+        full = [e.rank == e.dim for e in self._parts]
+        if any(full):
+            has[full] = False
+            live = has[part, row]
+            row, col, val, part = row[live], col[live], val[live], part[live]
+        # part k's rows lie one after another in one flat buffer, from
+        # start[k]; row r of part k begins at base[k, r]
+        count = has.sum(axis=1)
+        size = count * self._width
+        start = np.cumsum(size) - size
+        base = start[:, None] + (np.cumsum(has, axis=1) - 1) * self._width[:, None]
+        flat = self.arith.scatter(int(start[-1] + size[-1]), base[part, row] + self._pos[col], val)
+        pieces = []
+        for k in np.flatnonzero(count).tolist():
+            sub = flat[start[k] : start[k] + size[k]].reshape(count[k], self._width[k])
+            pieces.append((k, np.flatnonzero(has[k]), sub))
+        return pieces
 
     def insert(self, v: np.ndarray) -> bool:
         return self.insert_matrix(v[None, :]) > 0
 
-    def insert_matrix(self, m: np.ndarray) -> int:
-        """Insert many candidate rows, each into the part of its leading
-        column; returns the rank growth. A row with entries in two parts
-        is an engine bug (`InternalSoundnessFailure`)."""
+    def insert_matrix(self, m) -> int:
+        """Insert candidate rows, dense or as `Entries`, each into its part;
+        returns the rank growth. A row with entries in two parts is an engine
+        bug (`InternalSoundnessFailure`)."""
         if self.full:
             return 0
         start = self.rank
-        if self._cols is None:
-            self._parts[0].insert_matrix(m)
-            self.rank = self._parts[0].rank
-        else:
-            for k, sub in self._route(m, InternalSoundnessFailure):
-                self._parts[k].insert_matrix(sub)
-            self.rank = sum(e.rank for e in self._parts)
-            if self.rank > start:
-                self._matrix = self._pivots = None
+        for k, _, sub in self._group(m, InternalSoundnessFailure):
+            self._parts[k].insert_matrix(sub)
+        self.rank = sum(e.rank for e in self._parts)
+        if self.rank > start:
+            self._entries = None
         return self.rank - start
 
     def load(self, m: np.ndarray) -> bool:
@@ -405,12 +471,8 @@ class _Block:
         piv = nz.argmax(axis=1)
         if (np.diff(piv) <= 0).any() or not (m[:, piv] == np.eye(piv.size, dtype=np.int64)).all():
             return False
-        if self._cols is None:
-            self._parts[0].rows, self._parts[0].pivots = m, piv
-        else:
-            for k, sub in self._route(m, CorruptCacheEntry):
-                self._parts[k].rows, self._parts[k].pivots = sub, (sub != 0).argmax(axis=1)
-            self._matrix, self._pivots = m, piv
+        for k, _, sub in self._group(m, CorruptCacheEntry):
+            self._parts[k].rows, self._parts[k].pivots = sub, (sub != 0).argmax(axis=1)
         self.rank = piv.size
         return True
 
@@ -423,16 +485,26 @@ class _Block:
             out._parts = [_Echelon(e.arith, e.dim, e.rows, e.pivots) for e in self._parts]
         return out
 
-    def contains_matrix(self, m: np.ndarray) -> Optional[int]:
-        """Index of the first row not in the span, or None if all are."""
+    def contains_matrix(self, m) -> Optional[int]:
+        """Index of the first row of m (dense, or `Entries`) not in the span,
+        or None if all are."""
+        return self._first_outside(m)
+
+    def _first_outside(self, m) -> Optional[int]:
+        """`contains_matrix`, also called by `Subspace.contains`, so that a
+        wrapped `contains_matrix` sees block-level tests only. Each row is
+        reduced in every part where it has entries: exact for any row."""
         if self.full:
             return None
-        for lo in range(0, m.shape[0], 1024):
-            c = self.reduce_matrix(m[lo : lo + 1024])
-            bad = self.arith.nonzero_rows(c)
-            if bad.size:
-                return lo + int(bad[0])
-        return None
+        first = None
+        for k, rows, sub in self._group(m):
+            for lo in range(0, sub.shape[0], 1024):
+                bad = self.arith.nonzero_rows(self._parts[k].reduce_matrix(sub[lo : lo + 1024]))
+                if bad.size:
+                    r = int(rows[lo + bad[0]])
+                    first = r if first is None else min(first, r)
+                    break
+        return first
 
     def sparse_rows(self) -> list[list[tuple[int, Coeff]]]:
         return [_terms(row, self.arith.field) for row in self.matrix]
@@ -484,11 +556,7 @@ class Subspace:
 
     def contains(self, v: GradedVector) -> bool:
         self._check(v.spec)
-        for d, row in v.parts.items():
-            r = self.block(d).reduce_matrix(row[None, :])
-            if (r != 0).any():
-                return False
-        return True
+        return all(self.block(d)._first_outside(row[None, :]) is None for d, row in v.parts.items())
 
     def dim_at(self, d: int) -> int:
         if not 1 <= d <= self.spec.max_degree:

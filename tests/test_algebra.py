@@ -24,6 +24,7 @@ from nilpow import (
     span,
 )
 from nilpow.algebra import _brackets
+from nilpow.linalg import Entries
 from nilpow.certify import nilpotency_index, random_homogeneous
 from nilpow.errors import ArityMismatch
 
@@ -316,8 +317,8 @@ def test_brackets_match_element_bracket(field, same, words):
         return GradedVector(spec, {d: {o: row[o] for o in np.flatnonzero(row)}})
 
     pairs = 0
-    for a, m in _brackets(spec, p, q, rows_p, rows_q, arith, same=same):
-        for r, row in enumerate(m):
+    for a, m in _brackets(spec, p, q, Entries.of(rows_p), Entries.of(rows_q), same=same):
+        for r, row in enumerate(m.dense(arith)):
             j = a + 1 + r if same else r
             assert vec(p + q, row) == bracket(vec(p, rows_p[a]), vec(q, rows_q[j]))
             pairs += 1

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,24 @@ def test_m3_quotient_dims_d11():
     assert rep.n is None
     assert rep.quotient_dims[9:] == [(10, 771), (11, 132)]
     assert [tower.level(3).dim_at(d) for d in range(8, 12)] == [3, 81, 558, 2334]
+
+
+def test_m3_tower_memory_d10():
+    # Peak traced allocation (numpy reports its buffers) of each step for
+    # (m=3, nil=2,2,2, D=10). Degree-wide dense candidate matrices put the
+    # first level at about 75 MB; part-width candidates stay near 12 MB.
+    tower = DerivedTower(AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=10))
+    steps = [lambda: tower.level(1), lambda: tower.level(2), lambda: nilpotency_index(tower, 3)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in steps:
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 25, peaks
 
 
 def test_nilpotency_not_found_is_a_value():

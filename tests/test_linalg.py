@@ -317,3 +317,87 @@ def test_insert_outside_one_part_splits_no_more():
     s.insert(xy)
     assert s.contains(yx) and not s.contains(GradedVector.from_word(spec, (1, 1)))
     assert not span(spec, [x + y]).multigraded
+
+
+# -- candidate entries against dense rows ---------------------------------------
+
+
+def _dense(field, rows):
+    elem = lambda x: field.elem(x if isinstance(x, Fraction) else int(x))
+    return np.array([[elem(x) for x in r] for r in rows], dtype=np.int64 if field.p else object)
+
+
+def _as_entries(field, rng, m, part_of, cols):
+    """The dense rows m as `linalg.Entries` in the form of bracket products:
+    each nonzero split into two unreduced entries at its position, and at
+    one more column of the row's part two products summing to zero mod p
+    (a nonzero multiple of p whenever p > 2), in shuffled order."""
+    p = field.p
+    entries = []
+    for r, row in enumerate(m):
+        nz = np.flatnonzero(row != 0)
+        for c in nz:
+            first = rng.randrange(p) * rng.randrange(p) if p else Fraction(rng.randint(-9, 9), 4)
+            entries += [(r, c, first), (r, c, row[c] - first)]
+        k = part_of[nz[0]] if nz.size else rng.randrange(len(cols))
+        c = int(rng.choice(cols[k]))
+        if p:
+            x = rng.randrange(p // 2 + 1, p)  # x * x > p, so x*x - (x*x % p) != 0
+            entries += [(r, c, x * x), (r, c, -(x * x % p))]
+        else:
+            entries += [(r, c, Fraction(3, 7)), (r, c, Fraction(-3, 7))]
+    rng.shuffle(entries)
+    row, col, val = zip(*entries)
+    return linalg.Entries(m.shape, np.array(row), np.array(col), np.array(val, dtype=np.int64 if p else object))
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+@pytest.mark.parametrize("m, nil, d", MULTIGRADED_CASES + [(2, (2, 2), 5)])  # the last: one-column parts
+def test_candidate_entries_match_dense_rows(field, m, nil, d):
+    spec = AlgebraSpec(m=m, nil=nil, field=field, max_degree=d)
+    part_of, cols = multidegree_parts(spec, d)
+    dim = part_of.size
+    arith = linalg._Arith(field)
+    rng = random.Random(f"entries-{m}-{d}-{field}")
+    rows = _dense(field, _multihomogeneous_rows(rng, cols, dim, 2 * linalg._CHUNK + 40))
+    by_entries, by_rows = (linalg._Block(arith, dim, parts=(part_of, cols)) for _ in range(2))
+    for lo, hi in ((0, 30), (30, len(rows))):  # the second call meets earlier rows
+        grew = by_rows.insert_matrix(rows[lo:hi])
+        assert by_entries.insert_matrix(_as_entries(field, rng, rows[lo:hi], part_of, cols)) == grew
+        assert by_entries.rank == by_rows.rank < dim
+        assert np.array_equal(by_entries.matrix, by_rows.matrix)
+        assert np.array_equal(by_entries.pivots, by_rows.pivots)
+
+    # membership of candidate entries, inside and outside the span
+    probe = _dense(field, _multihomogeneous_rows(rng, cols, dim, 40))
+    outside = by_rows.contains_matrix(probe)
+    assert by_rows.contains_matrix(_as_entries(field, rng, probe, part_of, cols)) == outside
+    assert by_rows.contains_matrix(_as_entries(field, rng, rows, part_of, cols)) is None
+
+    # a row across two parts is refused before anything is inserted
+    across = linalg.Entries(
+        (1, dim), np.array([0, 0]), np.array([cols[0][0], cols[1][0]]), _dense(field, [[1, 1]])[0]
+    )
+    rank, matrix = by_entries.rank, by_entries.matrix
+    with pytest.raises(InternalSoundnessFailure):
+        by_entries.insert_matrix(across)
+    assert by_entries.rank == rank and np.array_equal(by_entries.matrix, matrix)
+
+
+def test_full_part_takes_no_candidates():
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=5)
+    part_of, cols = multidegree_parts(spec, 5)
+    dim = part_of.size
+    arith = linalg._Arith(spec.field)
+    k = max(range(len(cols)), key=lambda j: cols[j].size)
+    blk, rest = (linalg._Block(arith, dim, parts=(part_of, cols)) for _ in range(2))
+    assert blk.insert_matrix(np.eye(dim, dtype=np.int64)[cols[k]]) == cols[k].size  # part k is full
+    rng = random.Random(0)
+    rows = _dense(spec.field, _multihomogeneous_rows(rng, cols, dim, 60))
+    in_k = np.array([r.any() and part_of[np.flatnonzero(r)[0]] == k for r in rows])
+    assert in_k.any() and not in_k.all()
+    cand = _as_entries(spec.field, rng, rows, part_of, cols)
+    grouped = [j for j, _, _ in blk._group(cand)]
+    assert grouped and k not in grouped
+    rest.insert_matrix(rows[~in_k])
+    assert blk.insert_matrix(cand) == rest.rank > 0
