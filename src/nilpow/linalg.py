@@ -30,10 +30,11 @@ one part. Sparse (ordinal, coeff) pairs remain the JSON form:
 
 One blocked kernel, `_Echelon.insert_matrix`, does all insertion into a
 part, after the echelon forms of M4RI and FFLAS-FFPACK. Per chunk of
-`_CHUNK` rows: a matmul reduces the chunk against the part, Gauss-Jordan
-over the chunk's pivots puts it in RREF, a matmul back-reduces the old rows
-by the new pivots, and old and new rows are written once into a new array
-in pivot order.
+`_CHUNK` rows: a matmul reduces the chunk against the part, the chunk is
+put in RREF, a matmul back-reduces the old rows by the new pivots, and old
+and new rows are written once into a new array in pivot order. The chunk's
+RREF is the same step applied to its halves, recursively, so its work is
+matmuls too; only pieces of at most `_BASE` rows run a Gauss-Jordan loop.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .words import AlgebraSpec, Word, dim_component, multidegree_parts, word_ind
 _FRACTION_ZERO = Fraction(0)
 # candidate rows per step of the elimination kernel (`_Echelon.insert_matrix`)
 _CHUNK = 256
+# rows up to which `_Echelon._rref` runs Gauss-Jordan instead of recursing
+_BASE = 32
 
 
 class _Arith:
@@ -267,16 +270,31 @@ class _Echelon:
         for lo in range(0, m.shape[0], _CHUNK):
             if self.rank == self.dim:
                 break
-            c = self.reduce_matrix(m[lo : lo + _CHUNK])
-            keep = self.arith.nonzero_rows(c)
-            if keep.size:
-                self._merge(*self._rref(c[keep]))
+            self._add(m[lo : lo + _CHUNK])
+
+    def _add(self, m: np.ndarray) -> None:
+        """Insert one chunk: reduce it against the rows, put what is left in
+        RREF and merge it in."""
+        c = self.reduce_matrix(m)
+        keep = self.arith.nonzero_rows(c)
+        if keep.size:
+            self._merge(*self._rref(c[keep]))
 
     def _rref(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Canonical RREF rows and pivots of c, a fresh matrix of nonzero
         rows already reduced against the rows (so zero in their pivot
-        columns). Gauss-Jordan over pivots in increasing column order;
-        each step touches only the rows with an entry in its column."""
+        columns). Above `_BASE` rows, recursively, as in FFLAS-FFPACK: the
+        RREF of the top half becomes a scratch part and the bottom half is
+        added to it (`_add`), so one matmul reduces the bottom by the top and
+        another back-reduces the top by what is left. Up to `_BASE` rows,
+        Gauss-Jordan over pivots in increasing column order; each step
+        touches only the rows with an entry in its column."""
+        if c.shape[0] > _BASE:
+            half = c.shape[0] // 2
+            e = _Echelon(self.arith, self.dim)
+            e._merge(*self._rref(c[:half]))
+            e._add(c[half:])
+            return e.rows, e.pivots
         a = self.arith
         lead = (c != 0).argmax(axis=1)  # of open rows
         piv = np.full(c.shape[0], self.dim, dtype=np.intp)  # of finished rows

@@ -189,26 +189,72 @@ def _random_rows(rng, n, dim, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(n)]
 
 
+def _combinations(rng, basis, n):
+    """n random combinations of the basis rows, coefficients in -1..1."""
+    return [
+        [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(len(basis[0]))]
+        for coeffs in _random_rows(rng, n, len(basis), -1, 1)
+    ]
+
+
+def _path_rows(rng, n, dim):
+    """A full-rank chunk of n rows that the recursive RREF must back-reduce
+    across at every split: row t is a nonzero multiple of R[t] + R[t+1]
+    (the last, of R[n-1]) for a canonical RREF R of n rows. Each half spans
+    a hyperplane of its own R rows plus the next half's first one, so its
+    RREF rows carry that row's pivot column."""
+    piv = sorted(rng.sample(range(dim), n))
+    free = sorted(set(range(dim)) - set(piv))
+    ref = []
+    for p in piv:
+        row = [0] * dim
+        row[p] = 1
+        for j in free:
+            row[j] = rng.randint(-2, 2) if j > p else 0
+        ref.append(row)
+    ref.append([0] * dim)
+    scale = [rng.choice([1, 2, 3, -1, -2, -3]) for _ in range(n)]
+    return [[s * (a + b) for a, b in zip(ref[t], ref[t + 1])] for t, s in enumerate(scale)]
+
+
 def _kernel_cases(rng):
     """name -> (dim, rows inserted first, the chunk under test)"""
     basis = _random_rows(rng, 12, 20)
-    spanned = [
-        [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(20)]
-        for coeffs in _random_rows(rng, 2 * linalg._CHUNK + 7, 12, -1, 1)
-    ]
+    spanned = _combinations(rng, basis, 2 * linalg._CHUNK + 7)
     row = _random_rows(rng, 1, 8)[0]
+    # above `_BASE` rows `_Echelon._rref` recurses on halves
+    wide = 4 * linalg._BASE + 8
+    half = linalg._BASE + 1
+    top = _combinations(rng, _random_rows(rng, 3, 3 * linalg._BASE), half)
     return {
         "zero rows": (8, _random_rows(rng, 3, 8), [[0] * 8, row, [0] * 8, [0] * 8, _random_rows(rng, 1, 8)[0]]),
         "duplicate rows": (8, _random_rows(rng, 2, 8), [row, row, [2 * x for x in row], row, [-x for x in row]]),
         "fills partway": (6, _random_rows(rng, 2, 6), _random_rows(rng, 10, 6)),
         "taller than dim": (5, [], _random_rows(rng, 40, 5)),
         "more rows than chunk": (20, basis[:3], spanned),
+        "full rank past base": (wide + 8, [], _path_rows(rng, wide, wide + 8)),
+        "dependent top half": (3 * linalg._BASE, [], top + _random_rows(rng, half, 3 * linalg._BASE, -1, 1)),
     }
 
 
-@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+KERNEL_CASES = [
+    "zero rows",
+    "duplicate rows",
+    "fills partway",
+    "taller than dim",
+    "more rows than chunk",
+    "full rank past base",
+    "dependent top half",
+]
+KERNEL_FIELDS = [Field.prime(5), Field.prime(32003), Field.prime(2**31 - 1), Field.rationals()]
+
+
+# Q reaches the recursion in "more rows than chunk" and "dependent top half";
+# its full-rank case would spend about 11 s in `Fraction` arithmetic.
 @pytest.mark.parametrize(
-    "case", ["zero rows", "duplicate rows", "fills partway", "taller than dim", "more rows than chunk"]
+    "case, field",
+    [(c, f) for c in KERNEL_CASES for f in KERNEL_FIELDS if f.p or c != "full rank past base"],
+    ids=str,
 )
 def test_insert_matrix_matches_reference(field, case):
     dim, first, chunk = _kernel_cases(random.Random(case))[case]
