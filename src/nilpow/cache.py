@@ -1,12 +1,17 @@
 """On-disk cache for computed subspaces.
 
 Entries are JSON files keyed by a content hash of (format version, spec,
-object id). Field elements serialize canonically: residues as decimal
-integers, rationals as "num/den" in lowest terms. Each entry stores the
-SHA-256 of its rows. Corrupt or wrong-version entries behave as misses;
-so do entries whose rows do not match their digest, are not in canonical
-RREF or have a row across two multidegrees (the cached derived powers are
-multigraded), which `subspace_from_payload` rejects.
+object id). Each degree's echelon rows are stored as lists of (ordinal,
+coeff) pairs, in pivot order, written from the block's entries
+(`_Block.entries`). Field elements serialize canonically: residues as
+decimal integers, rationals as "num/den" in lowest terms. Each entry
+stores the SHA-256 of its rows. Decoding turns the pairs into
+(row, column, value) arrays, and `_Block.load` takes them part by part,
+so neither direction forms a matrix as wide as its degree. Corrupt or
+wrong-version entries behave as misses; so do entries whose rows do not
+match their digest, are not in canonical RREF or have a row across two
+multidegrees (the cached derived powers are multigraded), which
+`subspace_from_payload` rejects.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import CorruptCacheEntry
-from .linalg import Subspace
+from .linalg import Entries, Subspace
 from .words import AlgebraSpec
 
 CACHE_FORMAT_VERSION = "nilpow-cache-2"
@@ -46,14 +53,13 @@ def _rows_digest(rows: dict) -> str:
 
 
 def subspace_to_payload(s: Subspace) -> dict:
-    f = s.spec.field
+    fmt = s.spec.field.format_coeff
     rows = {}
     for d, r in s.dims():
-        if r:
-            rows[str(d)] = [
-                [[o, f.format_coeff(c)] for o, c in row]
-                for row in s.block(d).sparse_rows()
-            ]
+        e = s.block(d).entries()
+        pairs = [[o, fmt(c)] for o, c in zip(e.col.tolist(), e.val.tolist())]
+        at = np.searchsorted(e.row, np.arange(r + 1)).tolist()  # where each row's pairs start
+        rows[str(d)] = [pairs[lo:hi] for lo, hi in zip(at, at[1:])]
     return {"version": CACHE_FORMAT_VERSION, "rows": rows, "digest": _rows_digest(rows)}
 
 
@@ -71,13 +77,14 @@ def subspace_from_payload(spec: AlgebraSpec, payload: dict) -> Subspace:
             if not 1 <= d <= spec.max_degree:
                 raise CorruptCacheEntry(f"degree {d} outside 1..{spec.max_degree}")
             blk = s.block(d)
-            m = s.arith.zeros((len(rows), blk.dim))
-            for i, row in enumerate(rows):
-                for o, c in row:
-                    if type(o) is not int or not 0 <= o < blk.dim:
-                        raise CorruptCacheEntry(f"ordinal {o!r} outside degree {d}")
-                    m[i, o] = f.parse_coeff(c)
-            if not blk.load(m):
+            pairs = [pair for row in rows for pair in row]
+            ordinals = [o for o, _ in pairs]
+            col = np.array(ordinals, dtype=np.int64)
+            if set(map(type, ordinals)) - {int} or ((col < 0) | (col >= blk.dim)).any():
+                raise CorruptCacheEntry(f"an ordinal of degree {d} is not in 0..{blk.dim - 1}")
+            val = np.array([f.parse_coeff(c) for _, c in pairs], dtype=np.int64 if f.p else object)
+            row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+            if not blk.load(Entries((len(rows), blk.dim), row, col, val)):
                 raise CorruptCacheEntry(f"degree {d} rows are not in canonical echelon form")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CorruptCacheEntry(f"undecodable rows: {exc!r}") from exc

@@ -235,7 +235,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="certify finite generation of a derived power")
     _add_spec_args(c)
     c.add_argument("--i", type=int, required=True, help="derived power index to certify")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, default=0, help="only echoed into the certificate: nothing is random")
     c.add_argument("--out", default=None)
     c.add_argument("--cache", default=os.environ.get("NILPOW_CACHE"))
     c.add_argument("--timings", action="store_true", help="include wall-clock timings in the JSON")

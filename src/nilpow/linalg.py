@@ -10,23 +10,24 @@ built from them are spanned by multihomogeneous rows. A subspace built only
 from such rows is multigraded: each block keeps the RREF of each Z^m
 multidegree part over that part's columns (`words.multidegree_parts`). The
 parts have disjoint column supports, so the union of their rows is the
-block's canonical RREF; `_Block.matrix` scatters them into degree columns in
-pivot order when asked. A row with entries in two parts is an engine bug.
+block's canonical RREF. A row with entries in two parts is an engine bug.
 Membership reduces a row in every part where it has entries, so it is exact
-for any row. Other subspaces keep one part.
+for any row. Other subspaces keep one part. A subspace's layout is fixed
+when `span`, a sweep or the cache builds it.
 
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
 exactness bound inner*(p-1)^2 < 2^53 holds; elementwise, residue +
 residue*residue is exact as `Field` admits only p < 2^31), `Fraction`
 object arrays for Q. Candidate rows travel as `Entries`: (row, column,
-value) triples, unreduced, that add up where they meet. The bracket
-generators read blocks the same way (`_Block.entries`), and
-`_Block.insert_matrix` groups a batch of entries by part and scatters them
-into one dense matrix per part over that part's own columns, reducing each
-sum once; no candidate matrix is as wide as its degree unless the block has
-one part. Sparse (ordinal, coeff) pairs remain the JSON form:
-`GradedVector.terms` for certificates, `_Block.sparse_rows` for the cache.
+value) triples, unreduced, that add up where they meet. Rows leave a block
+only this way (`_Block.entries`, in degree columns and pivot order): the
+bracket generators, membership of one subspace in another and the cache
+read them so, and `_Block.insert_matrix` and `_Block.load` take them. Both
+group a batch of entries by part and scatter them into one dense matrix
+per part over that part's own columns, reducing each sum once; no matrix
+is as wide as its degree unless the block has one part. Only
+`Subspace.basis_vectors` forms dense degree rows, for its own degree.
 
 One blocked kernel, `_Echelon.insert_matrix`, does all insertion into a
 part, after the echelon forms of M4RI and FFLAS-FFPACK. Per chunk of
@@ -128,6 +129,8 @@ class GradedVector:
                     if not 0 <= o < row.size:
                         raise SpecMismatch(f"ordinal {o} outside the degree-{d} basis")
                     row[o] = f.elem(c)
+            elif np.asarray(comp).shape != row.shape:
+                raise SpecMismatch(f"a degree-{d} row needs {row.size} entries, not shape {np.shape(comp)}")
             else:
                 row = arith.mod(row + comp)  # a copy: rows may be block rows
             if (row != 0).any():
@@ -147,7 +150,8 @@ class GradedVector:
 
     def terms(self, d: int) -> list[tuple[int, Coeff]]:
         """Sorted (ordinal, coeff) pairs at one degree."""
-        return _terms(self.parts[d], self.spec.field) if d in self.parts else []
+        row = self.parts.get(d, ())  # no row, no terms
+        return [(int(o), self.spec.field.elem(row[o])) for o in np.flatnonzero(row)]
 
     # -- linear operations ---------------------------------------------------
 
@@ -191,11 +195,6 @@ class GradedVector:
             for o, c in self.terms(d):
                 bits.append(f"{self.spec.field.format_coeff(c)}*{format_word(self.spec, basis[o])}")
         return " + ".join(bits)
-
-
-def _terms(row: np.ndarray, f: Field) -> list[tuple[int, Coeff]]:
-    """(ordinal, coeff) pairs of the nonzero entries of a row."""
-    return [(int(o), f.elem(row[o])) for o in np.flatnonzero(row != 0)]
 
 
 class Entries:
@@ -366,27 +365,10 @@ class _Block:
         """The rows span the whole component (they are then the identity)."""
         return self.rank == self.dim
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """RREF rows in degree columns, sorted by pivot. Of a block with
-        parts, or built full, a fresh matrix, not kept: a full block would
-        hold dim^2 entries for the life of the block."""
-        if self._parts is not None and self._cols is None:
-            return self._parts[0].rows
-        return self.entries().dense(self.arith)
-
-    @property
-    def pivots(self) -> np.ndarray:
-        if self._parts is None:
-            return np.arange(self.dim, dtype=np.intp)
-        if self._cols is None:
-            return self._parts[0].pivots
-        return np.sort(np.concatenate([c[e.pivots] for c, e in zip(self._cols, self._parts)]))
-
     def entries(self) -> Entries:
-        """The RREF rows as entries in degree columns, sorted by row; rows
-        are in pivot order, as in `matrix`. Generators read blocks this way,
-        so no degree-wide matrix is formed."""
+        """The RREF rows as entries in degree columns, sorted by row and,
+        within a row, by column; rows are in pivot order. The one way rows
+        leave a block, so no degree-wide matrix is formed."""
         if self._parts is None:
             i = np.arange(self.dim)
             return Entries((self.dim, self.dim), i, i, np.full(self.dim, self.arith.field.one))
@@ -461,6 +443,7 @@ class _Block:
             pieces.append((k, np.flatnonzero(has[k]), sub))
         return pieces
 
+    # no caller here; perfbench/spans.py wraps it by name and fails on a missing one
     def insert(self, v: np.ndarray) -> bool:
         return self.insert_matrix(v[None, :]) > 0
 
@@ -478,20 +461,29 @@ class _Block:
             self._entries = None
         return self.rank - start
 
-    def load(self, m: np.ndarray) -> bool:
-        """Take m as the rows of this empty block if it is in canonical RREF:
-        no zero row, strictly increasing monic pivots, zero in the other
-        pivot columns. Returns whether it was; raises `CorruptCacheEntry`
-        if a row has entries in two multidegree parts."""
-        nz = m != 0
-        if not nz.any(axis=1).all():
+    def load(self, m: Entries) -> bool:
+        """Take the rows m as the rows of this empty block if they are in
+        canonical RREF: no zero row, strictly increasing monic pivots, zero
+        in the other pivot columns. Each part's piece is checked over its
+        own columns, whose ordinals increase. Returns whether they were;
+        raises `CorruptCacheEntry` if a row has entries in two multidegree
+        parts."""
+        lead = np.full(m.shape[0], -1)  # the pivot column of each row; -1: a zero row
+        checked = []
+        for k, rows, sub in self._group(m, CorruptCacheEntry):
+            nz = sub != 0
+            piv = nz.argmax(axis=1)
+            if not nz.any(axis=1).all():
+                return False
+            if (nz.sum(axis=0)[piv] != 1).any() or (sub[np.arange(piv.size), piv] != 1).any():
+                return False
+            lead[rows] = piv if self._cols is None else self._cols[k][piv]
+            checked.append((self._parts[k], sub, piv))
+        if (lead < 0).any() or (np.diff(lead) <= 0).any():
             return False
-        piv = nz.argmax(axis=1)
-        if (np.diff(piv) <= 0).any() or not (m[:, piv] == np.eye(piv.size, dtype=np.int64)).all():
-            return False
-        for k, _, sub in self._group(m, CorruptCacheEntry):
-            self._parts[k].rows, self._parts[k].pivots = sub, (sub != 0).argmax(axis=1)
-        self.rank = piv.size
+        for e, sub, piv in checked:
+            e.rows, e.pivots = sub, piv
+        self.rank = m.shape[0]
         return True
 
     def copy(self) -> "_Block":
@@ -524,14 +516,11 @@ class _Block:
                     break
         return first
 
-    def sparse_rows(self) -> list[list[tuple[int, Coeff]]]:
-        return [_terms(row, self.arith.field) for row in self.matrix]
-
 
 class Subspace:
-    """Graded subspace as one echelon block per degree. It is multigraded,
-    with blocks split by multidegree, while every row it took was
-    multihomogeneous."""
+    """Graded subspace as one echelon block per degree. A multigraded one
+    splits its blocks by multidegree and takes multihomogeneous rows only;
+    the layout is fixed when the subspace is built."""
 
     def __init__(self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True):
         self.spec = spec
@@ -553,22 +542,6 @@ class Subspace:
     def _check(self, spec: AlgebraSpec) -> None:
         if spec != self.spec:
             raise SpecMismatch("operands over different algebra specs")
-
-    # -- span building -------------------------------------------------------
-
-    def insert(self, v: GradedVector) -> dict[int, bool]:
-        """Insert each homogeneous part; returns degree -> grew. A part that
-        is not multihomogeneous first puts every block into one part."""
-        self._check(v.spec)
-        if self.multigraded and not all(
-            _multihomogeneous(self.spec, d, row[None, :]) for d, row in v.parts.items()
-        ):
-            self.multigraded = False
-            for d, blk in self._blocks.items():
-                if blk._cols is not None:
-                    self._blocks[d] = _Block(self.arith, blk.dim)
-                    self._blocks[d].load(blk.matrix)
-        return {d: self.block(d).insert(row) for d, row in v.parts.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -599,20 +572,20 @@ class Subspace:
             return False
         if self.dim_at(d) == 0:
             return True
-        return other.block(d).contains_matrix(self.block(d).matrix) is None
+        return other.block(d).contains_matrix(self.block(d).entries()) is None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         for d in range(1, self.spec.max_degree + 1):
             if other.dim_at(d) == 0:
                 continue
-            if self.block(d).contains_matrix(other.block(d).matrix) is not None:
+            if self.block(d).contains_matrix(other.block(d).entries()) is not None:
                 return False
         return True
 
     def basis_vectors(self, d: int) -> list[GradedVector]:
         if self.dim_at(d) == 0:
             return []
-        return [GradedVector(self.spec, {d: row}) for row in self.block(d).matrix]
+        return [GradedVector(self.spec, {d: row}) for row in self.block(d).entries().dense(self.arith)]
 
     def copy(self) -> "Subspace":
         out = Subspace(self.spec, full=self._full, multigraded=self.multigraded)

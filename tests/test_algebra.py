@@ -235,11 +235,11 @@ def test_closure_leaves_input_unchanged(close):
     rng = random.Random(3)
     s = span(spec, [random_homogeneous(spec, rng, d) for d in (2, 3, 3)])
     dims = s.dims()
-    rows = {d: s.block(d).matrix.copy() for d, _ in dims}
+    rows = {d: s.block(d).entries().dense(s.arith) for d, _ in dims}
     clo = close(s)
     assert clo.dim_at(3) > s.dim_at(3)  # the closure changed a block s has rows in
     assert s.dims() == dims
-    assert all(np.array_equal(s.block(d).matrix, m) for d, m in rows.items())
+    assert all(np.array_equal(s.block(d).entries().dense(s.arith), m) for d, m in rows.items())
 
 
 def test_lie_ideal_closure_of_zero():
@@ -302,7 +302,7 @@ def test_brackets_match_element_bracket(field, same, words):
     p, q = (3, 3) if same else (3, 4)
     arith = Subspace(spec).arith
     if words:
-        rows_p, rows_q = (Subspace.full_space(spec).block(d).matrix for d in (p, q))
+        rows_p, rows_q = (Subspace.full_space(spec).block(d).entries().dense(arith) for d in (p, q))
     else:
         rng = random.Random(5)
         rows_p, rows_q = (

@@ -20,6 +20,7 @@ from nilpow import (
     nilpotency_index,
     span,
 )
+from nilpow.cache import subspace_from_payload, subspace_to_payload
 from nilpow.certify import random_lie_ideal
 from nilpow.errors import BoundExceedsTruncation, NotALieIdeal
 
@@ -74,6 +75,28 @@ def test_m3_tower_memory_d10():
     finally:
         tracemalloc.stop()
     assert max(peaks) < 25, peaks
+
+
+def test_m3_cache_round_trip_memory_d10():
+    # Peak traced allocation of encoding the first level of (m=3,
+    # nil=2,2,2, D=10) and of decoding it. Degree-wide dense rows put
+    # encoding near 18 MB and decoding near 56 MB; rows read and loaded as
+    # entries, part by part, stay near 2 and 5 MB.
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=10)
+    level = DerivedTower(spec).level(1)
+    peaks = []
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        payload = subspace_to_payload(level)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        tracemalloc.reset_peak()
+        restored = subspace_from_payload(spec, payload)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+    finally:
+        tracemalloc.stop()
+    assert restored.dims() == level.dims()
+    assert max(peaks) < 15, peaks
 
 
 def test_nilpotency_not_found_is_a_value():

@@ -254,25 +254,45 @@ def _tallest(rows):
     return max(rows.values(), key=len)
 
 
+def _entry_in_pivot_column(rows):
+    # a row gets an entry in the pivot column of a later row of its own
+    # multidegree part, so that only the echelon-form check can see it
+    d, tall = max(rows.items(), key=lambda kv: len(kv[1]))
+    part_of, _ = multidegree_parts(AlgebraSpec(m=2, nil=(3, 3), max_degree=7), int(d))
+    i, j = next(
+        (i, j)
+        for i in range(len(tall))
+        for j in range(i + 1, len(tall))
+        if part_of[tall[i][0][0]] == part_of[tall[j][0][0]]
+    )
+    tall[i].append([tall[j][0][0], "1"])
+
+
 def _change_non_pivot(rows):
     # entries after a row's pivot sit in non-pivot columns; still canonical RREF
     entry = next(r for r in _tallest(rows) if len(r) > 1)[-1]
     entry[1] = "2" if entry[1] != "2" else "3"
 
 
+# kind -> (tamper, the reason `subspace_from_payload` gives). The digest is
+# recomputed after each tamper, so that each reaches the check it names,
+# except for the last two: the rows stay canonical RREF of one multidegree
+# per row, so only the digest catches them.
+NOT_RREF = "rows are not in canonical echelon form"
 TAMPERS = {
-    "non-monic pivot": lambda rows: _tallest(rows)[0][0].__setitem__(1, "2"),
-    "rows out of pivot order": lambda rows: _tallest(rows).reverse(),
-    "entry in another pivot column": lambda rows: _tallest(rows)[0].append([_tallest(rows)[1][0][0], "1"]),
-    "zero row": lambda rows: _tallest(rows).append([]),
-    "ordinal out of range": lambda rows: _tallest(rows)[0].append([10**6, "1"]),
-    "negative ordinal": lambda rows: _tallest(rows)[0].append([-1, "1"]),
-    "bad coefficient": lambda rows: _tallest(rows)[0][0].__setitem__(1, "one"),
-    "bad degree": lambda rows: rows.__setitem__("99", [[[0, "1"]]]),
-    "degree rows not a list": lambda rows: rows.update({k: 7 for k in rows}),
-    "last row dropped": lambda rows: _tallest(rows).pop(),
-    "non-pivot entry changed": _change_non_pivot,
+    "non-monic pivot": (lambda rows: _tallest(rows)[0][0].__setitem__(1, "2"), NOT_RREF),
+    "rows out of pivot order": (lambda rows: _tallest(rows).reverse(), NOT_RREF),
+    "entry in another pivot column": (_entry_in_pivot_column, NOT_RREF),
+    "zero row": (lambda rows: _tallest(rows).append([]), NOT_RREF),
+    "ordinal out of range": (lambda rows: _tallest(rows)[0].append([10**6, "1"]), "an ordinal of degree"),
+    "negative ordinal": (lambda rows: _tallest(rows)[0].append([-1, "1"]), "an ordinal of degree"),
+    "bad coefficient": (lambda rows: _tallest(rows)[0][0].__setitem__(1, "one"), "undecodable rows: ValueError"),
+    "bad degree": (lambda rows: rows.__setitem__("99", [[[0, "1"]]]), "degree 99 outside 1..7"),
+    "degree rows not a list": (lambda rows: rows.update({k: 7 for k in rows}), "undecodable rows: TypeError"),
+    "last row dropped": (lambda rows: _tallest(rows).pop(), "rows do not match their digest"),
+    "non-pivot entry changed": (_change_non_pivot, "rows do not match their digest"),
 }
+STALE_DIGEST = {"last row dropped", "non-pivot entry changed"}
 
 
 @pytest.mark.parametrize("kind", TAMPERS)
@@ -280,13 +300,18 @@ def test_tampered_cache_entry_never_changes_dims(capsys, tmp_path, kind):
     args = ["dims", "--generators", "2", "--nil", "3,3", "--max-degree", "7", "--levels", "2"]
     _, plain, _ = run_cli(capsys, *args)
     run_cli(capsys, *args, "--cache", str(tmp_path))
+    tamper, reason = TAMPERS[kind]
     for path in tmp_path.glob("*.json"):
         payload = json.loads(path.read_text())
-        TAMPERS[kind](payload["rows"])
+        tamper(payload["rows"])
+        if kind not in STALE_DIGEST:
+            payload["digest"] = _rows_digest(payload["rows"])
         path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
     assert code == 0 and out == plain
-    assert "warning: ignoring cache entry" in err
+    warnings = err.splitlines()
+    assert len(warnings) == 2  # one per cached level
+    assert all(w.startswith("warning: ignoring cache entry") and reason in w for w in warnings), err
     # the entries were rewritten: a further warm run reads them cleanly
     assert run_cli(capsys, *args, "--cache", str(tmp_path)) == (0, plain, "")
 

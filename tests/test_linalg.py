@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilpow import AlgebraSpec, Field, GradedVector, Subspace, linalg, span
+from nilpow.cache import subspace_to_payload
 from nilpow.errors import CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
 from nilpow.words import multidegree_parts
 
@@ -16,6 +17,11 @@ S22 = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
 XY = GradedVector.from_word(S22, (1, 2))
 YX = GradedVector.from_word(S22, (2, 1))
 COMM = XY - YX  # xy - yx
+
+
+def _rows(blk):
+    """A block's RREF rows as one dense matrix in degree columns."""
+    return blk.entries().dense(blk.arith)
 
 
 def test_vector_construction_drops_zeros():
@@ -37,19 +43,26 @@ def test_spec_mismatch_rejected():
         COMM + GradedVector.from_word(other, (1, 2))
     s = Subspace(S22)
     with pytest.raises(SpecMismatch):
-        s.insert(GradedVector.from_word(other, (1, 2)))
+        s.contains(GradedVector.from_word(other, (1, 2)))
+    with pytest.raises(SpecMismatch):
+        span(S22, [GradedVector.from_word(other, (1, 2))])
     for ordinal in (-1, 5):  # degree 2 has the two words xy, yx
         with pytest.raises(SpecMismatch):
             GradedVector(S22, {2: {ordinal: 1}})
+    # a row must have one entry per word: none is broadcast
+    for row in ([5], np.array([5]), 5, [1, 2, 3], [[1, 2]], np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(SpecMismatch):
+            GradedVector(S22, {2: row})
+    assert GradedVector(S22, {2: [0, 5]}).terms(2) == [(1, 5)]
 
 
 def test_insert_examples():
     s = Subspace(S22)
-    grew = s.insert(COMM)
-    assert grew == {2: True}
+    insert = lambda v: s.block(2).insert_matrix(v.parts[2][None, :])
+    assert insert(COMM) == 1
     assert s.dim_at(2) == 1
-    assert s.insert(COMM) == {2: False}  # idempotent
-    assert s.insert(YX - XY) == {2: False}  # scalar multiple
+    assert insert(COMM) == 0  # idempotent
+    assert insert(YX - XY) == 0  # scalar multiple
     assert s.dim_at(2) == 1
 
 
@@ -71,14 +84,14 @@ def test_dims_and_equality():
 
 def test_contains_iff_no_growth():
     rng = random.Random(3)
-    s = Subspace(S22)
+    s = Subspace(S22, multigraded=False)  # the random rows are not multihomogeneous
     for _ in range(20):
         v = GradedVector(
             S22, {d: {o: rng.randrange(32003) for o in range(2)} for d in rng.sample(range(1, 7), 2)}
         )
         before = s.contains(v)
-        grew = s.insert(v)
-        assert before == (not any(grew.values()))
+        grew = [s.block(d).insert_matrix(row[None, :]) for d, row in v.parts.items()]
+        assert before == (not any(grew))
 
 
 @st.composite
@@ -105,7 +118,7 @@ def test_insertion_order_independence(sv, rnd):
     for d in range(1, spec.max_degree + 1):
         assert a.dim_at(d) == b.dim_at(d)
         if a.dim_at(d):
-            assert (a.block(d).matrix == b.block(d).matrix).all()
+            assert (_rows(a.block(d)) == _rows(b.block(d))).all()
 
 
 @pytest.mark.parametrize("p", [32003, None])
@@ -139,7 +152,7 @@ def test_full_space_basis_vectors():
 def test_copy_is_independent():
     s = span(S22, [COMM])
     c = s.copy()
-    c.insert(XY)
+    c.block(2).insert_matrix(XY.parts[2][None, :])
     assert s.dim_at(2) == 1 and c.dim_at(2) == 2
 
 
@@ -152,7 +165,7 @@ def test_rationals_path():
     s = span(spec, [v])
     assert s.dim_at(2) == 1
     # pivot is monic after echelonization
-    assert s.block(2).sparse_rows() == [[(0, Fraction(1)), (1, Fraction(-2, 3))]]
+    assert subspace_to_payload(s)["rows"] == {"2": [[[0, "1"], [1, "-2/3"]]]}
     assert s.contains(v.scale(Fraction(7, 5)))
 
 
@@ -267,9 +280,9 @@ def test_insert_matrix_matches_reference(field, case):
     assert (blk.insert_matrix(dense(first)) if first else 0) == ref_grew
     ref, ref_grew = reference_insert(field, ref, chunk)
     assert blk.insert_matrix(dense(chunk)) == ref_grew
-    assert [[field.elem(x) for x in r] for r in blk.matrix] == ref
+    assert [[field.elem(x) for x in r] for r in _rows(blk)] == ref
     assert blk.rank == len(ref) and blk.full == (len(ref) == dim)
-    assert list(blk.pivots) == [_lead(r) for r in ref]
+    assert list(blk._parts[0].pivots) == [_lead(r) for r in ref]
 
 
 # -- multigraded blocks against one-part blocks --------------------------------
@@ -316,14 +329,13 @@ def test_multigraded_block_matches_one_part(field, m, nil, d):
     for lo, hi in ((0, 30), (30, len(rows))):  # the second call meets earlier rows
         assert split.insert_matrix(dense(rows[lo:hi])) == one.insert_matrix(dense(rows[lo:hi]))
         assert split.rank == one.rank < dim
-        assert np.array_equal(split.matrix, one.matrix)
-        assert np.array_equal(split.pivots, one.pivots)
+        assert np.array_equal(_rows(split), _rows(one))
 
     # Rows that are not multihomogeneous: sums of two rows from different
     # parts, each in the span or not. `escape` has its leading column in a
     # span row while the row is outside: routing it by that column alone
     # would call it contained.
-    inside = list(one.matrix)
+    inside = list(_rows(one))
     outside = []
     for c in cols:
         row = np.zeros(dim, dtype=np.int64)
@@ -349,18 +361,44 @@ def test_multigraded_guards():
     with pytest.raises(InternalSoundnessFailure):
         blk.insert_matrix(two_parts)
     with pytest.raises(CorruptCacheEntry):
-        blk.load(two_parts)
+        blk.load(linalg.Entries.of(two_parts))
     assert blk.rank == 0
 
 
+@pytest.mark.parametrize("split", [True, False], ids=["parts", "one-part"])
+def test_load_takes_canonical_rows_only(split):
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=6)
+    part_of, cols = multidegree_parts(spec, 6)
+    dim = part_of.size
+    arith = linalg._Arith(spec.field)
+    new = lambda: linalg._Block(arith, dim, parts=(part_of, cols) if split else None)
+    blk = new()
+    blk.insert_matrix(_dense(spec.field, _multihomogeneous_rows(random.Random(7), cols, dim, 40)))
+    rows = _rows(blk)
+    lead = [_lead(r) for r in rows]
+    # two rows of different parts swapped: each part's rows stay in order
+    i = next(i for i in range(len(rows) - 1) if part_of[lead[i]] != part_of[lead[i + 1]])
+    swapped = rows.copy()
+    swapped[[i, i + 1]] = rows[[i + 1, i]]
+    monic = rows.copy()
+    monic[0] = 2 * rows[0] % spec.field.p
+    zero = np.vstack([rows, np.zeros((1, dim), dtype=np.int64)])
+    for bad in (swapped, monic, zero, rows[::-1]):
+        loaded = new()
+        assert not loaded.load(linalg.Entries.of(bad)) and loaded.rank == 0
+    loaded = new()
+    assert loaded.load(blk.entries()) and loaded.rank == blk.rank
+    assert np.array_equal(_rows(loaded), rows)
+
+
 def test_insert_outside_one_part_splits_no_more():
+    # a span with a row outside one multidegree part keeps one part per block
     spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=4)
     x, y, xy, yx = (GradedVector.from_word(spec, w) for w in [(1,), (2,), (1, 2), (2, 1)])
-    s = span(spec, [x, xy - yx])
-    assert s.multigraded
-    s.insert(x + y)
+    assert span(spec, [x, xy - yx]).multigraded
+    s = span(spec, [x, xy - yx, x + y])
     assert not s.multigraded and s.dims() == [(1, 2), (2, 1)]
-    s.insert(xy)
+    s = span(spec, [x, xy - yx, x + y, xy])
     assert s.contains(yx) and not s.contains(GradedVector.from_word(spec, (1, 1)))
     assert not span(spec, [x + y]).multigraded
 
@@ -411,8 +449,7 @@ def test_candidate_entries_match_dense_rows(field, m, nil, d):
         grew = by_rows.insert_matrix(rows[lo:hi])
         assert by_entries.insert_matrix(_as_entries(field, rng, rows[lo:hi], part_of, cols)) == grew
         assert by_entries.rank == by_rows.rank < dim
-        assert np.array_equal(by_entries.matrix, by_rows.matrix)
-        assert np.array_equal(by_entries.pivots, by_rows.pivots)
+        assert np.array_equal(_rows(by_entries), _rows(by_rows))
 
     # membership of candidate entries, inside and outside the span
     probe = _dense(field, _multihomogeneous_rows(rng, cols, dim, 40))
@@ -424,10 +461,10 @@ def test_candidate_entries_match_dense_rows(field, m, nil, d):
     across = linalg.Entries(
         (1, dim), np.array([0, 0]), np.array([cols[0][0], cols[1][0]]), _dense(field, [[1, 1]])[0]
     )
-    rank, matrix = by_entries.rank, by_entries.matrix
+    rank, matrix = by_entries.rank, _rows(by_entries)
     with pytest.raises(InternalSoundnessFailure):
         by_entries.insert_matrix(across)
-    assert by_entries.rank == rank and np.array_equal(by_entries.matrix, matrix)
+    assert by_entries.rank == rank and np.array_equal(_rows(by_entries), matrix)
 
 
 def test_full_part_takes_no_candidates():
