@@ -6,9 +6,9 @@ truncation degree a VERIFIED certificate would need.
 Each D= line ends with the time and the process's peak RSS so far.
 
 Example (the three-generator case; with one BLAS thread on 2 cores, each
-degree in a process of its own, degree 11 takes about 1.3 s and 90 MB,
-degree 12 about 4.3 s and 0.22 GB, and degree 13, where the quotient
-first vanishes, about 17 s and 0.68 GB):
+degree in a process of its own, degree 11 takes about 0.9 s and 56 MB,
+degree 12 about 2.3 s and 78 MB, and degree 13, where the quotient
+first vanishes, about 7 s and 0.14 GB):
 
     python3 scripts/explore_nilpotency.py --generators 3 --nil 2,2,2 \
         --k 3 --degrees 8,9,10,11

@@ -82,7 +82,13 @@ def subspace_from_payload(spec: AlgebraSpec, payload: dict) -> Subspace:
             col = np.array(ordinals, dtype=np.int64)
             if set(map(type, ordinals)) - {int} or ((col < 0) | (col >= blk.dim)).any():
                 raise CorruptCacheEntry(f"an ordinal of degree {d} is not in 0..{blk.dim - 1}")
-            val = np.array([f.parse_coeff(c) for _, c in pairs], dtype=np.int64 if f.p else object)
+            coeffs = [c for _, c in pairs]
+            if f.p is None:
+                val = np.array([f.parse_coeff(c) for c in coeffs], dtype=object)
+            else:  # one conversion; a non-integer or one past int64 raises
+                val = np.array(coeffs, dtype=np.int64) % f.p
+                if val.shape != col.shape:  # a nested list
+                    raise CorruptCacheEntry(f"a coefficient of degree {d} is not a number")
             row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
             if not blk.load(Entries((len(rows), blk.dim), row, col, val)):
                 raise CorruptCacheEntry(f"degree {d} rows are not in canonical echelon form")

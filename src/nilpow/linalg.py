@@ -30,12 +30,17 @@ is as wide as its degree unless the block has one part. Only
 `Subspace.basis_vectors` forms dense degree rows, for its own degree.
 
 One blocked kernel, `_Echelon.insert_matrix`, does all insertion into a
-part, after the echelon forms of M4RI and FFLAS-FFPACK. Per chunk of
-`_CHUNK` rows: a matmul reduces the chunk against the part, the chunk is
-put in RREF, a matmul back-reduces the old rows by the new pivots, and old
-and new rows are written once into a new array in pivot order. The chunk's
-RREF is the same step applied to its halves, recursively, so its work is
-matmuls too; only pieces of at most `_BASE` rows run a Gauss-Jordan loop.
+part, after the echelon forms of M4RI and FFLAS-FFPACK. A part keeps its
+RREF as `[I | R]` up to a column permutation (Dumas, Giorgi and Pernet,
+arXiv:cs/0601133): its pivot columns, its other ("free") columns and R,
+the rows' entries on the free columns, and the kernel works on the free
+columns only. Per chunk of `_CHUNK` rows: a matmul reduces the chunk
+against the part, the remainder is put in RREF, a matmul back-reduces R
+by the new rows, and old and new rows of R are written once into a new
+array in pivot order. The remainder's RREF is the same step applied to its
+halves, recursively, so its work is matmuls too; only pieces of at most
+`_BASE` rows run a Gauss-Jordan loop. `_Arith.matmul` leaves its product
+unreduced, so each `x - product` is reduced mod p once.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .words import AlgebraSpec, Word, dim_component, multidegree_parts, word_ind
 _FRACTION_ZERO = Fraction(0)
 # candidate rows per step of the elimination kernel (`_Echelon.insert_matrix`)
 _CHUNK = 256
-# rows up to which `_Echelon._rref` runs Gauss-Jordan instead of recursing
+# rows up to which `_rref` runs Gauss-Jordan instead of recursing
 _BASE = 32
 
 
@@ -83,16 +88,17 @@ class _Arith:
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact product of reduced (entries in [0, p)) operand matrices."""
+        """Exact product of reduced (entries in [0, p)) operand matrices,
+        over F_p unreduced while inner*(p-1)^2 < 2^63 (float64 BLAS while
+        it is below 2^53, where float sums are exact) and reduced above."""
         if self.p is None:
             return a.dot(b)
         inner = a.shape[-1]
         bound = inner * (self.p - 1) ** 2
         if bound < 2**53:
-            c = np.dot(a.astype(np.float64), b.astype(np.float64))
-            return c.astype(np.int64) % self.p
+            return np.dot(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
         if bound < 2**63:
-            return np.dot(a, b) % self.p
+            return np.dot(a, b)
         return np.array(a.astype(object).dot(b.astype(object)) % self.p, dtype=np.int64)
 
     def inv(self, x) -> Coeff:
@@ -230,41 +236,46 @@ class Entries:
         return arith.scatter(n * dim, self.row * dim + self.col, self.val).reshape(n, dim)
 
 
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
+
+
 class _Echelon:
     """Canonical RREF rows over one set of columns, grown by the blocked
-    kernel. A stored row array is never written in place: each insertion
-    builds a new one, so copies of a block may share them."""
+    kernel: row r is 1 at ``pivots[r]`` and ``R[r]`` at ``free``, both
+    sorted. An empty part keeps None for ``free`` and ``R``; a full part
+    keeps an R of no columns. A stored array is never written in place, so
+    copies of a block may share them."""
 
-    __slots__ = ("arith", "dim", "rows", "pivots")
+    __slots__ = ("arith", "dim", "pivots", "free", "R")
 
-    def __init__(self, arith: _Arith, dim: int, rows=None, pivots=None):
+    def __init__(self, arith: _Arith, dim: int, pivots=_NO_COLUMNS, free=None, R=None):
         self.arith = arith
         self.dim = dim
-        self.rows = arith.zeros((0, dim)) if rows is None else rows
-        self.pivots = np.empty(0, dtype=np.intp) if pivots is None else pivots
+        self.pivots, self.free, self.R = pivots, free, R
 
     @property
     def rank(self) -> int:
-        return self.rows.shape[0]
+        return self.pivots.size
 
     def reduce_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Remainders of the rows of m modulo the row space (reduced mod p)."""
-        if self.rank == self.dim:
-            return self.arith.zeros(m.shape)
-        if self.rank == 0 or m.shape[0] == 0:
+        """Remainders of the rows of m modulo the row space, reduced mod p,
+        on the free columns (all columns while the part is empty); zero
+        there exactly when the row lies in the span."""
+        if self.rank == 0:
             return self.arith.mod(m)
+        if self.rank == self.dim or m.shape[0] == 0:
+            return self.arith.zeros((m.shape[0], self.dim - self.rank))
         coeffs = m[:, self.pivots]
         used = np.flatnonzero((coeffs != 0).any(axis=0))  # only these rows contribute
         coeffs = self.arith.mod(coeffs[:, used])
-        return self.arith.mod(m - self.arith.matmul(coeffs, self.rows[used]))
+        return self.arith.mod(m[:, self.free] - self.arith.matmul(coeffs, self.R[used]))
 
     def insert_matrix(self, m: np.ndarray) -> None:
         """Insert the rows of m, `_CHUNK` at a time (see the module docstring)."""
         if self.dim == 1:  # any nonzero row spans one column
             if self.rank == 0 and (m != 0).any():
-                self.rows = self.arith.zeros((1, 1))
-                self.rows[0, 0] = self.arith.field.one
-                self.pivots = np.zeros(1, dtype=np.intp)
+                self.pivots, self.free = np.zeros(1, dtype=np.intp), _NO_COLUMNS
+                self.R = self.arith.zeros((1, 0))
             return
         for lo in range(0, m.shape[0], _CHUNK):
             if self.rank == self.dim:
@@ -272,73 +283,81 @@ class _Echelon:
             self._add(m[lo : lo + _CHUNK])
 
     def _add(self, m: np.ndarray) -> None:
-        """Insert one chunk: reduce it against the rows, put what is left in
-        RREF and merge it in."""
+        """Insert one chunk: reduce it against the rows, put what is left,
+        in free-column coordinates, in RREF and merge it in."""
         c = self.reduce_matrix(m)
         keep = self.arith.nonzero_rows(c)
         if keep.size:
-            self._merge(*self._rref(c[keep]))
+            self._merge(_rref(self.arith, c[keep]))
 
-    def _rref(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical RREF rows and pivots of c, a fresh matrix of nonzero
-        rows already reduced against the rows (so zero in their pivot
-        columns). Above `_BASE` rows, recursively, as in FFLAS-FFPACK: the
-        RREF of the top half becomes a scratch part and the bottom half is
-        added to it (`_add`), so one matmul reduces the bottom by the top and
-        another back-reduces the top by what is left. Up to `_BASE` rows,
-        Gauss-Jordan over pivots in increasing column order; each step
-        touches only the rows with an entry in its column."""
-        if c.shape[0] > _BASE:
-            half = c.shape[0] // 2
-            e = _Echelon(self.arith, self.dim)
-            e._merge(*self._rref(c[:half]))
-            e._add(c[half:])
-            return e.rows, e.pivots
-        a = self.arith
-        lead = (c != 0).argmax(axis=1)  # of open rows
-        piv = np.full(c.shape[0], self.dim, dtype=np.intp)  # of finished rows
-        while True:
-            i = int(np.argmin(lead))
-            col = int(lead[i])
-            if col == self.dim:
-                break
-            inv = a.inv(c[i, col])
-            if inv != 1:
-                c[i] = a.mod(c[i] * inv)
-            piv[i], lead[i] = col, self.dim
-            hit = c[:, col] != 0
-            hit[i] = False
-            hit = np.flatnonzero(hit)
-            if hit.size:
-                c[hit] = a.mod(c[hit] - c[hit, col][:, None] * c[i][None, :])
-                open_ = hit[piv[hit] == self.dim]
-                nzh = c[open_] != 0
-                lead[open_] = np.where(nzh.any(axis=1), nzh.argmax(axis=1), self.dim)
-        done = np.flatnonzero(piv < self.dim)
-        return c[done], piv[done]
-
-    def _merge(self, new: np.ndarray, piv: np.ndarray) -> None:
-        """Add RREF rows whose pivots are new: back-reduce the old rows by
-        them, and write old and new rows once each into one array, at their
-        `searchsorted` positions in pivot order."""
-        order = np.argsort(piv)
-        new, piv = new[order], piv[order]
-        old, opiv = self.rows, self.pivots
-        if not opiv.size:
-            self.rows, self.pivots = new, piv
+    def _merge(self, new: "_Echelon") -> None:
+        """Add ``new``, an RREF over the free columns: back-reduce R by its
+        rows, drop its pivot columns from R, and write old and new rows
+        once each into one array, at their `searchsorted` positions."""
+        if self.rank == 0:
+            self.pivots, self.free, self.R = new.pivots, new.free, new.R
             return
+        lp, lf = new.pivots, new.free
+        piv, opiv, old = self.free[lp], self.pivots, self.R
         at_new = np.searchsorted(opiv, piv) + np.arange(piv.size)
         at_old = np.searchsorted(piv, opiv) + np.arange(opiv.size)
-        rows = np.empty((opiv.size + piv.size, self.dim), dtype=old.dtype)
-        rows[at_new] = new
-        rows[at_old] = old
-        hit = np.flatnonzero((old[:, piv] != 0).any(axis=1))
-        if hit.size:
+        R = np.empty((opiv.size + piv.size, lf.size), dtype=old.dtype)
+        R[at_new] = new.R
+        R[at_old] = old[:, lf]
+        coeffs = old[:, lp]
+        hit = np.flatnonzero((coeffs != 0).any(axis=1))
+        if hit.size and lf.size:
             a = self.arith
-            rows[at_old[hit]] = a.mod(old[hit] - a.matmul(old[hit[:, None], piv], new))
-        pivots = np.empty(rows.shape[0], dtype=np.intp)
+            R[at_old[hit]] = a.mod(R[at_old[hit]] - a.matmul(coeffs[hit], new.R))
+        pivots = np.empty(R.shape[0], dtype=np.intp)
         pivots[at_new], pivots[at_old] = piv, opiv
-        self.rows, self.pivots = rows, pivots
+        self.pivots, self.free, self.R = pivots, self.free[lf], R
+
+
+def _rref(arith: _Arith, c: np.ndarray) -> _Echelon:
+    """The canonical RREF of c, a fresh matrix of nonzero rows, as an
+    `_Echelon` over its columns. Above `_BASE` rows, recursively, as in
+    FFLAS-FFPACK: the RREF of the top half becomes a scratch part and the
+    bottom half is added to it (`_Echelon._add`), so one matmul reduces the
+    bottom by the top and another back-reduces the top by what is left. Up
+    to `_BASE` rows, Gauss-Jordan over pivots in increasing column order;
+    each step touches only the rows with an entry in its column, right of
+    it (the pivot row is zero to its left)."""
+    n, w = c.shape
+    if n > _BASE:
+        e = _rref(arith, c[: n // 2])
+        e._add(c[n // 2 :])
+        return e
+    lead = (c != 0).argmax(axis=1)  # of open rows
+    piv = np.full(n, w, dtype=np.intp)  # of finished rows
+    while True:
+        i = int(np.argmin(lead))
+        col = int(lead[i])
+        if col == w:
+            break
+        inv = arith.inv(c[i, col])
+        if inv != 1:
+            c[i, col:] = arith.mod(c[i, col:] * inv)
+        piv[i], lead[i] = col, w
+        hit = c[:, col] != 0
+        hit[i] = False
+        hit = np.flatnonzero(hit)
+        if hit.size:
+            c[hit, col:] = arith.mod(c[hit, col:] - c[hit, col][:, None] * c[i, col:][None, :])
+            open_ = hit[piv[hit] == w]
+            nzh = c[open_, col:] != 0
+            lead[open_] = np.where(nzh.any(axis=1), col + nzh.argmax(axis=1), w)
+    done = np.flatnonzero(piv < w)
+    done = done[np.argsort(piv[done])]
+    free = _other_columns(w, piv[done])
+    return _Echelon(arith, w, piv[done], free, c[done[:, None], free])
+
+
+def _other_columns(dim: int, piv: np.ndarray) -> np.ndarray:
+    """The sorted columns in range(dim) that are not in piv."""
+    is_free = np.ones(dim, dtype=bool)
+    is_free[piv] = False
+    return np.flatnonzero(is_free)
 
 
 class _Block:
@@ -358,7 +377,7 @@ class _Block:
         sizes = [dim] if self._cols is None else [c.size for c in self._cols]
         self._parts = None if full else [_Echelon(arith, n) for n in sizes]
         self.rank = dim if full else 0
-        self._entries = None  # of a block with parts, kept until the next insertion
+        self._entries = None  # kept until the next insertion
 
     @property
     def full(self) -> bool:
@@ -372,23 +391,25 @@ class _Block:
         if self._parts is None:
             i = np.arange(self.dim)
             return Entries((self.dim, self.dim), i, i, np.full(self.dim, self.arith.field.one))
-        if self._cols is None:
-            return Entries.of(self._parts[0].rows)
         if self._entries is None:
             self._entries = self._gather()
         return self._entries
 
     def _gather(self) -> Entries:
-        piv = np.concatenate([c[e.pivots] for c, e in zip(self._cols, self._parts)])
+        """The pivot 1s and the nonzeros of each part's R, in degree columns."""
+        part_cols = self._cols if self._cols is not None else (np.arange(self.dim),)
+        parts = [(c, e) for c, e in zip(part_cols, self._parts) if e.rank]
+        piv = np.concatenate([c[e.pivots] for c, e in parts] + [_NO_COLUMNS])
         at = np.empty(piv.size, dtype=np.intp)
         at[np.argsort(piv)] = np.arange(piv.size)
-        rows, cols, vals = [], [], []
+        # pivots first, so a stable sort by row keeps each row's columns in order
+        rows, cols, vals = [at], [piv], [np.full(piv.size, self.arith.field.one)]
         r0 = 0
-        for c, e in zip(self._cols, self._parts):
-            r, j = np.nonzero(e.rows)
+        for c, e in parts:
+            r, j = np.nonzero(e.R)
             rows.append(at[r0 + r])
-            cols.append(c[j])
-            vals.append(e.rows[r, j])
+            cols.append(c[e.free[j]])
+            vals.append(e.R[r, j])
             r0 += e.rank
         order = np.argsort(np.concatenate(rows), kind="stable")
         return Entries(
@@ -482,17 +503,19 @@ class _Block:
         if (lead < 0).any() or (np.diff(lead) <= 0).any():
             return False
         for e, sub, piv in checked:
-            e.rows, e.pivots = sub, piv
+            e.pivots, e.free = piv, _other_columns(e.dim, piv)
+            e.R = sub[:, e.free]
         self.rank = m.shape[0]
+        self._entries = None
         return True
 
     def copy(self) -> "_Block":
-        """An independent block; it shares the row arrays, never rewritten."""
+        """An independent block; it shares the parts' arrays, never rewritten."""
         out = _Block.__new__(_Block)
         for name in _Block.__slots__:
             setattr(out, name, getattr(self, name))
         if self._parts is not None:
-            out._parts = [_Echelon(e.arith, e.dim, e.rows, e.pivots) for e in self._parts]
+            out._parts = [_Echelon(e.arith, e.dim, e.pivots, e.free, e.R) for e in self._parts]
         return out
 
     def contains_matrix(self, m) -> Optional[int]:

@@ -20,6 +20,7 @@ from nilpow import (
     nilpotency_index,
     span,
 )
+from nilpow.algebra import ideal_closure
 from nilpow.cache import subspace_from_payload, subspace_to_payload
 from nilpow.certify import random_lie_ideal
 from nilpow.errors import BoundExceedsTruncation, NotALieIdeal
@@ -75,6 +76,29 @@ def test_m3_tower_memory_d10():
     finally:
         tracemalloc.stop()
     assert max(peaks) < 25, peaks
+
+
+def test_m3_tower_retained_memory_d10():
+    # Traced memory still held by levels 1..3 of (m=3, nil=2,2,2, D=10) and
+    # by the ideal closure of level 3, once a first build has filled the word
+    # and multiplication tables. Echelon rows stored densely over each part's
+    # columns hold about 7.4 MB; as pivots plus their entries on the other
+    # columns, about 2 MB.
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=10)
+
+    def build():
+        tower = DerivedTower(spec)
+        return tower, ideal_closure(tower.level(3))
+
+    build()
+    tracemalloc.start()
+    try:
+        kept = build()
+        retained = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert [kept[0].level(3).dim_at(d) for d in (8, 9, 10)] == [3, 81, 558]
+    assert retained < 3, retained
 
 
 def test_m3_cache_round_trip_memory_d10():

@@ -342,6 +342,25 @@ def test_entry_across_multidegrees_is_a_miss(capsys, tmp_path):
     assert "warning: ignoring cache entry" in err
 
 
+# how a tamper rewrites each coefficient of a degree: to a decimal past
+# int64 of the same residue, or to a list holding the coefficient
+RESIDUE_TAMPERS = {"past int64": lambda c: str(int(c) + 10**20 * 32003), "a list": lambda c: [c]}
+
+
+@pytest.mark.parametrize("kind", RESIDUE_TAMPERS)
+def test_coefficient_that_is_no_residue_is_corrupt(kind):
+    # F_p coefficients are decoded in one conversion to int64, so a value
+    # past int64 is a corrupt entry even where its residue is right
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=7)
+    payload = subspace_to_payload(DerivedTower(spec).level(1))
+    for row in max(payload["rows"].values(), key=len):
+        for pair in row:
+            pair[1] = RESIDUE_TAMPERS[kind](pair[1])
+    payload["digest"] = _rows_digest(payload["rows"])
+    with pytest.raises(CorruptCacheEntry):
+        subspace_from_payload(spec, payload)
+
+
 def test_cached_certify_matches_uncached(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     plain, cached, cached2 = (tmp_path / n for n in ("plain.json", "c1.json", "c2.json"))

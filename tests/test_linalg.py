@@ -235,7 +235,7 @@ def _kernel_cases(rng):
     basis = _random_rows(rng, 12, 20)
     spanned = _combinations(rng, basis, 2 * linalg._CHUNK + 7)
     row = _random_rows(rng, 1, 8)[0]
-    # above `_BASE` rows `_Echelon._rref` recurses on halves
+    # above `_BASE` rows `linalg._rref` recurses on halves
     wide = 4 * linalg._BASE + 8
     half = linalg._BASE + 1
     top = _combinations(rng, _random_rows(rng, 3, 3 * linalg._BASE), half)
@@ -484,3 +484,87 @@ def test_full_part_takes_no_candidates():
     assert grouped and k not in grouped
     rest.insert_matrix(rows[~in_k])
     assert blk.insert_matrix(cand) == rest.rank > 0
+
+
+# -- the [I | R] layout of each part -------------------------------------------
+
+
+# name -> (m, nil, degree, whether the block is split by multidegree, the
+# rank to draw in each part from the parts' widths)
+LAYOUT_CASES = {
+    "one-column parts": (2, (2, 2), 5, True, lambda ws: [1] + [0] * (len(ws) - 1)),
+    "multi-part": (3, (2, 2, 2), 5, True, lambda ws: [w // 2 for w in ws]),
+    "full part": (3, (2, 2, 2), 5, True, lambda ws: [w if w == max(ws) else w // 2 for w in ws]),
+    "one part": (2, (3, 3), 4, False, lambda ws: [ws[0] - 2]),
+}
+FULL_PART_CASES = {"one-column parts", "full part"}
+
+
+def _check_layout(blk):
+    """Each part is [I | R] on its pivot and free columns, or keeps nothing."""
+    for e in blk._parts:
+        if e.rank == 0:
+            assert e.free is None and e.R is None
+            continue
+        piv = e.pivots.tolist()
+        assert piv == sorted(set(piv))
+        assert e.free.tolist() == sorted(set(range(e.dim)) - set(piv))
+        assert e.R.shape == (e.rank, e.dim - e.rank)
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_parts_keep_pivots_and_free_columns(field, case):
+    m, nil, d, split, draw_ranks = LAYOUT_CASES[case]
+    spec = AlgebraSpec(m=m, nil=nil, field=field, max_degree=d)
+    part_of, cols = multidegree_parts(spec, d)
+    dim = part_of.size
+    if not split:
+        part_of, cols = np.zeros(dim, dtype=np.intp), (np.arange(dim),)
+    ranks = draw_ranks([c.size for c in cols])
+    rng = random.Random(f"layout-{case}-{field}")
+    basis = []  # per part, ranks[k] rows on its columns, of rank ranks[k] over any field
+    for c, r in zip(cols, ranks):
+        rows = np.zeros((r, dim), dtype=np.int64)
+        for t, j in enumerate(sorted(rng.sample(range(c.size), r))):
+            rows[t, c[j]] = 1
+            rows[t, c[j + 1 :]] = [rng.randint(-4, 4) for _ in c[j + 1 :]]
+        basis.append(rows)
+    # per part, 2 * rank + 3 combinations of its rows, shuffled
+    combination = lambda rows: sum((rng.randint(-2, 2) * b for b in rows), np.zeros(dim, dtype=np.int64))
+    rows = [combination(rows) for rows in basis for _ in range(2 * len(rows) + 3)]
+    rng.shuffle(rows)
+    arith = linalg._Arith(field)
+    new = lambda: linalg._Block(arith, dim, parts=(part_of, cols) if split else None)
+    blk = new()
+    third = len(rows) // 3
+    blk.insert_matrix(_dense(field, rows[:third]))
+    _check_layout(blk)
+    blk.insert_matrix(_as_entries(field, rng, _dense(field, rows[third:]), part_of, cols))
+    _check_layout(blk)
+    ref, _ = reference_insert(field, [], [r.tolist() for r in rows])
+    assert [[field.elem(x) for x in r] for r in _rows(blk)] == ref
+    full = [e.rank == e.dim for e in blk._parts]
+    assert any(full) == (case in FULL_PART_CASES) and not all(full)
+
+    # a copy grows without touching the arrays the original holds
+    before = [(e.pivots, e.free, e.R) for e in blk._parts]
+    saved = [[None if a is None else a.copy() for a in arrays] for arrays in before]
+    c = blk.copy()
+    # the last free column of each part that is not full: old rows meet it
+    # and, where two or more columns are free, others stay free
+    last = [
+        cs[-1 if e.free is None else e.free[-1]] for cs, e in zip(cols, blk._parts) if e.rank < e.dim
+    ]
+    assert c.insert_matrix(_dense(field, np.eye(dim, dtype=np.int64)[last])) == len(last)
+    _check_layout(c)
+    for e, arrays, copies in zip(blk._parts, before, saved):
+        assert all(x is y for x, y in zip((e.pivots, e.free, e.R), arrays))
+        assert all(a is None if b is None else np.array_equal(a, b) for a, b in zip(arrays, copies))
+    assert [[field.elem(x) for x in r] for r in _rows(blk)] == ref
+
+    # rows loaded from a block's entries take the same layout
+    loaded = new()
+    assert loaded.load(blk.entries())
+    _check_layout(loaded)
+    assert np.array_equal(_rows(loaded), _rows(blk))
