@@ -6,8 +6,11 @@ degree-by-degree on echelon blocks: every contribution to degree f comes
 from strictly smaller degrees, so one increasing sweep is a fixpoint.
 `_sweep` is that sweep; each derived power and each closure is one call
 to it with its own candidate stream. Basis products are looked up in
-cached (p, q)-degree multiplication tables, which keeps the inner loops
-in numpy.
+(p, q)-degree multiplication tables, which keeps the inner loops in numpy:
+`mul_table` slices them from the tables (p, 1..D-p) that
+`words._product_tables` builds in one numpy pass per p. Those are keyed
+by the nil exponents and degrees, not the field, so specs over different
+fields share them.
 
 One generator, `_brackets`, produces every bracket candidate (row x row;
 basis words enter as the identity rows of a full block). It reads the rows
@@ -34,23 +37,20 @@ import numpy as np
 from .cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from .errors import ArityMismatch, CorruptCacheEntry, SpecMismatch
 from .linalg import Entries, GradedVector, Subspace, _Arith, span
-from .words import AlgebraSpec, concat, dim_component, normal_words, word_index
+from .words import AlgebraSpec, _product_tables, dim_component
 
 
-@lru_cache(maxsize=None)
+# bounded: the slices share the tables, but one entry per (spec, p, q) would
+# still pile up in a process that runs many primes
+@lru_cache(maxsize=4096)
 def mul_table(spec: AlgebraSpec, p: int, q: int) -> np.ndarray:
     """table[i, j] = ordinal of (i-th degree-p word)*(j-th degree-q word)
-    in the degree p+q basis, or -1 when the product is zero."""
+    in the degree p+q basis, or -1 when the product is zero. A read-only
+    slice of the tables (p, 1..D-p) built in one pass, which specs that
+    differ only in the field share."""
     assert p + q <= spec.max_degree
-    up = normal_words(spec, p)
-    uq = normal_words(spec, q)
-    t = np.full((len(up), len(uq)), -1, dtype=np.int64)
-    for i, u in enumerate(up):
-        for j, v in enumerate(uq):
-            w = concat(spec, u, v)
-            if w is not None:
-                t[i, j] = word_index(spec, w)[1]
-    return t
+    tables, offsets = _product_tables(spec.nil, p, spec.max_degree - p)
+    return tables[:, offsets[q - 1] : offsets[q]]
 
 
 # -- element-level operations ------------------------------------------------

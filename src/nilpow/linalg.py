@@ -130,7 +130,8 @@ class GradedVector:
             if not 1 <= d <= spec.max_degree:
                 raise SpecMismatch(f"degree {d} outside truncation range")
             row = arith.zeros(dim_component(spec, d))
-            if isinstance(comp, Mapping):
+            # the ndarray test first: a `Mapping` test costs several times more
+            if not isinstance(comp, np.ndarray) and isinstance(comp, Mapping):
                 for o, c in comp.items():
                     if not 0 <= o < row.size:
                         raise SpecMismatch(f"ordinal {o} outside the degree-{d} basis")
@@ -330,8 +331,9 @@ def _rref(arith: _Arith, c: np.ndarray) -> _Echelon:
         return e
     lead = (c != 0).argmax(axis=1)  # of open rows
     piv = np.full(n, w, dtype=np.intp)  # of finished rows
+    # array methods, not the np.* wrappers: this loop runs once per pivot
     while True:
-        i = int(np.argmin(lead))
+        i = int(lead.argmin())
         col = int(lead[i])
         if col == w:
             break
@@ -341,7 +343,7 @@ def _rref(arith: _Arith, c: np.ndarray) -> _Echelon:
         piv[i], lead[i] = col, w
         hit = c[:, col] != 0
         hit[i] = False
-        hit = np.flatnonzero(hit)
+        hit = hit.nonzero()[0]
         if hit.size:
             c[hit, col:] = arith.mod(c[hit, col:] - c[hit, col][:, None] * c[i, col:][None, :])
             open_ = hit[piv[hit] == w]

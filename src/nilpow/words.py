@@ -6,13 +6,21 @@ degree d form the canonical basis of the degree-d component, ordered
 lexicographically with x_1 < ... < x_m. Everything is truncated at
 ``max_degree``: no basis exists beyond it and products overflowing it are
 the caller's responsibility to drop.
+
+Computations read the words as numpy arrays, built one degree at a time
+(`_words`) and keyed by the nil exponents only, so specs that differ in
+field or truncation share them, read-only; `normal_words` makes tuples for
+display and parsing. The product of two normal words is zero or their
+concatenation, and the normal words of degree p+q are exactly the pairs
+(u, v) whose product is not zero, in row-major order. `_product_tables`
+builds the multiplication tables (p, 1..D-p) from this in one pass per p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,6 +54,11 @@ class AlgebraSpec:
             raise ValueError("nil exponents must be >= 1")
         if self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
+        # every table lookup hashes the spec
+        object.__setattr__(self, "_hash", hash((self.m, self.nil, self.field, self.max_degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dead_generators(self) -> tuple[int, ...]:
@@ -67,61 +80,141 @@ def is_normal(spec: AlgebraSpec, w: Word) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def normal_words(spec: AlgebraSpec, d: int) -> tuple[Word, ...]:
-    """All normal words of degree d in lexicographic order."""
+def _check_degree(spec: AlgebraSpec, d: int) -> None:
     if not 1 <= d <= spec.max_degree:
         raise DegreeOutOfRange(f"degree {d} outside 1..{spec.max_degree}")
-    out: list[Word] = []
-    word: list[int] = []
 
-    def extend(prev: int, run: int) -> None:
-        if len(word) == d:
-            out.append(tuple(word))
-            return
-        for g in range(1, spec.m + 1):
-            r = run + 1 if g == prev else 1
-            if r >= spec.nil[g - 1]:
-                continue
-            word.append(g)
-            extend(g, r)
-            word.pop()
 
-    extend(0, 0)
-    return tuple(out)
+class _Words(NamedTuple):
+    """The normal words of one degree as arrays over their ordinals.
+
+    Word o is word ``parent[o]`` of the degree below followed by the letter
+    ``last[o]``. ``first[o]`` is its first letter, ``first_run[o]`` and
+    ``last_run[o]`` the lengths of its opening and closing same-letter
+    runs, and ``part[o]`` the number of its multidegree (the number of each
+    generator in it), whose row in ``md`` is that multidegree; parts are
+    numbered in the order of their first ordinal. Degree 0 is the one empty
+    word, with letter 0 and runs of length 0."""
+
+    parent: np.ndarray
+    last: np.ndarray
+    last_run: np.ndarray
+    first: np.ndarray
+    first_run: np.ndarray
+    part: np.ndarray
+    md: np.ndarray
+
+
+def _frozen(arrays):
+    """The arrays, made read-only: the caches hand them to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _words(nil: tuple[int, ...], d: int) -> _Words:
+    """Degree d appends each allowed letter, in order, to each degree d-1
+    word in turn, which keeps the words in lexicographic order."""
+    m = len(nil)
+    if d == 0:
+        return _frozen(_Words(*[np.zeros(1, dtype=np.intp)] * 6, np.zeros((1, m), dtype=np.intp)))
+    u = _words(nil, d - 1)
+    run = np.where(u.last[:, None] == np.arange(1, m + 1), u.last_run[:, None] + 1, 1)
+    parent, g = np.nonzero(run < np.asarray(nil))
+    last = g + 1
+    first = last if d == 1 else u.first[parent]
+    first_run = u.first_run[parent]
+    first_run = first_run + ((first_run == d - 1) & (last == first))
+    # A word's multidegree is its parent's plus its last letter. Taking the
+    # (parent part, letter) pairs in the order of their first word numbers
+    # the parts in the order of their first ordinal.
+    pairs, at, inverse = np.unique(u.part[parent] * m + g, return_index=True, return_inverse=True)
+    pairs, parent_md = pairs.tolist(), u.md.tolist()
+    number: dict[tuple[int, ...], int] = {}
+    part = np.empty(len(pairs), dtype=np.intp)
+    for i in np.argsort(at).tolist():
+        k, letter = divmod(pairs[i], m)
+        row = parent_md[k].copy()
+        row[letter] += 1
+        part[i] = number.setdefault(tuple(row), len(number))
+    md = np.array(list(number), dtype=np.intp).reshape(-1, m)
+    return _frozen(_Words(parent, last, run[parent, g], first, first_run, part[inverse], md))
+
+
+@lru_cache(maxsize=None)
+def _word_tuples(nil: tuple[int, ...], d: int) -> tuple[Word, ...]:
+    if d == 0:
+        return ((),)
+    prev, w = _word_tuples(nil, d - 1), _words(nil, d)
+    return tuple(prev[i] + (g,) for i, g in zip(w.parent.tolist(), w.last.tolist()))
+
+
+@lru_cache(maxsize=None)
+def normal_words(spec: AlgebraSpec, d: int) -> tuple[Word, ...]:
+    """All normal words of degree d in lexicographic order, as tuples; for
+    display and parsing (computations read the arrays of `_words`)."""
+    _check_degree(spec, d)
+    return _word_tuples(spec.nil, d)
 
 
 def dim_component(spec: AlgebraSpec, d: int) -> int:
-    return len(normal_words(spec, d))
+    _check_degree(spec, d)
+    return len(_words(spec.nil, d).last)
 
 
-@lru_cache(maxsize=None)
 def multidegree_parts(spec: AlgebraSpec, d: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The degree-d basis split by multidegree (the number of each generator
-    in a word): the part of each ordinal, and the increasing ordinals of each
-    part. Parts are numbered in the order of their first ordinal."""
-    parts: dict[tuple[int, ...], list[int]] = {}
-    for o, w in enumerate(normal_words(spec, d)):
-        parts.setdefault(tuple(w.count(g) for g in range(1, spec.m + 1)), []).append(o)
-    cols = tuple(np.array(c, dtype=np.intp) for c in parts.values())
-    part_of = np.empty(dim_component(spec, d), dtype=np.intp)
-    for k, c in enumerate(cols):
-        part_of[c] = k
-    return part_of, cols
+    """The degree-d basis split by multidegree: the part of each ordinal,
+    and the increasing ordinals of each part. Parts are numbered in the
+    order of their first ordinal. The arrays are shared and read-only."""
+    _check_degree(spec, d)
+    return _parts(spec.nil, d)
 
 
 @lru_cache(maxsize=None)
-def _ordinal_table(spec: AlgebraSpec, d: int) -> dict[Word, int]:
-    return {w: i for i, w in enumerate(normal_words(spec, d))}
+def _parts(nil: tuple[int, ...], d: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    part_of = _words(nil, d).part
+    (order,) = _frozen((np.argsort(part_of, kind="stable"),))
+    return part_of, tuple(np.split(order, np.cumsum(np.bincount(part_of))[:-1])) if order.size else ()
+
+
+@lru_cache(maxsize=None)
+def _product_tables(nil: tuple[int, ...], p: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product tables (p, q) for q = 1..top side by side, and the
+    offsets of their columns: table q is columns offsets[q-1]:offsets[q].
+    Entry [i, j] is the ordinal of u_i v_j in degree p+q, or -1 for zero.
+
+    The words uv of degree p+q are the pairs (u, v) whose product is not
+    zero, in row-major order, so an ordinal is a running count of them."""
+    u = _words(nil, p)
+    vs = [_words(nil, q) for q in range(1, top + 1)]
+    offsets = np.cumsum([0] + [len(v.last) for v in vs])
+    first = np.concatenate([v.first for v in vs])
+    first_run = np.concatenate([v.first_run for v in vs])
+    # uv is zero when u's closing run and v's opening run reach a nil exponent together
+    limit = np.asarray(nil)[u.last - 1]
+    zero = (u.last[:, None] == first) & (u.last_run[:, None] + first_run >= limit[:, None])
+    count = np.zeros((len(u.last), len(first) + 1), dtype=np.intp)
+    np.cumsum(~zero, axis=1, out=count[:, 1:])
+    start = count[:, offsets[:-1]]  # nonzero products in row i before table q
+    per_row = count[:, offsets[1:]] - start
+    base = start - (np.cumsum(per_row, axis=0) - per_row) + 1
+    table = count[:, 1:] - base[:, np.repeat(np.arange(top), np.diff(offsets))]
+    table[zero] = -1
+    return _frozen((table, offsets))
+
+
+@lru_cache(maxsize=None)
+def _ordinal_table(nil: tuple[int, ...], d: int) -> dict[Word, int]:
+    return {w: i for i, w in enumerate(_word_tuples(nil, d))}
 
 
 def word_index(spec: AlgebraSpec, w: Word) -> tuple[int, int]:
     """(degree, ordinal) of a normal word in the canonical basis."""
     d = len(w)
-    if not 1 <= d <= spec.max_degree:
-        raise DegreeOutOfRange(f"degree {d} outside 1..{spec.max_degree}")
+    _check_degree(spec, d)
     try:
-        return d, _ordinal_table(spec, d)[w]
+        return d, _ordinal_table(spec.nil, d)[w]
     except KeyError:
         raise NotNormal(f"{format_word(spec, w)} is not a normal word") from None
 

@@ -2,9 +2,10 @@
 
 `golden_hashes.json` holds, per CLI call, its exit code and the SHA-256 of
 its stdout: `certify --i 1`, `dims --levels 3` and `check all --trials 100
---seed 0` for the four suite presentations, plus one dims table over Q. A
-refactor that changes any certificate, dimension table or check report
-byte fails here. Regenerate the file only for an intended output change,
+--seed 0` for the four suite presentations, one dims table over Q, and two
+certificates beyond the suite: (2; 2,3) at D=14, with unequal exponents,
+and the VERIFIED i=2 certificate of (2; 2,2) at D=41. A refactor that
+changes any certificate, dimension table or check report byte fails here. Regenerate the file only for an intended output change,
 and say why in CHANGES.md.
 """
 

@@ -1,10 +1,14 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilpow import AlgebraSpec, concat, dim_component, format_word, normal_words, parse_word, word_index
+from nilpow import AlgebraSpec, concat, dim_component, format_word, mul_table, normal_words, parse_word, word_index
 from nilpow.errors import DegreeOutOfRange, NotNormal, TruncationOverflow
-from nilpow.words import is_normal
+from nilpow.fields import Field
+from nilpow.words import is_normal, multidegree_parts
 
 from dense_oracle import brute_normal_words
 
@@ -130,3 +134,54 @@ def test_format_and_parse_word():
     assert parse_word(s, "x1.x2.x1") == (1, 2, 1)
     with pytest.raises(NotNormal):
         parse_word(s, "xxy")
+
+
+# specs with empty components from degree 4 up, a dead generator, four
+# generators, and unequal exponents (the first- and last-run logic)
+EQUIVALENCE_SPECS = [(1, (4,), 8), (3, (2, 1, 3), 6), (4, (2, 2, 2, 2), 6), (2, (2, 3), 8), (2, (4, 3), 8)]
+
+
+@pytest.mark.parametrize("m,nil,top", EQUIVALENCE_SPECS, ids=[f"{m};{nil};D={d}" for m, nil, d in EQUIVALENCE_SPECS])
+def test_tables_match_brute_force(m, nil, top):
+    s = spec_of(m, nil, d=top)
+    basis = {}
+    for d in range(1, top + 1):
+        words = [w for w in itertools.product(range(1, m + 1), repeat=d) if is_normal(s, w)]
+        basis[d] = words
+        assert normal_words(s, d) == tuple(words)
+        assert dim_component(s, d) == len(words)
+        part_of, cols = multidegree_parts(s, d)
+        md = [tuple(w.count(g) for g in range(1, m + 1)) for w in words]
+        firsts = list(dict.fromkeys(md))
+        assert part_of.tolist() == [firsts.index(k) for k in md]
+        assert [c.tolist() for c in cols] == [[o for o, k in enumerate(md) if k == f] for f in firsts]
+    for p in range(1, top):
+        for q in range(1, top - p + 1):
+            expect = [
+                [-1 if (w := concat(s, u, v)) is None else word_index(s, w)[1] for v in basis[q]] for u in basis[p]
+            ]
+            assert mul_table(s, p, q).tolist() == expect
+    for bad in (0, top + 1):
+        for fn in (normal_words, dim_component, multidegree_parts):
+            with pytest.raises(DegreeOutOfRange):
+                fn(s, bad)
+
+
+def test_specs_over_different_primes_share_read_only_tables():
+    a = AlgebraSpec(m=2, nil=(2, 3), field=Field.prime(31991), max_degree=8)
+    b = AlgebraSpec(m=2, nil=(2, 3), field=Field.prime(32003), max_degree=8)
+    assert np.shares_memory(mul_table(a, 2, 3), mul_table(b, 2, 3))
+    assert np.shares_memory(multidegree_parts(a, 5)[0], multidegree_parts(b, 5)[0])
+    assert np.shares_memory(multidegree_parts(a, 5)[1][0], multidegree_parts(b, 5)[1][0])
+    for arr in (mul_table(a, 2, 3), multidegree_parts(a, 5)[0], multidegree_parts(a, 5)[1][0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_spec_equality_and_hash():
+    base = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
+    assert base == AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
+    assert hash(base) == hash(AlgebraSpec(m=2, nil=(2, 2), max_degree=8))
+    assert base != AlgebraSpec(m=2, nil=(2, 2), field=Field.prime(31991), max_degree=8)
+    assert base != AlgebraSpec(m=2, nil=(2, 2), max_degree=9)
+    assert base != AlgebraSpec(m=2, nil=(2, 3), max_degree=8)
