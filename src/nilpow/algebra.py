@@ -1,13 +1,17 @@
 """Graded algebra operations: product, Lie bracket, Jordan product, derived
 powers, and the associative/Lie closures, all truncated at max_degree.
 
-Element-level operations work on `GradedVector` rows. Closures work
-degree-by-degree on echelon blocks: every contribution to degree f comes
-from strictly smaller degrees, so one increasing sweep is a fixpoint.
-`_sweep` is that sweep; each derived power and each closure is one call
-to it with its own candidate stream. Basis products are looked up in
-(p, q)-degree multiplication tables, which keeps the inner loops in numpy:
-`mul_table` slices them from the tables (p, 1..D-p) that
+Element-level operations work on `GradedVector` rows. The product of two
+rows is their outer product gathered at the word pairs whose product is
+nonzero (`_nonzero_index`), which come in the order of the product words;
+the bracket and the Jordan product form uv -+ vu in the same pass, and
+results are built with `GradedVector._of`, without a second check.
+Closures work degree-by-degree on echelon blocks: every contribution to
+degree f comes from strictly smaller degrees, so one increasing sweep is
+a fixpoint. `_sweep` is that sweep; each derived power and each closure
+is one call to it with its own candidate stream. Basis products are
+looked up in (p, q)-degree multiplication tables, which keeps the inner
+loops in numpy: `mul_table` slices them from the tables (p, 1..D-p) that
 `words._product_tables` builds in one numpy pass per p. Those are keyed
 by the nil exponents and degrees, not the field, so specs over different
 fields share them.
@@ -15,11 +19,13 @@ fields share them.
 One generator, `_brackets`, produces every bracket candidate (row x row;
 basis words enter as the identity rows of a full block). It reads the rows
 of blocks as entries (`_Block.entries`) and yields the candidates as
-`linalg.Entries`: each product of two entries is one entry, unreduced, so
-no candidate matrix is as wide as its degree. One feeder, `_insert_all`,
-batches the candidates into an echelon block, which forms dense rows only
-over the columns of each multidegree part they reach. The first derived
-power needs only brackets with degree-1 words, as [A, A] = [A_1, A].
+`linalg.Entries` for a run of rows at a time, gathered from the tables in
+one pass per run: each product of two entries is one entry, unreduced, so
+no candidate matrix is as wide as its degree. The check suites test a
+run with one membership test. One feeder, `_insert_all`, batches the
+candidates into an echelon block, which forms dense rows only over the
+columns of each multidegree part they reach. The first derived power
+needs only brackets with degree-1 words, as [A, A] = [A_1, A].
 `DerivedTower` is the one tower builder: it builds each level on first
 use, through an optional on-disk cache. Subspaces and towers carry their
 spec, so the closures take only the subspace.
@@ -28,6 +34,7 @@ spec, so the closures take only the subspace.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -53,6 +60,16 @@ def mul_table(spec: AlgebraSpec, p: int, q: int) -> np.ndarray:
     return tables[:, offsets[q - 1] : offsets[q]]
 
 
+@lru_cache(maxsize=4096)
+def _nonzero_index(spec: AlgebraSpec, p: int, q: int) -> np.ndarray:
+    """The flat indices of the nonzero products in `mul_table(spec, p, q)`,
+    increasing: row-major, the t-th of them gives the t-th word of degree
+    p+q. Cached, as a boolean mask per product costs more than the gather."""
+    index = np.flatnonzero(mul_table(spec, p, q) >= 0)
+    index.flags.writeable = False
+    return index
+
+
 # -- element-level operations ------------------------------------------------
 
 
@@ -62,36 +79,41 @@ def _check_pair(u: GradedVector, v: GradedVector) -> AlgebraSpec:
     return u.spec
 
 
-def mul(u: GradedVector, v: GradedVector) -> GradedVector:
-    """Associative product; terms beyond max_degree are dropped."""
+def _products(u: GradedVector, v: GradedVector, sign: int) -> GradedVector:
+    """uv + sign*vu for sign in (1, -1), or uv for sign 0, in one pass over
+    the degree splits (d1, d2); terms beyond max_degree are dropped. The
+    product of two rows gathers their outer product at `_nonzero_index`.
+    Each split adds at most one product per sign to a word and is reduced
+    at once, so the sums stay below p + 2(p-1)^2 < 2^63 for p < 2^31."""
     spec = _check_pair(u, v)
-    arith = _Arith(spec.field)
+    mod = _Arith(spec.field).mod
     parts: dict[int, np.ndarray] = {}
     for d1, r1 in u.parts.items():
         for d2, r2 in v.parts.items():
             d = d1 + d2
             if d > spec.max_degree:
                 continue
-            t = mul_table(spec, d1, d2)
-            k = t >= 0
-            tgt = parts[d] if d in parts else arith.zeros(dim_component(spec, d))
-            # For one split (d1, d2) a product word fixes both factors, so
-            # t[k] has no repeated entry and each entry gets one product of
-            # residues; reducing after each split keeps |entry| < p + (p-1)^2
-            # < 2^63 for p < 2^31.
-            tgt[t[k]] += np.outer(r1, r2)[k]
-            parts[d] = arith.mod(tgt)
-    return GradedVector(spec, parts)
+            acc = np.multiply.outer(r1, r2).ravel()[_nonzero_index(spec, d1, d2)]
+            if sign:
+                vu = np.multiply.outer(r2, r1).ravel()[_nonzero_index(spec, d2, d1)]
+                acc = acc + vu if sign > 0 else acc - vu
+            parts[d] = mod(parts[d] + acc if d in parts else acc)
+    return GradedVector._of(spec, parts)
+
+
+def mul(u: GradedVector, v: GradedVector) -> GradedVector:
+    """Associative product; terms beyond max_degree are dropped."""
+    return _products(u, v, 0)
 
 
 def bracket(u: GradedVector, v: GradedVector) -> GradedVector:
     """[u, v] = uv - vu."""
-    return mul(u, v) - mul(v, u)
+    return _products(u, v, -1)
 
 
 def jordan(u: GradedVector, v: GradedVector) -> GradedVector:
     """u o v = uv + vu."""
-    return mul(u, v) + mul(v, u)
+    return _products(u, v, 1)
 
 
 def eval_f(s: int, args: Sequence[GradedVector]) -> GradedVector:
@@ -112,37 +134,64 @@ def eval_f(s: int, args: Sequence[GradedVector]) -> GradedVector:
 # candidate rows per `_Block.insert_matrix` call from `_insert_all`; they
 # arrive as entries, and the block forms one dense matrix per part they reach
 _BUFFER = 2048
+# a run of `_brackets` holds at most `_BUFFER` // 8 rows and gathers at most
+# `_RUN_PAIRS` entry pairs, unless it is a single row of rows_p
+_RUN_PAIRS = 2**16
 
 
 def _brackets(
     spec: AlgebraSpec, p: int, q: int, rows_p: Entries, rows_q: Entries, same: bool = False
 ) -> Iterator[tuple[int, Entries]]:
-    """Yield (a, m) for every row a of the degree-p rows_p: row r of m is
-    [rows_p[a], rows_q[j]] with rows_q of degree q, where j = r, or
-    j = a+1+r under ``same`` (one row set, p == q; antisymmetry covers the
-    other pairs). Both row sets are sorted by row; m holds each product of
-    two entries as an entry of its own, unreduced."""
+    """Yield (a, m) for runs of rows a, a+1, ... of the degree-p rows_p,
+    in order: m stacks, for each row a' of the run in turn, the brackets
+    [rows_p[a'], rows_q[j]] with the rows j of the degree-q rows_q, or only
+    those with j > a' under ``same`` (rows_q is then rows_p, p == q;
+    antisymmetry covers the other pairs). Without ``same``, row r of m is
+    thus the bracket of row a + r // n with row r % n, n = rows_q.shape[0].
+    A run has at most `_BUFFER` // 8 rows of m and `_RUN_PAIRS` entry
+    pairs, or one row of rows_p. Both row sets are sorted by row; m holds
+    each product of two entries as an entry of its own, unreduced."""
     dimf = dim_component(spec, p + q)
     t1 = mul_table(spec, p, q)
     t2 = mul_table(spec, q, p)
-    ptr = np.searchsorted(rows_p.row, np.arange(rows_p.shape[0] + 1))
+    n = rows_q.shape[0]
+    top = (n - 1 if same else rows_p.shape[0]) if n else 0  # the rows with a bracket
+
+    def before(a: int) -> int:  # the rows of m that rows 0..a-1 give
+        return a * n - (a * (a + 1) // 2 if same else 0)
+
+    ptr = np.searchsorted(rows_p.row, np.arange(top + 1)).tolist()
     bq, jq, xq = rows_q.row, rows_q.col, rows_q.val
-    for a in range(rows_p.shape[0]):
-        lo = a + 1 if same else 0
-        if lo >= rows_q.shape[0]:
-            return
-        k0 = np.searchsorted(bq, lo)
-        b, j, x = bq[k0:] - lo, jq[k0:], xq[k0:]
-        i, c = rows_p.col[ptr[a] : ptr[a + 1], None], rows_p.val[ptr[a] : ptr[a + 1], None]
-        # Product words of row a's entry i with rows_q's entry j: u_i v_j with
-        # coefficient c*x, and v_j u_i with -c*x. An entry gets at most one
-        # product per sign (its word's degree-p prefix and suffix fix the
-        # factors), so a sum at one position stays below (p-1)^2 < 2^62.
+    max_rows = _BUFFER // 8
+    a = 0
+    while a < top:
+        k0 = ptr[a + 1] if same else 0  # under ``same``, rows up to a pair with no row of the run
+        b, j, x = bq[k0:], jq[k0:], xq[k0:]
+        stop = min(top, bisect_right(ptr, ptr[a] + _RUN_PAIRS // max(1, b.size)) - 1)
+        if same:
+            a1 = a + 1
+            while a1 < stop and before(a1 + 1) - before(a) <= max_rows:
+                a1 += 1
+        else:
+            a1 = max(a + 1, min(stop, a + max_rows // n))
+        e = slice(ptr[a], ptr[a1])
+        pr, i, c = rows_p.row[e, None], rows_p.col[e, None], rows_p.val[e, None]
+        # Product words of entry i of row a' with entry j of row b: u_i v_j
+        # with coefficient c*x, and v_j u_i with -c*x, in row
+        # before(a') - before(a) + b (less a' + 1 under ``same``) of m. An
+        # entry gets at most one product per sign (its word's degree-p
+        # prefix and suffix fix the factors), so a sum at one position stays
+        # below (p-1)^2 < 2^62.
+        d = pr - a
+        rows = d * n - (d * (pr + a + 1) // 2 + pr + 1 if same else 0) + b
         cols = np.concatenate([t1[i, j], t2[j, i]])
+        keep = cols >= 0
+        if same:
+            keep &= np.tile(b > pr, (2, 1))
         cx = c * x
         vals = np.concatenate([cx, -cx])
-        k = cols >= 0
-        yield a, Entries((rows_q.shape[0] - lo, dimf), b[k.nonzero()[1]], cols[k], vals[k])
+        yield a, Entries((before(a1) - before(a), dimf), np.concatenate([rows, rows])[keep], cols[keep], vals[keep])
+        a = a1
 
 
 def _insert_all(blk, mats: Iterable[Entries]) -> None:
@@ -184,8 +233,9 @@ def _split_brackets(s: Subspace, f: int, splits: Iterable[int]) -> Iterator[Entr
 
 
 def _word_brackets(s: Subspace, f: int, lo: int = 1) -> Iterator[tuple[int, int, Entries]]:
-    """(d, a, m) for each degree lo <= d < f and each degree-d basis word a:
-    row r of m is [word a, row r of s_{f-d}]."""
+    """(d, a, m) for each degree lo <= d < f and each run of degree-d basis
+    words from word a on: row r of m is [word a + r // n, row r % n of
+    s_{f-d}], where n = s.dim_at(f - d)."""
     words = Subspace.full_space(s.spec)
     for d in range(lo, f):
         if s.dim_at(f - d):

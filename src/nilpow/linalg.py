@@ -113,8 +113,11 @@ class GradedVector:
     row over the normal words of that degree, in the form of block rows.
 
     Takes rows (arrays or sequences) or, as the public form,
-    {degree: {ordinal: coeff}} maps. Immutable by convention; all
-    operations return fresh vectors. Zero rows are never stored.
+    {degree: {ordinal: coeff}} maps, and copies and checks them. The
+    operations build their results with `_of`, which takes rows that are
+    already reduced and of the right width as they are. Either way the
+    stored rows are read-only, so vectors may share them; all operations
+    return fresh vectors. Zero rows are never stored.
     """
 
     __slots__ = ("spec", "parts")
@@ -122,7 +125,6 @@ class GradedVector:
     def __init__(
         self, spec: AlgebraSpec, parts: Mapping[int, Mapping[int, Coeff] | np.ndarray] | None = None
     ):
-        self.spec = spec
         f = spec.field
         arith = _Arith(f)
         clean: dict[int, np.ndarray] = {}
@@ -139,10 +141,19 @@ class GradedVector:
             elif np.asarray(comp).shape != row.shape:
                 raise SpecMismatch(f"a degree-{d} row needs {row.size} entries, not shape {np.shape(comp)}")
             else:
-                row = arith.mod(row + comp)  # a copy: rows may be block rows
-            if (row != 0).any():
-                clean[d] = row
-        self.parts = clean
+                row = arith.mod(row + comp)  # a copy: the caller keeps comp
+            clean[d] = row
+        self.spec = spec
+        self.parts = _nonzero_frozen(clean)
+
+    @classmethod
+    def _of(cls, spec: AlgebraSpec, parts: dict[int, np.ndarray]) -> "GradedVector":
+        """A vector of rows that are already reduced, of the right width, and
+        not written afterwards; zero rows are dropped."""
+        v = cls.__new__(cls)
+        v.spec = spec
+        v.parts = _nonzero_frozen(parts)
+        return v
 
     @classmethod
     def from_word(cls, spec: AlgebraSpec, w: Word, coeff: Coeff = 1) -> "GradedVector":
@@ -168,17 +179,19 @@ class GradedVector:
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         self._check(other)
+        mod = _Arith(self.spec.field).mod
         parts = dict(self.parts)
         for d, row in other.parts.items():
-            parts[d] = parts[d] + row if d in parts else row
-        return GradedVector(self.spec, parts)
+            parts[d] = mod(parts[d] + row) if d in parts else row
+        return GradedVector._of(self.spec, parts)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + other.scale(self.spec.field.neg(self.spec.field.one))
 
     def scale(self, c: Coeff) -> "GradedVector":
         c = self.spec.field.elem(c)
-        return GradedVector(self.spec, {d: row * c for d, row in self.parts.items()})
+        mod = _Arith(self.spec.field).mod
+        return GradedVector._of(self.spec, {d: mod(row * c) for d, row in self.parts.items()})
 
     def __neg__(self) -> "GradedVector":
         return self.scale(self.spec.field.neg(self.spec.field.one))
@@ -202,6 +215,16 @@ class GradedVector:
             for o, c in self.terms(d):
                 bits.append(f"{self.spec.field.format_coeff(c)}*{format_word(self.spec, basis[o])}")
         return " + ".join(bits)
+
+
+def _nonzero_frozen(parts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """The nonzero rows, made read-only: vectors share them."""
+    out = {}
+    for d, row in parts.items():
+        if np.count_nonzero(row):
+            row.flags.writeable = False
+            out[d] = row
+    return out
 
 
 class Entries:

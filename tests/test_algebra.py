@@ -41,10 +41,12 @@ def test_mul_examples():
     assert mul(X, GradedVector(S22)).is_zero()
 
 
-@pytest.mark.parametrize("p", [5, 2**31 - 1, None], ids=["fp:5", "fp:2147483647", "q"])
+@pytest.mark.parametrize("p", [5, 32003, 2**31 - 1, None], ids=["fp:5", "fp:32003", "fp:2147483647", "q"])
 def test_mul_matches_oracle(p):
-    # inhomogeneous operands, so several splits (d1, d2) meet in one target
-    # degree; over F_{2^31-1} the residues sit near p, the int64 worst case
+    # mul and the other element operations against the oracle's Python-int
+    # (or Fraction) arithmetic. Inhomogeneous operands, so several splits
+    # (d1, d2) meet in one target degree; over F_{2^31-1} the residues sit
+    # near p, the int64 worst case of the one-pass uv -+ vu sums.
     spec = AlgebraSpec(m=2, nil=(3, 3), field=Field(p), max_degree=6)
     oracle = Oracle(2, (3, 3), 6, p=p)
     rng = random.Random(23)
@@ -60,9 +62,34 @@ def test_mul_matches_oracle(p):
     def raw(v):
         return {oracle.basis[d][o]: c for d in v.degrees() for o, c in v.terms(d)}
 
+    def scaled(x, c):
+        return oracle.clean({w: oracle.norm(a * c) for w, a in x.items()})
+
+    minus_one = -1 if p is None else p - 1
     for _ in range(10):
         u, v = GradedVector(spec, element()), GradedVector(spec, element())
-        assert raw(mul(u, v)) == oracle.vmul(raw(u), raw(v))
+        ru, rv = raw(u), raw(v)
+        c = coeff()
+        assert raw(mul(u, v)) == oracle.vmul(ru, rv)
+        assert raw(bracket(u, v)) == oracle.vbracket(ru, rv)
+        assert raw(jordan(u, v)) == oracle.vadd(oracle.vmul(ru, rv), oracle.vmul(rv, ru))
+        assert raw(u + v) == oracle.vadd(ru, rv)
+        assert raw(u - v) == oracle.vadd(ru, scaled(rv, minus_one))
+        assert raw(u.scale(c)) == scaled(ru, c)
+        assert (u - u).is_zero() and u.scale(0).is_zero() and bracket(u, u).is_zero()
+
+
+def test_vector_rows_are_read_only():
+    # operations share rows between vectors, so no row may be written
+    u = GradedVector(S22, {1: {0: 3, 1: 2}, 2: {1: 2}})  # 3x + 2y + 2yx
+    v = GradedVector(S22, {2: {0: 1}})  # xy
+    built = [u, v, u + v, u - v, u.scale(5), mul(u, v), bracket(u, v), jordan(u, v)]
+    assert (u + v).parts[1] is u.parts[1]  # a degree only one side has is shared
+    for w in built:
+        assert not w.is_zero()
+        for row in w.parts.values():
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1
 
 
 def test_mul_truncates_silently():
@@ -294,10 +321,10 @@ def test_lie_subalgebra_closure_matches_oracle():
         assert clo.dim_at(d) == ranks[d]
 
 
-@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
-@pytest.mark.parametrize("same", [False, True])
-@pytest.mark.parametrize("words", [True, False], ids=["identity", "random"])
-def test_brackets_match_element_bracket(field, same, words):
+def _check_brackets(field, same, words):
+    """Check every row that `_brackets` yields against `bracket` of its
+    (a', j) pair and the exact pair count; returns the runs as (first row
+    of rows_p, rows of rows_p)."""
     spec = AlgebraSpec(m=2, nil=(3, 3), field=field, max_degree=7)
     p, q = (3, 3) if same else (3, 4)
     arith = Subspace(spec).arith
@@ -312,18 +339,69 @@ def test_brackets_match_element_bracket(field, same, words):
         )
     if same:
         rows_q = rows_p
+    n_p, n_q = len(rows_p), len(rows_q)
 
     def vec(d, row):
         return GradedVector(spec, {d: {o: row[o] for o in np.flatnonzero(row)}})
 
-    pairs = 0
+    pairs, runs, nxt = 0, [], 0
     for a, m in _brackets(spec, p, q, Entries.of(rows_p), Entries.of(rows_q), same=same):
-        for r, row in enumerate(m.dense(arith)):
-            j = a + 1 + r if same else r
-            assert vec(p + q, row) == bracket(vec(p, rows_p[a]), vec(q, rows_q[j]))
+        assert a == nxt  # runs follow each other, row by row
+        expect = []  # the (a', j) pair of each row of m
+        while len(expect) < m.shape[0]:
+            expect += [(nxt, j) for j in range(nxt + 1 if same else 0, n_q)]
+            nxt += 1
+        assert len(expect) == m.shape[0]  # a run ends where a row of rows_p does
+        for (a2, j), row in zip(expect, m.dense(arith)):
+            assert vec(p + q, row) == bracket(vec(p, rows_p[a2]), vec(q, rows_q[j]))
             pairs += 1
-    n_p, n_q = len(rows_p), len(rows_q)
+        runs.append((a, nxt - a))
     assert pairs == (n_p * (n_p - 1) // 2 if same else n_p * n_q)
+    return runs
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("words", [True, False], ids=["identity", "random"])
+def test_brackets_match_element_bracket(field, same, words):
+    runs = _check_brackets(field, same, words)
+    assert len(runs) == 1  # under the default caps each case is one run
+
+
+# run sizes, in rows of rows_p, by (_BUFFER, same, words): a run holds at
+# most _BUFFER // 8 rows of m, or one row of rows_p. rows_p has 6 rows
+# (identity) or 5 (random, the last zero); without ``same`` each row gives
+# 10 or 5 rows of m, and under it row a' gives n - 1 - a'.
+RUNS = {
+    (1, False, True): [1] * 6,
+    (1, True, True): [1] * 5,
+    (1, False, False): [1] * 5,
+    (1, True, False): [1] * 4,
+    (56, False, True): [1] * 6,
+    (56, True, True): [1, 2, 2],
+    (56, False, False): [1] * 5,
+    (56, True, False): [2, 2],
+    (160, False, True): [2, 2, 2],
+    (160, True, True): [5],
+    (160, False, False): [4, 1],
+    (160, True, False): [4],
+}
+
+
+@pytest.mark.parametrize("buffer, same, words", list(RUNS))
+def test_brackets_runs_split_mid_degree(monkeypatch, buffer, same, words):
+    monkeypatch.setattr(nilpow.algebra, "_BUFFER", buffer)
+    runs = _check_brackets(Field.prime(32003), same, words)
+    assert [size for _, size in runs] == RUNS[buffer, same, words]
+
+
+def test_brackets_runs_cap_entry_pairs(monkeypatch):
+    # identity rows_p against the 10 rows of degree 4: 10 entry pairs a row
+    monkeypatch.setattr(nilpow.algebra, "_RUN_PAIRS", 25)
+    runs = _check_brackets(Field.prime(32003), False, True)
+    assert [size for _, size in runs] == [2, 2, 2]
+    monkeypatch.setattr(nilpow.algebra, "_RUN_PAIRS", 1)
+    assert len(_check_brackets(Field.prime(32003), False, True)) == 6
 
 
 def test_closures_are_single_sweep_stable(suite_specs):

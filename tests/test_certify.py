@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import nilpow.algebra
 import nilpow.certify
 from nilpow import (
     AlgebraSpec,
@@ -20,9 +21,9 @@ from nilpow import (
     nilpotency_index,
     span,
 )
-from nilpow.algebra import ideal_closure
+from nilpow.algebra import eval_f, ideal_closure
 from nilpow.cache import subspace_from_payload, subspace_to_payload
-from nilpow.certify import random_lie_ideal
+from nilpow.certify import random_homogeneous, random_lie_ideal
 from nilpow.errors import BoundExceedsTruncation, NotALieIdeal
 
 
@@ -306,7 +307,88 @@ def test_lemma1_reports_escape(monkeypatch):
     assert rep.counterexample == "[row 1 of id([U,U])_1, x] escapes U at degree 2"
 
 
+# runs of 1 row of rows_p (a cap of 0 rows of m) and of up to 5 rows of m:
+# the first escape may sit anywhere in a run
+BUFFERS = [1, 3, 40]
+
+
+@pytest.mark.parametrize("buffer", BUFFERS)
+def test_first_escape_across_run_boundaries(monkeypatch, buffer):
+    # the escape reports above, with runs split at other rows
+    monkeypatch.setattr(nilpow.algebra, "_BUFFER", buffer)
+    test_degree_split_reports_escape()
+    test_degree_split_brackets_start_at_degree_n()
+    test_lemma1_rejects_non_ideal()
+    test_lemma1_reports_escape(monkeypatch)
+
+    # an escape past the first word and row of a run: s = <xx, xy> and
+    # u = <[x, xy], [y, xx]>, so [y, xy] is the first bracket outside u
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=5)
+    x, y, xx, xy = (GradedVector.from_word(spec, w) for w in [(1,), (2,), (1, 1), (1, 2)])
+    u = span(spec, [bracket(x, xy), bracket(y, xx)])
+    hit = dict(w="y", v="xy", r=1, e=2, f=3)
+    assert nilpow.certify._first_escape(u, span(spec, [xx, xy]), range(2, 6)) == (4, hit)
+
+
+@pytest.mark.parametrize("buffer", BUFFERS)
+def test_degree_split_reports_do_not_depend_on_runs(monkeypatch, buffer):
+    # the same reports, passing or not, as under the default run lengths
+    cases = [((2, (2, 2), 24), 11), ((2, (3, 3), 9), 3), ((3, (2, 2, 2), 8), 2), ((2, (2, 2), 8), 1)]
+    reports = {}
+    for b in (nilpow.algebra._BUFFER, buffer):
+        monkeypatch.setattr(nilpow.algebra, "_BUFFER", b)
+        reports[b] = [
+            vars(degree_split_check(DerivedTower(AlgebraSpec(m=m, nil=nil, max_degree=d)), 1, n))
+            for (m, nil, d), n in cases
+        ]
+    assert reports[buffer] == reports[nilpow.algebra._BUFFER]
+
+
 # -- fk identities -----------------------------------------------------------
+
+
+def _fk_per_trial(tower, k, trials, seed):
+    """fk_identity_check as one membership test per trial: (passed, checked,
+    counterexample)."""
+    spec = tower.spec
+    ideal = ideal_closure(tower.level(k))
+    rng = random.Random(seed)
+    for t in range(trials):
+        degrees = [1] * 2**k
+        budget = spec.max_degree - 2**k
+        while budget > 0 and rng.random() < 0.7:
+            degrees[rng.randrange(2**k)] += 1
+            budget -= 1
+        args = [random_homogeneous(spec, rng, d) for d in degrees]
+        if not ideal.contains(eval_f(k, args)):
+            return False, t + 1, f"trial {t}: evaluation of degrees {degrees} escapes the ideal"
+    return True, trials, None
+
+
+def test_first_nonmember_takes_the_first_vector_over_all_degrees():
+    # degree 2 comes first but fails later (at vector 2) than degree 3 does
+    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
+    xy, yx, xyx = (GradedVector.from_word(spec, w) for w in [(1, 2), (2, 1), (1, 2, 1)])
+    s = span(spec, [xy])
+    assert nilpow.certify._first_nonmember(s, [xy, xyx, yx]) == 1
+    assert nilpow.certify._first_nonmember(s, [xy, xy + yx, xyx]) == 1
+    assert nilpow.certify._first_nonmember(s, [xy, GradedVector(spec), xy.scale(3)]) is None
+
+
+@pytest.mark.parametrize("batch", [1, 2, 4, nilpow.certify._TRIAL_BATCH])
+def test_fk_failing_trial_matches_per_trial_loop(monkeypatch, batch):
+    # level 2 without its degrees below 6 stands in for A^(2): evaluations
+    # of degrees 4 and 5 then escape, the first at trial 5 for seed 3
+    monkeypatch.setattr(nilpow.certify, "_TRIAL_BATCH", batch)
+    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=12)
+    tower = DerivedTower(spec)
+    level = tower.level(2)
+    tower.levels[2] = span(spec, [v for d in range(6, spec.max_degree + 1) for v in level.basis_vectors(d)])
+    for seed in (0, 3):
+        rep = fk_identity_check(tower, 2, trials=40, seed=seed)
+        assert (rep.passed, rep.checked, rep.counterexample) == _fk_per_trial(tower, 2, 40, seed)
+    assert rep.checked == 6 and not rep.passed
+    assert fk_identity_check(DerivedTower(spec), 2, trials=9, seed=3).checked == 9
 
 
 @pytest.mark.parametrize("k", [1, 2])

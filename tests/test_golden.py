@@ -4,9 +4,12 @@
 its stdout: `certify --i 1`, `dims --levels 3` and `check all --trials 100
 --seed 0` for the four suite presentations, one dims table over Q, and two
 certificates beyond the suite: (2; 2,3) at D=14, with unequal exponents,
-and the VERIFIED i=2 certificate of (2; 2,2) at D=41. A refactor that
-changes any certificate, dimension table or check report byte fails here. Regenerate the file only for an intended output change,
-and say why in CHANGES.md.
+and the VERIFIED i=2 certificate of (2; 2,2) at D=41; and `check all
+--trials 20 --seed 1` over Q for (2; 3,3) at D=7 and (3; 2,2,2) at D=5,
+which pin the Fraction path of the bracket generator and of the element
+operations. A refactor that changes any certificate, dimension table or
+check report byte fails here. Regenerate the file only for an intended
+output change, and say why in CHANGES.md.
 """
 
 import contextlib
