@@ -8,10 +8,10 @@ the bracket and the Jordan product form uv -+ vu in the same pass, and
 results are built with `GradedVector._of`, without a second check.
 Closures work degree-by-degree on echelon blocks: every contribution to
 degree f comes from strictly smaller degrees, so one increasing sweep is
-a fixpoint. `_sweep` is that sweep; each derived power and each closure
-is one call to it with its own candidate stream. Basis products are
-looked up in (p, q)-degree multiplication tables, which keeps the inner
-loops in numpy: `mul_table` slices them from the tables (p, 1..D-p) that
+a fixpoint. `_sweep` is that sweep; each derived power past [A, A] and
+each closure is one call to it with its own candidate stream. Basis
+products are looked up in (p, q)-degree multiplication tables, which
+keeps the inner loops in numpy: `mul_table` slices them from the tables (p, 1..D-p) that
 `words._product_tables` builds in one numpy pass per p. Those are keyed
 by the nil exponents and degrees, not the field, so specs over different
 fields share them.
@@ -25,10 +25,11 @@ no candidate matrix is as wide as its degree. The check suites test a
 run with one membership test. One feeder, `_insert_all`, batches the
 candidates into an echelon block, which forms dense rows only over the
 columns of each multidegree part they reach. The first derived power
-needs only brackets with degree-1 words, as [A, A] = [A_1, A].
-`DerivedTower` is the one tower builder: it builds each level on first
-use, through an optional on-disk cache. Subspaces and towers carry their
-spec, so the closures take only the subspace.
+[A, A] needs no elimination at all: its canonical RREF is written down
+from the rotations of the words (`_commutators`). `DerivedTower` is the
+one tower builder: it builds each level on first use, through an
+optional on-disk cache, and the ideal of each level once. Subspaces and
+towers carry their spec, so the closures take only the subspace.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
-from .errors import ArityMismatch, CorruptCacheEntry, SpecMismatch
+from .errors import ArityMismatch, CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
 from .linalg import Entries, GradedVector, Subspace, _Arith, span
-from .words import AlgebraSpec, _product_tables, dim_component
+from .words import AlgebraSpec, _product_tables, _words, dim_component
 
 
 # bounded: the slices share the tables, but one entry per (spec, p, q) would
@@ -221,9 +222,9 @@ def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries
     return out
 
 
-def _split_brackets(s: Subspace, f: int, splits: Iterable[int]) -> Iterator[Entries]:
-    """Candidate rows [s_p, s_{f-p}] of one subspace, for p in splits."""
-    for p in splits:
+def _split_brackets(s: Subspace, f: int) -> Iterator[Entries]:
+    """Candidate rows [s_p, s_{f-p}] of one subspace, for every split p <= f - p."""
+    for p in range(1, f // 2 + 1):
         q = f - p
         if s.dim_at(p) and s.dim_at(q):
             rows_p = s.block(p).entries()
@@ -245,32 +246,75 @@ def _word_brackets(s: Subspace, f: int, lo: int = 1) -> Iterator[tuple[int, int,
 
 
 def _multiples(s: Subspace, e: int) -> Iterator[Entries]:
-    """Left and right multiples of the degree-e rows of s by each generator."""
+    """Left and right multiples of the degree-e rows of s by each generator,
+    in pieces of at most `_BUFFER` rows, which bounds the rows that one
+    insertion scatters into dense parts."""
     if not s.dim_at(e):
         return
     rows = s.block(e).entries()
-    shape = (rows.shape[0], dim_component(s.spec, e + 1))
+    n, dimf = rows.shape[0], dim_component(s.spec, e + 1)
     tl = mul_table(s.spec, 1, e)
     tr = mul_table(s.spec, e, 1)
     for g in range(dim_component(s.spec, 1)):
         for idx in (tl[g], tr[:, g]):
             if (idx >= 0).any():
-                cols = idx[rows.col]
-                k = cols >= 0
-                yield Entries(shape, rows.row[k], cols[k], rows.val[k])
+                for lo in range(0, n, _BUFFER):
+                    at = slice(*np.searchsorted(rows.row, [lo, lo + _BUFFER]))  # rows are sorted
+                    cols = idx[rows.col[at]]
+                    k = cols >= 0
+                    shape = (min(_BUFFER, n - lo), dimf)
+                    yield Entries(shape, rows.row[at][k] - lo, cols[k], rows.val[at][k])
 
 
 # -- derived powers ----------------------------------------------------------
 
 
 def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspace:
-    """[prev, prev], degree by degree. ``from_full`` requires prev to be the
-    full space: then only the split p = 1 is needed, since the identity
-    [xv, w] = [x, vw] + [v, wx] gives [A, A] = [A_1, A]."""
+    """[prev, prev]. ``from_full`` requires prev to be the full space, and
+    writes [A, A] down in closed form (`_commutators`); otherwise every
+    split [prev_p, prev_q] is swept in, degree by degree."""
+    if from_full:
+        return _commutators(spec, prev.multigraded)
     return _sweep(
         Subspace(spec, multigraded=prev.multigraded),
-        lambda out, f: _split_brackets(prev, f, (1,) if from_full else range(1, f // 2 + 1)),
+        lambda out, f: _split_brackets(prev, f),
     )
+
+
+def _commutators(spec: AlgebraSpec, multigraded: bool) -> Subspace:
+    """[A, A] as its canonical RREF, with no elimination. For normal words,
+    [u, v] = uv - vu with each product zero or the concatenation, so
+    [A, A]_d is spanned by the words w with a rotation that is not normal
+    (then w is a bracket on its own) and by the differences of two
+    rotations of any other word. Each word of the first kind is thus a row
+    e_w; each other word w below the largest ordinal t of its rotation
+    class is a pivot with row e_w - e_t, and the class maxima are the free
+    columns. Words x^r, whose class is themselves, give no row.
+
+    A rotation of w fails to be normal exactly when w is not one run and
+    its closing and opening runs, of one letter, reach that letter's nil
+    exponent together. The other words are permuted by the one-letter
+    rotation u b -> b u, read from the (1, d-1) product table; pointer
+    doubling over it gives each class maximum in ceil(log2 d) steps."""
+    out = Subspace(spec, multigraded=multigraded)
+    nil = np.asarray(spec.nil)
+    letters = _words(spec.nil, 1).last
+    at = np.zeros(spec.m + 1, dtype=np.intp)  # the degree-1 ordinal of each live letter
+    at[letters] = np.arange(letters.size)
+    for d in range(2, spec.max_degree + 1):  # [A, A]_1 = 0
+        w = _words(spec.nil, d)
+        alone = (w.first == w.last) & (w.first_run < d) & (w.first_run + w.last_run >= nil[w.first - 1])
+        o = np.arange(alone.size)
+        step = np.where(alone, o, mul_table(spec, 1, d - 1)[at[w.last], w.parent])
+        if (step < 0).any():
+            raise InternalSoundnessFailure(f"a rotation left the normal words of degree {d}")
+        top = o
+        for _ in range((d - 1).bit_length()):  # top[o]: the largest of rotations 0..2^k-1 of o
+            top = np.maximum(top, top[step])
+            step = step[step]
+        piv = np.flatnonzero(alone | (top > o))
+        out.block(d).load_differences(piv, np.where(alone[piv], -1, top[piv]))
+    return out
 
 
 def _cached(spec: AlgebraSpec, key: str, cache_dir: str | Path) -> Optional[Subspace]:
@@ -288,12 +332,15 @@ class DerivedTower:
     """The derived series of one spec, each level truncated at max_degree;
     level 0 is the full space. `level(i)` builds the levels up to i that
     are missing. With ``cache_dir`` each level is read from the on-disk
-    cache when an entry decodes, and computed and written back otherwise."""
+    cache when an entry decodes, and computed and written back otherwise.
+    `ideal(k)` keeps the ideal of each level it is asked for, so the checks
+    and the nilpotency index share it."""
 
     def __init__(self, spec: AlgebraSpec, cache_dir: str | Path | None = None):
         self.spec = spec
         self.cache_dir = cache_dir
         self.levels = [Subspace.full_space(spec)]
+        self._ideals: dict[int, Subspace] = {}
 
     def level(self, i: int) -> Subspace:
         if i < 0:
@@ -308,6 +355,13 @@ class DerivedTower:
                     cache_put(self.cache_dir, key, subspace_to_payload(level))
             self.levels.append(level)
         return self.levels[i]
+
+    def ideal(self, k: int) -> Subspace:
+        """id(A^(k)), the two-sided ideal of level k, built once per tower
+        (in memory only)."""
+        if k not in self._ideals:
+            self._ideals[k] = ideal_closure(self.level(k))
+        return self._ideals[k]
 
 
 # -- closures ----------------------------------------------------------------
@@ -334,4 +388,4 @@ def lie_subalgebra_closure(spec: AlgebraSpec, gens: Iterable[GradedVector]) -> S
     """Smallest graded subspace containing the generators and closed under
     the bracket. Inhomogeneous generators are split into homogeneous parts
     (this can only enlarge the closure)."""
-    return _sweep(span(spec, gens), lambda out, f: _split_brackets(out, f, range(1, f // 2 + 1)))
+    return _sweep(span(spec, gens), _split_brackets)

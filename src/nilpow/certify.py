@@ -91,7 +91,7 @@ def nilpotency_index(tower: DerivedTower, k: int) -> NilpotencyReport:
     """Smallest degree n at which the whole component lies in the ideal of
     the k-th derived power; None if no such degree up to max_degree."""
     spec = tower.spec
-    ideal = ideal_closure(tower.level(k))
+    ideal = tower.ideal(k)
     qdims = [
         (d, dim_component(spec, d) - ideal.dim_at(d))
         for d in range(1, spec.max_degree + 1)
@@ -252,8 +252,10 @@ def _first_escape(
     return checked, None
 
 
-def lemma1_check(u: Subspace) -> CheckReport:
+def lemma1_check(u: Subspace, uu_ideal: Optional[Subspace] = None) -> CheckReport:
     """Verify [id([U,U]), A] <= U for a Lie ideal U, degree-wise.
+    ``uu_ideal`` is id([U,U]) when the caller holds it, as a tower does for
+    U = A^(i): `DerivedTower.ideal(i + 1)`; otherwise it is built here.
 
     Raises NotALieIdeal when the precondition [A, U] <= U fails.
     """
@@ -261,8 +263,9 @@ def lemma1_check(u: Subspace) -> CheckReport:
     checked, hit = _first_escape(u, u, degrees)
     if hit is not None:
         raise NotALieIdeal("[{w}, U_{e}] not inside U at degree {f}".format(**hit))
-    w_ideal = ideal_closure(_derived_step(u.spec, u, from_full=False))
-    more, hit = _first_escape(u, w_ideal, degrees)
+    if uu_ideal is None:
+        uu_ideal = ideal_closure(_derived_step(u.spec, u, from_full=False))
+    more, hit = _first_escape(u, uu_ideal, degrees)
     escape = hit and "[row {r} of id([U,U])_{e}, {w}] escapes U at degree {f}".format(**hit)
     return CheckReport(name="lemma1", passed=hit is None, checked=checked + more, counterexample=escape)
 
@@ -278,7 +281,7 @@ def fk_identity_check(tower: DerivedTower, k: int, trials: int = 100, seed: int 
     nargs = 2**k
     if nargs > spec.max_degree:
         return report
-    ideal = ideal_closure(tower.level(k))
+    ideal = tower.ideal(k)
     rng = random.Random(seed)
     for t0 in range(0, trials, _TRIAL_BATCH):
         drawn = []

@@ -178,7 +178,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         reports.append(identity_check(spec, trials=args.trials, seed=args.seed))
     if args.which in ("lemma1", "all"):
         for i in (1, 2):
-            rep = lemma1_check(tower.level(i))
+            rep = lemma1_check(tower.level(i), tower.ideal(i + 1))
             rep.name = f"lemma1[derived power {i}]"
             reports.append(rep)
         rng = random.Random(args.seed)

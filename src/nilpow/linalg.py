@@ -13,7 +13,7 @@ parts have disjoint column supports, so the union of their rows is the
 block's canonical RREF. A row with entries in two parts is an engine bug.
 Membership reduces a row in every part where it has entries, so it is exact
 for any row. Other subspaces keep one part. A subspace's layout is fixed
-when `span`, a sweep or the cache builds it.
+when `span`, a sweep, the closed form of [A, A] or the cache builds it.
 
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
@@ -29,18 +29,21 @@ per part over that part's own columns, reducing each sum once; no matrix
 is as wide as its degree unless the block has one part. Only
 `Subspace.basis_vectors` forms dense degree rows, for its own degree.
 
-One blocked kernel, `_Echelon.insert_matrix`, does all insertion into a
-part, after the echelon forms of M4RI and FFLAS-FFPACK. A part keeps its
-RREF as `[I | R]` up to a column permutation (Dumas, Giorgi and Pernet,
-arXiv:cs/0601133): its pivot columns, its other ("free") columns and R,
-the rows' entries on the free columns, and the kernel works on the free
-columns only. Per chunk of `_CHUNK` rows: a matmul reduces the chunk
-against the part, the remainder is put in RREF, a matmul back-reduces R
-by the new rows, and old and new rows of R are written once into a new
-array in pivot order. The remainder's RREF is the same step applied to its
-halves, recursively, so its work is matmuls too; only pieces of at most
-`_BASE` rows run a Gauss-Jordan loop. `_Arith.matmul` leaves its product
-unreduced, so each `x - product` is reduced mod p once.
+One blocked kernel, `_Echelon.insert_matrix`, does all elimination into a
+part, after the echelon forms of M4RI and FFLAS-FFPACK. Rows already in
+canonical RREF come in without it: checked (`_Block.load`), or trusted
+when they are rows e_i - e_j written down in closed form
+(`_Block.load_differences`). A part keeps its RREF as `[I | R]` up to a
+column permutation (Dumas, Giorgi and Pernet, arXiv:cs/0601133): its pivot
+columns, its other ("free") columns and R, the rows' entries on the free
+columns, and the kernel works on the free columns only. Per chunk of
+`_CHUNK` rows: a matmul reduces the chunk against the part, the remainder
+is put in RREF, a matmul back-reduces R by the new rows, and old and new
+rows of R are written once into a new array in pivot order. The
+remainder's RREF is the same step applied to its halves, recursively, so
+its work is matmuls too; only pieces of at most `_BASE` rows run a
+Gauss-Jordan loop. `_Arith.matmul` leaves its product unreduced, so each
+`x - product` is reduced mod p once.
 """
 
 from __future__ import annotations
@@ -533,6 +536,29 @@ class _Block:
         self.rank = m.shape[0]
         self._entries = None
         return True
+
+    def load_differences(self, piv: np.ndarray, to: np.ndarray) -> None:
+        """Take as the rows of this empty block e_piv[r] - e_to[r], or e_piv[r]
+        where to[r] < 0, for increasing ordinals piv. Trusted to be canonical
+        RREF: each to[r] is above piv[r], in its part, and a column of no
+        row. Each part's `[I | R]` is written directly, with no matrix as
+        wide as the part."""
+        minus_one = self.arith.field.neg(self.arith.field.one)
+        is_piv = np.zeros(self.dim, dtype=bool)
+        is_piv[piv] = True
+        partner = np.empty(self.dim, dtype=np.intp)
+        partner[piv] = to
+        for e, c in zip(self._parts, self._cols if self._cols is not None else (np.arange(self.dim),)):
+            mask = is_piv[c]
+            if not mask.any():
+                continue
+            e.pivots, e.free = np.flatnonzero(mask), np.flatnonzero(~mask)
+            e.R = self.arith.zeros((e.pivots.size, e.free.size))
+            t = partner[c[e.pivots]]
+            r = np.flatnonzero(t >= 0)
+            e.R[r, np.searchsorted(c[e.free], t[r])] = minus_one
+        self.rank = piv.size
+        self._entries = None
 
     def copy(self) -> "_Block":
         """An independent block; it shares the parts' arrays, never rewritten."""

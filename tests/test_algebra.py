@@ -23,7 +23,7 @@ from nilpow import (
     mul,
     span,
 )
-from nilpow.algebra import _brackets
+from nilpow.algebra import _brackets, _derived_step
 from nilpow.linalg import Entries
 from nilpow.certify import nilpotency_index, random_homogeneous
 from nilpow.errors import ArityMismatch
@@ -222,6 +222,61 @@ def test_derived_dims_match_oracle_at_largest_prime():
     for i in (1, 2):
         ranks = oracle.graded_ranks(levels[i])
         assert [t.level(i).dim_at(d) for d in range(1, 6)] == [ranks[d] for d in range(1, 6)]
+
+
+def _same_rows(a, b):
+    same = a.shape == b.shape and np.array_equal(a.row, b.row) and np.array_equal(a.col, b.col)
+    return same and a.val.tolist() == b.val.tolist()
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda m: st.lists(st.integers(1, 4), min_size=m, max_size=m)),
+    st.integers(1, 9),
+    st.sampled_from([5, 32003, P31, None]),
+    st.booleans(),
+)
+def test_commutators_match_all_splits_sweep(nil, top, p, multigraded):
+    # The closed form of [A, A] against the sweep of every split [A_p, A_q],
+    # which uses neither the rotations nor [A, A] = [A_1, A]: the same rows,
+    # entry for entry, in either block layout. D is lowered until the top
+    # degree has at most 400 words (100 over Q), to keep the sweep small.
+    spec = AlgebraSpec(m=len(nil), nil=tuple(nil), field=Field(p), max_degree=top)
+    while spec.max_degree > 1 and dim_component(spec, spec.max_degree) > (400 if p else 100):
+        spec = AlgebraSpec(m=spec.m, nil=spec.nil, field=spec.field, max_degree=spec.max_degree - 1)
+    full = Subspace(spec, full=True, multigraded=multigraded)
+    closed = _derived_step(spec, full, from_full=True)
+    swept = _derived_step(spec, full, from_full=False)
+    for d in range(1, spec.max_degree + 1):
+        assert _same_rows(closed.block(d).entries(), swept.block(d).entries()), (spec, d)
+
+
+@pytest.mark.parametrize(
+    "m,nil,D", [(1, (4,), 8), (2, (2, 3), 8), (2, (1, 3), 7), (3, (2, 2, 2), 7), (3, (3, 1, 2), 7)]
+)
+def test_commutator_quotient_counts_cyclic_words(m, nil, D):
+    # A/[A, A] has a basis of the rotation classes of words whose rotations
+    # are all normal; counted by brute force over the oracle's words
+    oracle = Oracle(m, nil, D)
+    level = DerivedTower(AlgebraSpec(m=m, nil=nil, max_degree=D)).level(1)
+    for d in range(1, D + 1):
+        classes = set()
+        for w in oracle.basis[d]:
+            rotations = [w[i:] + w[:i] for i in range(d)]
+            if all(oracle.is_normal(r) for r in rotations):
+                classes.add(min(rotations))
+        assert len(oracle.basis[d]) - level.dim_at(d) == len(classes), (m, nil, d)
+
+
+@pytest.mark.parametrize("multigraded", [True, False])
+def test_commutator_blocks_load_as_canonical(multigraded):
+    # `_Block.load` accepts only canonical RREF, and hands the same rows back
+    spec = AlgebraSpec(m=3, nil=(2, 3, 2), max_degree=7)
+    level = _derived_step(spec, Subspace(spec, full=True, multigraded=multigraded), from_full=True)
+    fresh = Subspace(spec, multigraded=multigraded)
+    for d in range(1, 8):
+        rows = level.block(d).entries()
+        assert fresh.block(d).load(rows)
+        assert _same_rows(fresh.block(d).entries(), rows)
 
 
 # -- closures ----------------------------------------------------------------

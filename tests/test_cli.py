@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 import nilpow.algebra
+import nilpow.certify
 from nilpow import AlgebraSpec, DerivedTower, Field
 from nilpow.cache import _rows_digest, cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from nilpow.cli import certificate_schema, main
@@ -201,20 +202,37 @@ def test_check_fk_vacuous_counts_no_checks(capsys):
 
 
 def test_check_all_builds_one_tower(capsys, monkeypatch):
-    # the tower builds its levels through nilpow.algebra; lemma1_check's
-    # own [U, U] steps go through nilpow.certify and are not counted. At
-    # D = 6 the f_3 check is vacuous (2^3 > 6), so level 3 is never built.
-    calls = []
+    # the tower builds its levels through nilpow.algebra, and lemma1 on
+    # A^(1) and A^(2) reads [U, U] from it (levels 2 and 3, each built
+    # once); only the one random Lie ideal of 20 trials takes its own
+    # [U, U] step, through nilpow.certify. id(A^(2)) is closed once,
+    # though lemma1 and f_2 both read it.
+    calls = {"algebra": [], "certify": []}
+    closures = []
     step = nilpow.algebra._derived_step
+    close = nilpow.algebra.ideal_closure
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return step(*args, **kwargs)
+    def counted(module):
+        def step_counted(*args, **kwargs):
+            calls[module].append(kwargs["from_full"])
+            return step(*args, **kwargs)
 
-    monkeypatch.setattr(nilpow.algebra, "_derived_step", counted)
+        return step_counted
+
+    def close_counted(s):
+        closures.append(s)
+        return close(s)
+
+    monkeypatch.setattr(nilpow.algebra, "_derived_step", counted("algebra"))
+    monkeypatch.setattr(nilpow.certify, "_derived_step", counted("certify"))
+    monkeypatch.setattr(nilpow.algebra, "ideal_closure", close_counted)
+    monkeypatch.setattr(nilpow.certify, "ideal_closure", close_counted)
     code, _, _ = run_cli(capsys, "check", "all", *SPEC22, "--max-degree", "6", "--trials", "20")
     assert code == 0
-    assert len(calls) == 2
+    assert calls["algebra"] == [True, False, False]
+    assert len(calls["certify"]) == 1
+    # id(A^(2)) and id(A^(3)) for lemma1, id(A^(1)) for f_1, and the random ideal's
+    assert len(closures) == 4
 
 
 def test_cache_round_trip(tmp_path):

@@ -2,9 +2,10 @@
 
 `golden_hashes.json` holds, per CLI call, its exit code and the SHA-256 of
 its stdout: `certify --i 1`, `dims --levels 3` and `check all --trials 100
---seed 0` for the four suite presentations, one dims table over Q, and two
+--seed 0` for the four suite presentations, one dims table over Q, and three
 certificates beyond the suite: (2; 2,3) at D=14, with unequal exponents,
-and the VERIFIED i=2 certificate of (2; 2,2) at D=41; and `check all
+the VERIFIED i=2 certificate of (2; 2,2) at D=41, and `certify --i 1` of
+(3; 2,2,2) at D=11, where [A, A] has 5701 rows; and `check all
 --trials 20 --seed 1` over Q for (2; 3,3) at D=7 and (3; 2,2,2) at D=5,
 which pin the Fraction path of the bracket generator and of the element
 operations. A refactor that changes any certificate, dimension table or
