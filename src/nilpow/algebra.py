@@ -313,7 +313,8 @@ def _commutators(spec: AlgebraSpec, multigraded: bool) -> Subspace:
             top = np.maximum(top, top[step])
             step = step[step]
         piv = np.flatnonzero(alone | (top > o))
-        out.block(d).load_differences(piv, np.where(alone[piv], -1, top[piv]))
+        r = np.flatnonzero(~alone[piv])
+        out.block(d).write(piv, r, top[piv[r]], spec.field.neg(spec.field.one))
     return out
 
 

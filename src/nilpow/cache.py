@@ -6,11 +6,12 @@ coeff) pairs, in pivot order, written from the block's entries
 (`_Block.entries`). Field elements serialize canonically: residues as
 decimal integers, rationals as "num/den" in lowest terms. Each entry
 stores the SHA-256 of its rows. Decoding turns the pairs into
-(row, column, value) arrays, and `_Block.load` takes them part by part,
-so neither direction forms a matrix as wide as its degree. Corrupt or
-wrong-version entries behave as misses; so do entries whose rows do not
-match their digest, are not in canonical RREF or have a row across two
-multidegrees (the cached derived powers are multigraded), which
+(row, column, value) arrays, which `_Block.load` checks and writes into
+each multidegree part's `[I | R]`: neither direction forms a dense
+matrix. Corrupt or wrong-version entries behave as misses; so do entries
+whose rows do not match their digest, are not canonical RREF as a block
+writes it (pairs in ordinal order) or have a row across two multidegrees
+(the cached derived powers are multigraded), which
 `subspace_from_payload` rejects.
 """
 

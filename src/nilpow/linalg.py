@@ -23,32 +23,33 @@ object arrays for Q. Candidate rows travel as `Entries`: (row, column,
 value) triples, unreduced, that add up where they meet. Rows leave a block
 only this way (`_Block.entries`, in degree columns and pivot order): the
 bracket generators, membership of one subspace in another and the cache
-read them so, and `_Block.insert_matrix` and `_Block.load` take them. Both
-group a batch of entries by part and scatter them into one dense matrix
-per part over that part's own columns, reducing each sum once; no matrix
-is as wide as its degree unless the block has one part. Only
-`Subspace.basis_vectors` forms dense degree rows, for its own degree.
+read them so. `_Block.insert_matrix` groups a batch of candidate entries
+by part and scatters them into one dense matrix per part over that part's
+own columns, reducing each sum once; no matrix is as wide as its degree
+unless the block has one part. Rows already in canonical RREF skip
+elimination: `_Block.write` fills each part's `[I | R]` (below) from
+their entries, trusted for the closed form of [A, A] and checked on the
+entries by `_Block.load` for the cache. Only `Subspace.basis_vectors`
+forms dense degree rows, for its own degree.
 
 One blocked kernel, `_Echelon.insert_matrix`, does all elimination into a
-part, after the echelon forms of M4RI and FFLAS-FFPACK. Rows already in
-canonical RREF come in without it: checked (`_Block.load`), or trusted
-when they are rows e_i - e_j written down in closed form
-(`_Block.load_differences`). A part keeps its RREF as `[I | R]` up to a
-column permutation (Dumas, Giorgi and Pernet, arXiv:cs/0601133): its pivot
-columns, its other ("free") columns and R, the rows' entries on the free
-columns, and the kernel works on the free columns only. Per chunk of
-`_CHUNK` rows: a matmul reduces the chunk against the part, the remainder
-is put in RREF, a matmul back-reduces R by the new rows, and old and new
-rows of R are written once into a new array in pivot order. The
-remainder's RREF is the same step applied to its halves, recursively, so
-its work is matmuls too; only pieces of at most `_BASE` rows run a
-Gauss-Jordan loop. `_Arith.matmul` leaves its product unreduced, so each
-`x - product` is reduced mod p once.
+part, after the echelon forms of M4RI and FFLAS-FFPACK. A part keeps its
+RREF as `[I | R]` up to a column permutation (Dumas, Giorgi and Pernet,
+arXiv:cs/0601133): its pivot columns, its other ("free") columns and R,
+the rows' entries on the free columns, and the kernel works on the free
+columns only. Per chunk of `_CHUNK` rows: a matmul reduces the chunk
+against the part, the remainder is put in RREF, a matmul back-reduces R
+by the new rows, and old and new rows of R are written once into a new
+array in pivot order. The remainder's RREF is the same step applied to
+its halves, recursively, so its work is matmuls too; only pieces of at
+most `_BASE` rows run a Gauss-Jordan loop. `_Arith.matmul` leaves its
+product unreduced, so each `x - product` is reduced mod p once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -388,22 +389,29 @@ def _other_columns(dim: int, piv: np.ndarray) -> np.ndarray:
     return np.flatnonzero(is_free)
 
 
+@lru_cache(maxsize=None)
+def _one_part(dim: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The table of a one-part block, shared and read-only: all in part 0."""
+    part_of, cols = np.zeros(dim, dtype=np.intp), np.arange(dim)
+    part_of.flags.writeable = cols.flags.writeable = False
+    return part_of, (cols,)
+
+
 class _Block:
     """RREF rows of one graded component. A multigraded block keeps one
     `_Echelon` per multidegree part, over that part's columns; any other
-    block keeps one over all columns. A block built full keeps no rows."""
+    block keeps one over all columns (`_one_part`). A block built full keeps
+    no rows. Rows enter through the kernel or, canonical already, `write`."""
 
     __slots__ = ("arith", "dim", "rank", "_part_of", "_cols", "_pos", "_width", "_parts", "_entries")
 
     def __init__(self, arith: _Arith, dim: int, full: bool = False, parts=None):
-        """``parts`` is the component's multidegree table (`multidegree_parts`);
-        None, like a table of one part, keeps one part."""
+        """``parts``: the component's table (`multidegree_parts`); None keeps one part."""
         self.arith = arith
         self.dim = dim
-        self._part_of, self._cols = parts if parts is not None and len(parts[1]) > 1 else (None, None)
+        self._part_of, self._cols = parts if parts is not None else _one_part(dim)
         self._pos = self._width = None  # of a block with parts, once rows arrive
-        sizes = [dim] if self._cols is None else [c.size for c in self._cols]
-        self._parts = None if full else [_Echelon(arith, n) for n in sizes]
+        self._parts = None if full else [_Echelon(arith, c.size) for c in self._cols]
         self.rank = dim if full else 0
         self._entries = None  # kept until the next insertion
 
@@ -425,8 +433,7 @@ class _Block:
 
     def _gather(self) -> Entries:
         """The pivot 1s and the nonzeros of each part's R, in degree columns."""
-        part_cols = self._cols if self._cols is not None else (np.arange(self.dim),)
-        parts = [(c, e) for c, e in zip(part_cols, self._parts) if e.rank]
+        parts = [(c, e) for c, e in zip(self._cols, self._parts) if e.rank]
         piv = np.concatenate([c[e.pivots] for c, e in parts] + [_NO_COLUMNS])
         at = np.empty(piv.size, dtype=np.intp)
         at[np.argsort(piv)] = np.arange(piv.size)
@@ -447,16 +454,14 @@ class _Block:
             np.concatenate(vals)[order],
         )
 
-    def _group(
-        self, m, error: type[Exception] | None = None
-    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def _group(self, m, strict: bool = False) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """The rows of m (dense, or `Entries`) by part: (k, rows, sub) for
         each part k that is not full and where m has entries. ``sub`` holds
         those rows of m on the part's columns, reduced, and ``rows`` their
-        indices in m. With ``error``, a row with entries in two parts raises
-        it before anything is returned; without, such a row gives a piece in
-        each part. In a one-part block every row is in the piece."""
-        if self._cols is None:
+        indices in m. A row with entries in two parts raises
+        `InternalSoundnessFailure` if ``strict``, else gives a piece in each
+        part. In a one-part block every row is in the piece."""
+        if len(self._cols) == 1:
             if self.rank == self.dim:
                 return []
             sub = m if isinstance(m, np.ndarray) else m.dense(self.arith)
@@ -471,8 +476,8 @@ class _Block:
         part = self._part_of[m.col]
         has = np.zeros((len(self._parts), m.shape[0]), dtype=bool)  # part k meets row r
         has[part, m.row] = True
-        if error is not None and (has.sum(axis=0) > 1).any():
-            raise error("a row has entries in two multidegree parts")
+        if strict and (has.sum(axis=0) > 1).any():
+            raise InternalSoundnessFailure("a row has entries in two multidegree parts")
         row, col, val = m.row, m.col, m.val
         full = [e.rank == e.dim for e in self._parts]
         if any(full):
@@ -503,7 +508,7 @@ class _Block:
         if self.full:
             return 0
         start = self.rank
-        for k, _, sub in self._group(m, InternalSoundnessFailure):
+        for k, _, sub in self._group(m, strict=True):
             self._parts[k].insert_matrix(sub)
         self.rank = sum(e.rank for e in self._parts)
         if self.rank > start:
@@ -511,52 +516,48 @@ class _Block:
         return self.rank - start
 
     def load(self, m: Entries) -> bool:
-        """Take the rows m as the rows of this empty block if they are in
-        canonical RREF: no zero row, strictly increasing monic pivots, zero
-        in the other pivot columns. Each part's piece is checked over its
-        own columns, whose ordinals increase. Returns whether they were;
-        raises `CorruptCacheEntry` if a row has entries in two multidegree
-        parts."""
-        lead = np.full(m.shape[0], -1)  # the pivot column of each row; -1: a zero row
-        checked = []
-        for k, rows, sub in self._group(m, CorruptCacheEntry):
-            nz = sub != 0
-            piv = nz.argmax(axis=1)
-            if not nz.any(axis=1).all():
-                return False
-            if (nz.sum(axis=0)[piv] != 1).any() or (sub[np.arange(piv.size), piv] != 1).any():
-                return False
-            lead[rows] = piv if self._cols is None else self._cols[k][piv]
-            checked.append((self._parts[k], sub, piv))
-        if (lead < 0).any() or (np.diff(lead) <= 0).any():
+        """Take the rows m as the rows of this empty block (`write`) if they
+        are canonical RREF as a block writes them, checked on the entries:
+        rows in order, none empty; columns strictly increasing in a row (so
+        none repeats); a 1 first in each row; strictly increasing pivots; no
+        other entry in a pivot column. Returns whether they were; raises
+        `CorruptCacheEntry` if a row has entries in two multidegree parts."""
+        row, col = m.row, m.col  # values are reduced where read: no copy of them all
+        off = np.diff(row, prepend=row[:1] - 1) == 0  # the entries after their row's first
+        piv = col[~off]
+        if not np.array_equal(row[~off], np.arange(m.shape[0])):
             return False
-        for e, sub, piv in checked:
-            e.pivots, e.free = piv, _other_columns(e.dim, piv)
-            e.R = sub[:, e.free]
-        self.rank = m.shape[0]
-        self._entries = None
-        return True
-
-    def load_differences(self, piv: np.ndarray, to: np.ndarray) -> None:
-        """Take as the rows of this empty block e_piv[r] - e_to[r], or e_piv[r]
-        where to[r] < 0, for increasing ordinals piv. Trusted to be canonical
-        RREF: each to[r] is above piv[r], in its part, and a column of no
-        row. Each part's `[I | R]` is written directly, with no matrix as
-        wide as the part."""
-        minus_one = self.arith.field.neg(self.arith.field.one)
+        if (self._part_of[col] != self._part_of[piv][row]).any():
+            raise CorruptCacheEntry("a row has entries in two multidegree parts")
         is_piv = np.zeros(self.dim, dtype=bool)
         is_piv[piv] = True
-        partner = np.empty(self.dim, dtype=np.intp)
-        partner[piv] = to
-        for e, c in zip(self._parts, self._cols if self._cols is not None else (np.arange(self.dim),)):
-            mask = is_piv[c]
-            if not mask.any():
-                continue
-            e.pivots, e.free = np.flatnonzero(mask), np.flatnonzero(~mask)
-            e.R = self.arith.zeros((e.pivots.size, e.free.size))
-            t = partner[c[e.pivots]]
-            r = np.flatnonzero(t >= 0)
-            e.R[r, np.searchsorted(c[e.free], t[r])] = minus_one
+        ordered = (np.diff(col)[off[1:]] > 0).all() and (np.diff(piv) > 0).all()
+        if not ordered or (self.arith.mod(m.val[~off]) != 1).any() or is_piv[col[off]].any():
+            return False
+        self.write(piv, row[off], col[off], self.arith.mod(m.val[off]))
+        return True
+
+    def write(self, piv: np.ndarray, row: np.ndarray, col: np.ndarray, val) -> None:
+        """Take as the rows of this empty block the canonical RREF rows with
+        increasing pivots piv and reduced values val at (row, col) off the
+        pivot columns, unchecked (`load` checks). Each part's `[I | R]` is
+        filled from the entries, its R a view of one buffer for all parts."""
+        part = self._part_of[piv]
+        rank = np.bincount(part, minlength=len(self._parts))
+        width = np.array([c.size for c in self._cols], dtype=np.intp) - rank  # free columns
+        size = rank * width
+        start, flat = np.cumsum(size) - size, self.arith.zeros(int(size.sum()))
+        base = np.empty(piv.size, dtype=np.intp)  # where each row of R starts in flat
+        free_at = np.empty(self.dim, dtype=np.intp)  # each free ordinal's column in R
+        order, end = np.argsort(part, kind="stable"), np.cumsum(rank)  # rows by part, in order
+        for k in np.flatnonzero(rank).tolist():
+            e, c, rows = self._parts[k], self._cols[k], order[end[k] - rank[k] : end[k]]
+            base[rows] = start[k] + np.arange(rows.size) * width[k]
+            e.pivots = np.searchsorted(c, piv[rows])
+            e.free = _other_columns(e.dim, e.pivots)
+            free_at[c[e.free]] = np.arange(e.free.size)
+            e.R = flat[start[k] : start[k] + size[k]].reshape(rank[k], width[k])  # filled below
+        flat[base[row] + free_at[col]] = val
         self.rank = piv.size
         self._entries = None
 
@@ -571,13 +572,8 @@ class _Block:
 
     def contains_matrix(self, m) -> Optional[int]:
         """Index of the first row of m (dense, or `Entries`) not in the span,
-        or None if all are."""
-        return self._first_outside(m)
-
-    def _first_outside(self, m) -> Optional[int]:
-        """`contains_matrix`, also called by `Subspace.contains`, so that a
-        wrapped `contains_matrix` sees block-level tests only. Each row is
-        reduced in every part where it has entries: exact for any row."""
+        or None if all are. Each row is reduced in every part where it has
+        entries: exact for any row."""
         if self.full:
             return None
         first = None
@@ -621,7 +617,7 @@ class Subspace:
 
     def contains(self, v: GradedVector) -> bool:
         self._check(v.spec)
-        return all(self.block(d)._first_outside(row[None, :]) is None for d, row in v.parts.items())
+        return all(self.block(d).contains_matrix(row[None, :]) is None for d, row in v.parts.items())
 
     def dim_at(self, d: int) -> int:
         if not 1 <= d <= self.spec.max_degree:

@@ -104,24 +104,28 @@ def test_m3_tower_retained_memory_d10():
 
 def test_m3_cache_round_trip_memory_d10():
     # Peak traced allocation of encoding the first level of (m=3,
-    # nil=2,2,2, D=10) and of decoding it. Degree-wide dense rows put
-    # encoding near 18 MB and decoding near 56 MB; rows read and loaded as
-    # entries, part by part, stay near 2 and 5 MB.
-    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=10)
-    level = DerivedTower(spec).level(1)
-    peaks = []
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        payload = subspace_to_payload(level)
-        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
-        tracemalloc.reset_peak()
-        restored = subspace_from_payload(spec, payload)
-        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
-    finally:
-        tracemalloc.stop()
-    assert restored.dims() == level.dims()
-    assert max(peaks) < 15, peaks
+    # nil=2,2,2) and of decoding it, at D=10 and 11. At D=10, degree-wide
+    # dense rows put encoding near 18 MB and decoding near 56 MB; rows read
+    # and loaded as entries, part by part, stay near 2 and 5 MB. Rows
+    # checked on their entries and written into each part's [I | R]
+    # directly decode D=11 near 4 MB; a dense check of each part took 11 MB.
+    for D, decode_bound in ((10, 15), (11, 6)):
+        spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=D)
+        level = DerivedTower(spec).level(1)
+        peaks = []
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            payload = subspace_to_payload(level)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            tracemalloc.reset_peak()
+            restored = subspace_from_payload(spec, payload)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+        assert restored.dims() == level.dims()
+        assert max(peaks) < 15, (D, peaks)
+        assert peaks[1] < decode_bound, (D, peaks)
 
 
 def test_nilpotency_not_found_is_a_value():

@@ -286,6 +286,18 @@ def _entry_in_pivot_column(rows):
     tall[i].append([tall[j][0][0], "1"])
 
 
+def _long_row(rows):
+    # a row of the tallest degree with a pair after its pivot pair
+    return next(r for r in _tallest(rows) if len(r) >= 2)
+
+
+def _swap_pairs(rows):
+    # a row's first two pairs change places: the rows still add up to a
+    # canonical matrix, but are not written as a block writes them
+    row = _long_row(rows)
+    row[0], row[1] = row[1], row[0]
+
+
 def _change_non_pivot(rows):
     # entries after a row's pivot sit in non-pivot columns; still canonical RREF
     entry = next(r for r in _tallest(rows) if len(r) > 1)[-1]
@@ -302,6 +314,8 @@ TAMPERS = {
     "rows out of pivot order": (lambda rows: _tallest(rows).reverse(), NOT_RREF),
     "entry in another pivot column": (_entry_in_pivot_column, NOT_RREF),
     "zero row": (lambda rows: _tallest(rows).append([]), NOT_RREF),
+    "pair repeated": (lambda rows: _long_row(rows).append(list(_long_row(rows)[-1])), NOT_RREF),
+    "pairs out of order in a row": (_swap_pairs, NOT_RREF),
     "ordinal out of range": (lambda rows: _tallest(rows)[0].append([10**6, "1"]), "an ordinal of degree"),
     "negative ordinal": (lambda rows: _tallest(rows)[0].append([-1, "1"]), "an ordinal of degree"),
     "bad coefficient": (lambda rows: _tallest(rows)[0][0].__setitem__(1, "one"), "undecodable rows: ValueError"),

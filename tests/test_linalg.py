@@ -386,6 +386,20 @@ def test_load_takes_canonical_rows_only(split):
     for bad in (swapped, monic, zero, rows[::-1]):
         loaded = new()
         assert not loaded.load(linalg.Entries.of(bad)) and loaded.rank == 0
+    # entries whose sum is a canonical matrix (or, with the repeat, the
+    # rows with one value doubled), but not in the form a block writes
+    e = blk.entries()
+    t = int(np.flatnonzero(np.bincount(e.row) >= 3)[0])
+    at = int(np.searchsorted(e.row, t))  # row t's pivot entry; two more follow
+    order = np.arange(e.row.size)
+    repeated = np.insert(order, at + 2, at + 2)
+    cols_swapped = order.copy()
+    cols_swapped[[at + 1, at + 2]] = order[[at + 2, at + 1]]
+    first_row_last = np.roll(order, -int(np.searchsorted(e.row, 1)))
+    for idx in (repeated, cols_swapped, first_row_last):
+        loaded = new()
+        bad = linalg.Entries(e.shape, e.row[idx], e.col[idx], e.val[idx])
+        assert not loaded.load(bad) and loaded.rank == 0
     loaded = new()
     assert loaded.load(blk.entries()) and loaded.rank == blk.rank
     assert np.array_equal(_rows(loaded), rows)
