@@ -216,9 +216,13 @@ def _insert_all(blk, mats: Iterable[Entries]) -> None:
 
 def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries]]) -> Subspace:
     """Insert candidates(out, f) into out's degree-f block for f = 1..D in
-    turn; the candidates may read out in degrees below f, already final."""
+    turn; the candidates may read out in degrees below f, already final.
+    A symmetric out is eliminated in one part of each orbit of the letter
+    permutations, and the rest of the degree is relabelled from those."""
     for f in range(1, out.spec.max_degree + 1):
-        _insert_all(out.block(f), candidates(out, f))
+        blk = out.block(f)
+        _insert_all(blk, candidates(out, f))
+        blk.relabel()
     return out
 
 
@@ -270,33 +274,31 @@ def _multiples(s: Subspace, e: int) -> Iterator[Entries]:
 
 
 def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspace:
-    """[prev, prev]. ``from_full`` requires prev to be the full space, and
-    writes [A, A] down in closed form (`_commutators`); otherwise every
-    split [prev_p, prev_q] is swept in, degree by degree."""
+    """[prev, prev], in prev's layout. ``from_full`` requires prev to be the
+    full space, and writes [A, A] down in closed form (`_commutators`);
+    otherwise every split [prev_p, prev_q] is swept in, degree by degree."""
+    out = Subspace(spec, multigraded=prev.multigraded, symmetric=prev.symmetric)
     if from_full:
-        return _commutators(spec, prev.multigraded)
-    return _sweep(
-        Subspace(spec, multigraded=prev.multigraded),
-        lambda out, f: _split_brackets(prev, f),
-    )
+        return _commutators(out)
+    return _sweep(out, lambda _, f: _split_brackets(prev, f))
 
 
-def _commutators(spec: AlgebraSpec, multigraded: bool) -> Subspace:
-    """[A, A] as its canonical RREF, with no elimination. For normal words,
-    [u, v] = uv - vu with each product zero or the concatenation, so
-    [A, A]_d is spanned by the words w with a rotation that is not normal
-    (then w is a bracket on its own) and by the differences of two
-    rotations of any other word. Each word of the first kind is thus a row
-    e_w; each other word w below the largest ordinal t of its rotation
-    class is a pivot with row e_w - e_t, and the class maxima are the free
-    columns. Words x^r, whose class is themselves, give no row.
+def _commutators(out: Subspace) -> Subspace:
+    """[A, A] written into the empty out as its canonical RREF, with no
+    elimination. For normal words, [u, v] = uv - vu with each product zero
+    or the concatenation, so [A, A]_d is spanned by the words w with a
+    rotation that is not normal (then w is a bracket on its own) and by the
+    differences of two rotations of any other word. Each word of the first
+    kind is thus a row e_w; each other word w below the largest ordinal t of
+    its rotation class is a pivot with row e_w - e_t, and the class maxima
+    are the free columns. Words x^r, whose class is themselves, give no row.
 
     A rotation of w fails to be normal exactly when w is not one run and
     its closing and opening runs, of one letter, reach that letter's nil
     exponent together. The other words are permuted by the one-letter
     rotation u b -> b u, read from the (1, d-1) product table; pointer
     doubling over it gives each class maximum in ceil(log2 d) steps."""
-    out = Subspace(spec, multigraded=multigraded)
+    spec = out.spec
     nil = np.asarray(spec.nil)
     letters = _words(spec.nil, 1).last
     at = np.zeros(spec.m + 1, dtype=np.intp)  # the degree-1 ordinal of each live letter

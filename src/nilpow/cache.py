@@ -10,9 +10,11 @@ stores the SHA-256 of its rows. Decoding turns the pairs into
 each multidegree part's `[I | R]`: neither direction forms a dense
 matrix. Corrupt or wrong-version entries behave as misses; so do entries
 whose rows do not match their digest, are not canonical RREF as a block
-writes it (pairs in ordinal order) or have a row across two multidegrees
-(the cached derived powers are multigraded), which
-`subspace_from_payload` rejects.
+writes it (pairs in ordinal order), have a row across two multidegrees
+(the cached derived powers are multigraded) or unequal ranks in two parts
+that a permutation of letters with equal nil exponents exchanges (the
+derived powers are symmetric), which `subspace_from_payload` rejects. The
+encoder canonicalizes each block first (`_Block.canonicalize`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def subspace_to_payload(s: Subspace) -> dict:
     fmt = s.spec.field.format_coeff
     rows = {}
     for d, r in s.dims():
-        e = s.block(d).entries()
+        blk = s.block(d)
+        blk.canonicalize()
+        e = blk.entries()
         pairs = [[o, fmt(c)] for o, c in zip(e.col.tolist(), e.val.tolist())]
         at = np.searchsorted(e.row, np.arange(r + 1)).tolist()  # where each row's pairs start
         rows[str(d)] = [pairs[lo:hi] for lo, hi in zip(at, at[1:])]
@@ -65,10 +69,11 @@ def subspace_to_payload(s: Subspace) -> dict:
 
 
 def subspace_from_payload(spec: AlgebraSpec, payload: dict) -> Subspace:
-    """Decode a payload into a multigraded subspace, taking each degree's
-    rows as they are; raises `CorruptCacheEntry` unless they match the
-    stored digest, are in canonical RREF and are each multihomogeneous."""
-    s = Subspace(spec)
+    """Decode a payload into a multigraded, symmetric subspace, taking each
+    degree's rows as they are; raises `CorruptCacheEntry` unless they match
+    the stored digest, are in canonical RREF, are each multihomogeneous and
+    have equal ranks in the parts of each orbit of the letter permutations."""
+    s = Subspace(spec, symmetric=True)
     f = spec.field
     try:
         if payload["digest"] != _rows_digest(payload["rows"]):

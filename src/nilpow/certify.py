@@ -27,6 +27,7 @@ import numpy as np
 
 from .algebra import (
     DerivedTower,
+    _brackets,
     _derived_step,
     _word_brackets,
     bracket,
@@ -40,7 +41,7 @@ from .errors import (
     InternalSoundnessFailure,
     NotALieIdeal,
 )
-from .linalg import GradedVector, Subspace, span
+from .linalg import Entries, GradedVector, Subspace, span
 from .words import AlgebraSpec, dim_component, format_word, normal_words
 
 VERIFIED = "VERIFIED"
@@ -234,7 +235,9 @@ def _first_escape(
     w a basis word of degree f - e >= lo. Returns the rows tested and, for
     the first bracket outside u, the fields w, v (word r of degree e), r, e
     and f; None if every bracket lies in u. Each run of words is one
-    membership test; the count stops at the word of the first escape."""
+    membership test; the count stops at the word of the first escape. Which
+    word escapes first does not depend on the basis of s_e, but which row
+    does: it is named among the canonical rows."""
     spec = u.spec
     checked = 0
     for f in degrees:
@@ -246,9 +249,16 @@ def _first_escape(
             e = f - d
             n = s.dim_at(e)
             checked += (r // n + 1) * n
-            w = format_word(spec, normal_words(spec, d)[a + r // n])
-            v = format_word(spec, normal_words(spec, e)[r % n])
-            return checked, dict(w=w, v=v, r=r % n, e=e, f=f)
+            a, r = a + r // n, r % n
+            rows = s.block(e)
+            if rows.canonicalize():  # relabelled rows: test the word again on the canonical ones
+                one = np.zeros(1, dtype=np.intp)
+                word = Entries((1, dim_component(spec, d)), one, one + a, np.full(1, spec.field.one))
+                [(_, m)] = _brackets(spec, d, e, word, rows.entries())
+                r = u.block(f).contains_matrix(m)
+            w = format_word(spec, normal_words(spec, d)[a])
+            v = format_word(spec, normal_words(spec, e)[r])
+            return checked, dict(w=w, v=v, r=r, e=e, f=f)
     return checked, None
 
 

@@ -3,7 +3,8 @@
 Elements are `GradedVector`s: one dense coefficient row per nonzero degree
 over the normal-word basis. Subspaces keep one reduced-row-echelon block per
 degree (monic pivots, fully back-reduced, rows sorted by pivot ordinal), so
-equal subspaces have literally equal rows and every certificate is canonical.
+equal subspaces have literally equal rows, once canonicalized (below), and
+every certificate is canonical.
 
 The relations are multihomogeneous, so the derived powers and the closures
 built from them are spanned by multihomogeneous rows. A subspace built only
@@ -15,13 +16,32 @@ Membership reduces a row in every part where it has entries, so it is exact
 for any row. Other subspaces keep one part. A subspace's layout is fixed
 when `span`, a sweep, the closed form of [A, A] or the cache builds it.
 
+A permutation of the letters that keeps every nil exponent is an
+automorphism of the algebra. A *symmetric* subspace is one that all of them
+map to itself: the full space, [A, A] in closed form, the derived step of a
+symmetric level, the closures of a symmetric subspace, whose copy keeps its
+layout, and the derived powers a tower decodes from the cache. The
+permutations map each multidegree part onto one of the same width
+(`words.letter_orbits`). A sweep into a symmetric subspace eliminates one
+part of each orbit of parts wider than one column and leaves the others out
+of its insertions, as it leaves full parts out; after each degree
+`_Block.relabel` fills them from that part by moving its pivots, free
+columns and R to the permuted columns. A relabelled part holds a reduced
+basis (the identity on its pivot columns) that need not be canonical RREF.
+Membership, containment and the readers of rows (bracket candidates,
+multiples) do not depend on the basis. Where rows leave the engine
+(`Subspace.basis_vectors`, the cache encoder and the row that
+`certify._first_escape` names) `_Block.canonicalize` re-eliminates the
+relabelled parts, once. So rows are canonical only after canonicalization.
+
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
 exactness bound inner*(p-1)^2 < 2^53 holds; elementwise, residue +
 residue*residue is exact as `Field` admits only p < 2^31), `Fraction`
 object arrays for Q. Candidate rows travel as `Entries`: (row, column,
 value) triples, unreduced, that add up where they meet. Rows leave a block
-only this way (`_Block.entries`, in degree columns and pivot order): the
+only this way (`_Block.entries`, in degree columns, sorted by row, rows in
+pivot order; the columns of a row are in order only once canonical): the
 bracket generators, membership of one subspace in another and the cache
 read them so. `_Block.insert_matrix` groups a batch of candidate entries
 by part and scatters them into one dense matrix per part over that part's
@@ -56,7 +76,7 @@ import numpy as np
 
 from .errors import CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
 from .fields import Coeff, Field
-from .words import AlgebraSpec, Word, dim_component, multidegree_parts, word_index
+from .words import AlgebraSpec, Word, dim_component, letter_orbits, multidegree_parts, word_index
 
 _FRACTION_ZERO = Fraction(0)
 # candidate rows per step of the elimination kernel (`_Echelon.insert_matrix`)
@@ -270,9 +290,10 @@ _NO_COLUMNS = np.empty(0, dtype=np.intp)
 class _Echelon:
     """Canonical RREF rows over one set of columns, grown by the blocked
     kernel: row r is 1 at ``pivots[r]`` and ``R[r]`` at ``free``, both
-    sorted. An empty part keeps None for ``free`` and ``R``; a full part
-    keeps an R of no columns. A stored array is never written in place, so
-    copies of a block may share them."""
+    sorted. Relabelled rows (`_Block.relabel`) have this form too, but R may
+    have entries left of a row's pivot. An empty part keeps None for
+    ``free`` and ``R``; a full part keeps an R of no columns. A stored array
+    is never written in place, so copies of a block may share them."""
 
     __slots__ = ("arith", "dim", "pivots", "free", "R")
 
@@ -401,12 +422,19 @@ class _Block:
     """RREF rows of one graded component. A multigraded block keeps one
     `_Echelon` per multidegree part, over that part's columns; any other
     block keeps one over all columns (`_one_part`). A block built full keeps
-    no rows. Rows enter through the kernel or, canonical already, `write`."""
+    no rows. Rows enter through the kernel or, canonical already, `write`.
+    A block of a symmetric subspace also has ``orbits``: the parts that its
+    insertions leave out and `relabel` fills, which a sweep calls after each
+    degree; its candidates must span a space that the letter permutations
+    keep, and its rank counts those parts at their sources' rank."""
 
-    __slots__ = ("arith", "dim", "rank", "_part_of", "_cols", "_pos", "_width", "_parts", "_entries")
+    __slots__ = (
+        "arith", "dim", "rank", "_part_of", "_cols", "_pos", "_width", "_parts", "_entries", "_orbits", "_relabelled"
+    )
 
-    def __init__(self, arith: _Arith, dim: int, full: bool = False, parts=None):
-        """``parts``: the component's table (`multidegree_parts`); None keeps one part."""
+    def __init__(self, arith: _Arith, dim: int, full: bool = False, parts=None, orbits=None):
+        """``parts``: the component's table (`multidegree_parts`); None keeps
+        one part. ``orbits``: the parts that `relabel` fills (`letter_orbits`)."""
         self.arith = arith
         self.dim = dim
         self._part_of, self._cols = parts if parts is not None else _one_part(dim)
@@ -414,6 +442,8 @@ class _Block:
         self._parts = None if full else [_Echelon(arith, c.size) for c in self._cols]
         self.rank = dim if full else 0
         self._entries = None  # kept until the next insertion
+        self._orbits = orbits
+        self._relabelled = None if orbits is None else np.zeros(orbits.target.size, dtype=bool)  # by target
 
     @property
     def full(self) -> bool:
@@ -421,9 +451,10 @@ class _Block:
         return self.rank == self.dim
 
     def entries(self) -> Entries:
-        """The RREF rows as entries in degree columns, sorted by row and,
-        within a row, by column; rows are in pivot order. The one way rows
-        leave a block, so no degree-wide matrix is formed."""
+        """The rows as entries in degree columns, sorted by row; rows are in
+        pivot order. Within a row the columns are in order where the rows
+        are canonical RREF, which relabelled ones need not be (`relabel`).
+        The one way rows leave a block, so no degree-wide matrix is formed."""
         if self._parts is None:
             i = np.arange(self.dim)
             return Entries((self.dim, self.dim), i, i, np.full(self.dim, self.arith.field.one))
@@ -437,7 +468,7 @@ class _Block:
         piv = np.concatenate([c[e.pivots] for c, e in parts] + [_NO_COLUMNS])
         at = np.empty(piv.size, dtype=np.intp)
         at[np.argsort(piv)] = np.arange(piv.size)
-        # pivots first, so a stable sort by row keeps each row's columns in order
+        # pivots first, so a stable sort by row keeps each canonical row's columns in order
         rows, cols, vals = [at], [piv], [np.full(piv.size, self.arith.field.one)]
         r0 = 0
         for c, e in parts:
@@ -454,13 +485,15 @@ class _Block:
             np.concatenate(vals)[order],
         )
 
-    def _group(self, m, strict: bool = False) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def _group(self, m, insert: bool = False) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """The rows of m (dense, or `Entries`) by part: (k, rows, sub) for
         each part k that is not full and where m has entries. ``sub`` holds
         those rows of m on the part's columns, reduced, and ``rows`` their
-        indices in m. A row with entries in two parts raises
-        `InternalSoundnessFailure` if ``strict``, else gives a piece in each
-        part. In a one-part block every row is in the piece."""
+        indices in m. For an insertion (``insert``), a row with entries in
+        two parts raises `InternalSoundnessFailure` and the parts that
+        `relabel` fills are left out as full ones are; otherwise such a row
+        gives a piece in each part. In a one-part block every row is in the
+        piece."""
         if len(self._cols) == 1:
             if self.rank == self.dim:
                 return []
@@ -476,10 +509,13 @@ class _Block:
         part = self._part_of[m.col]
         has = np.zeros((len(self._parts), m.shape[0]), dtype=bool)  # part k meets row r
         has[part, m.row] = True
-        if strict and (has.sum(axis=0) > 1).any():
+        if insert and (has.sum(axis=0) > 1).any():
             raise InternalSoundnessFailure("a row has entries in two multidegree parts")
         row, col, val = m.row, m.col, m.val
         full = [e.rank == e.dim for e in self._parts]
+        if insert and self._orbits is not None:
+            full = np.array(full)
+            full[self._orbits.target] = True
         if any(full):
             has[full] = False
             live = has[part, row]
@@ -508,12 +544,84 @@ class _Block:
         if self.full:
             return 0
         start = self.rank
-        for k, _, sub in self._group(m, strict=True):
+        for k, _, sub in self._group(m, insert=True):
             self._parts[k].insert_matrix(sub)
-        self.rank = sum(e.rank for e in self._parts)
+        if self._orbits is None:
+            self.rank = sum(e.rank for e in self._parts)
+        else:  # a part that `relabel` fills will have its source's rank
+            self.rank = sum(self._parts[k].rank for k in self._orbits.like)
         if self.rank > start:
             self._entries = None
         return self.rank - start
+
+    def relabel(self) -> None:
+        """Fill each part that the letter permutations take another part
+        to (``orbits``) from that source part, where their ranks differ: a
+        permutation taking the source's columns to the target's takes its
+        rows to rows of the target, as the row space is invariant. So the
+        rows are relabelled, not eliminated: a pivot column stays a pivot
+        column and R keeps its entries, moved to the relabelled columns.
+        The rows are a reduced basis but need not be canonical RREF
+        (`canonicalize`). One pass gathers the R of all targets from the
+        sources' R at once."""
+        o = self._orbits
+        if o is None:
+            return
+        ranks = np.array([e.rank for e in self._parts])
+        stale = ranks[o.target] != ranks[o.source]
+        if not stale.any():
+            return
+        # on degree columns: whether a source column is a pivot, and where its
+        # row begins in the sources' R laid end to end, or its column in R
+        is_piv, at = np.zeros(self.dim, dtype=bool), np.empty(self.dim, dtype=np.intp)
+        flat, base = [], 0
+        for k in dict.fromkeys(o.source[stale].tolist()):
+            e, c = self._parts[k], self._cols[k]
+            is_piv[c[e.pivots]] = True
+            at[c[e.pivots]] = base + np.arange(e.rank) * e.free.size
+            at[c[e.free]] = np.arange(e.free.size)
+            flat.append(e.R.ravel())
+            base += e.R.size
+        live = stale[o.owner]
+        src, owner, pos = o.src[live], o.owner[live], o.pos[live]
+        piv = is_piv[src]
+        pivots, free = pos[piv], pos[~piv]
+        rank = np.bincount(owner[piv], minlength=stale.size)
+        width = np.bincount(owner[~piv], minlength=stale.size)  # free columns
+        # entry (r, j) of target i's R is its source's at the source columns
+        # of the target's r-th pivot and j-th free column
+        size = rank * width
+        of = np.repeat(np.arange(stale.size), size)  # the target of each entry
+        r, j = np.divmod(np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size), width[of])
+        rows, cols = at[src[piv]], at[src[~piv]]
+        R = np.concatenate(flat)[rows[(np.cumsum(rank) - rank)[of] + r] + cols[(np.cumsum(width) - width)[of] + j]]
+        p0 = f0 = r0 = 0
+        for i in np.flatnonzero(stale).tolist():
+            e = self._parts[o.target[i]]
+            e.pivots, e.free = pivots[p0 : p0 + rank[i]], free[f0 : f0 + width[i]]
+            e.R = R[r0 : r0 + size[i]].reshape(rank[i], width[i])
+            p0, f0, r0 = p0 + rank[i], f0 + width[i], r0 + size[i]
+        self._relabelled = self._relabelled | stale
+        self._entries = None
+
+    def canonicalize(self) -> bool:
+        """Put the rows of the parts that `relabel` filled in canonical RREF,
+        once; returns whether there were such parts. Called where rows leave
+        the engine, so that they leave canonical."""
+        if self._relabelled is None or not self._relabelled.any():
+            return False
+        for t in self._orbits.target[self._relabelled].tolist():
+            e = self._parts[t]
+            if not (e.R[e.free[None, :] < e.pivots[:, None]] != 0).any():
+                continue  # no entry left of its row's pivot: canonical already
+            m = self.arith.zeros((e.rank, e.dim))
+            m[np.arange(e.rank), e.pivots] = self.arith.field.one
+            m[:, e.free] = e.R
+            c = _rref(self.arith, m)
+            e.pivots, e.free, e.R = c.pivots, c.free, c.R
+        self._relabelled = np.zeros_like(self._relabelled)
+        self._entries = None
+        return True
 
     def load(self, m: Entries) -> bool:
         """Take the rows m as the rows of this empty block (`write`) if they
@@ -535,6 +643,10 @@ class _Block:
         if not ordered or (self.arith.mod(m.val[~off]) != 1).any() or is_piv[col[off]].any():
             return False
         self.write(piv, row[off], col[off], self.arith.mod(m.val[off]))
+        if self._orbits is not None:
+            rank = np.array([e.rank for e in self._parts])
+            if (rank[self._orbits.target] != rank[self._orbits.source]).any():
+                raise CorruptCacheEntry("the rows are not invariant under the letter permutations")
         return True
 
     def write(self, piv: np.ndarray, row: np.ndarray, col: np.ndarray, val) -> None:
@@ -592,12 +704,17 @@ class Subspace:
     splits its blocks by multidegree and takes multihomogeneous rows only;
     the layout is fixed when the subspace is built."""
 
-    def __init__(self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True):
+    def __init__(
+        self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True, symmetric: Optional[bool] = None
+    ):
+        """``symmetric``: the subspace is invariant under the permutations of
+        letters with equal nil exponents; by default, when it is full."""
         self.spec = spec
         self.arith = _Arith(spec.field)
         self._blocks: dict[int, _Block] = {}
         self._full = full
         self.multigraded = multigraded
+        self.symmetric = full if symmetric is None else symmetric
 
     @classmethod
     def full_space(cls, spec: AlgebraSpec) -> "Subspace":
@@ -605,8 +722,11 @@ class Subspace:
 
     def block(self, d: int) -> _Block:
         if d not in self._blocks:
-            parts = multidegree_parts(self.spec, d) if self.multigraded and not self._full else None
-            self._blocks[d] = _Block(self.arith, dim_component(self.spec, d), self._full, parts)
+            parts = orbits = None
+            if self.multigraded and not self._full:
+                parts = multidegree_parts(self.spec, d)
+                orbits = letter_orbits(self.spec, d) if self.symmetric else None
+            self._blocks[d] = _Block(self.arith, dim_component(self.spec, d), self._full, parts, orbits)
         return self._blocks[d]
 
     def _check(self, spec: AlgebraSpec) -> None:
@@ -653,12 +773,15 @@ class Subspace:
         return True
 
     def basis_vectors(self, d: int) -> list[GradedVector]:
+        """The canonical RREF rows of degree d."""
         if self.dim_at(d) == 0:
             return []
-        return [GradedVector(self.spec, {d: row}) for row in self.block(d).entries().dense(self.arith)]
+        blk = self.block(d)
+        blk.canonicalize()
+        return [GradedVector(self.spec, {d: row}) for row in blk.entries().dense(self.arith)]
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.spec, full=self._full, multigraded=self.multigraded)
+        out = Subspace(self.spec, full=self._full, multigraded=self.multigraded, symmetric=self.symmetric)
         out._blocks = {d: blk.copy() for d, blk in self._blocks.items()}
         return out
 

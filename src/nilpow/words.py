@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, NotNormal, TruncationOverflow
+from .errors import DegreeOutOfRange, InternalSoundnessFailure, NotNormal, TruncationOverflow
 from .fields import DEFAULT_PRIME, Field
 
 Word = tuple[int, ...]
@@ -176,6 +176,100 @@ def _parts(nil: tuple[int, ...], d: int) -> tuple[np.ndarray, tuple[np.ndarray, 
     part_of = _words(nil, d).part
     (order,) = _frozen((np.argsort(part_of, kind="stable"),))
     return part_of, tuple(np.split(order, np.cumsum(np.bincount(part_of))[:-1])) if order.size else ()
+
+
+class _Orbits(NamedTuple):
+    """How the parts of one degree that relabelling fills come from others.
+
+    A permutation of the live letters that keeps every nil exponent maps
+    normal words to normal words and each multidegree part onto one of the
+    same width. ``target[i]`` is a part wider than one column that is not
+    the first part of its orbit, ``source[i]`` that first part. Over the
+    columns of the targets in turn, each in increasing order, ``src`` is the
+    source ordinal that a permutation taking ``source[i]`` to ``target[i]``
+    maps there, ``owner`` the i of the column and ``pos`` its place in its
+    part. ``like[k]`` is the source of part k if k is a target, else k."""
+
+    target: np.ndarray
+    source: np.ndarray
+    src: np.ndarray
+    owner: np.ndarray
+    pos: np.ndarray
+    like: list
+
+
+@lru_cache(maxsize=None)
+def _swaps(nil: tuple[int, ...]) -> np.ndarray:
+    """The transpositions (a b) of live letters a < b with equal nil
+    exponents and no letter of that exponent between them, one row each of
+    the images of the letters 0..m (0, the empty word's, is kept). They
+    generate the letter permutations that keep every nil exponent."""
+    m = len(nil)
+    rows = []
+    for a in range(1, m + 1):
+        b = next((b for b in range(a + 1, m + 1) if nil[b - 1] == nil[a - 1]), None)
+        if b is not None and nil[a - 1] > 1:
+            row = np.arange(m + 1)
+            row[[a, b]] = b, a
+            rows.append(row)
+    return np.array(rows, dtype=np.intp).reshape(-1, m + 1)
+
+
+@lru_cache(maxsize=None)
+def _swap_maps(nil: tuple[int, ...], d: int) -> np.ndarray:
+    """Row g: the ordinal of σ(w) for each degree-d word w, σ = row g of
+    `_swaps`. σ(w) is σ(w's parent) followed by σ(w's last letter)."""
+    swaps = _swaps(nil)
+    if d == 0:
+        return np.zeros((len(swaps), 1), dtype=np.intp)
+    w, up = _words(nil, d), _swap_maps(nil, d - 1)
+    child = np.full((up.shape[1], len(nil) + 1), -1, dtype=np.intp)  # the ordinal of (parent, letter)
+    child[w.parent, w.last] = np.arange(w.last.size)
+    return child[up[:, w.parent], swaps[:, w.last]]
+
+
+def letter_orbits(spec: AlgebraSpec, d: int) -> Optional[_Orbits]:
+    """The degree-d parts that relabelling fills (`_Orbits`); None if there
+    are none. Shared and read-only."""
+    _check_degree(spec, d)
+    return _orbits(spec.nil, d)
+
+
+@lru_cache(maxsize=None)
+def _orbits(nil: tuple[int, ...], d: int) -> Optional[_Orbits]:
+    part_of, cols = _parts(nil, d)
+    maps = _swap_maps(nil, d)
+    target, source, image = [], [], []
+    for k in range(len(cols)):
+        if k in target or cols[k].size == 1:  # one column: eliminated as it is
+            continue
+        at, todo = {k: cols[k]}, [k]  # by part of the orbit: the ordinals that k's columns map to
+        while todo:
+            j = todo.pop()
+            for g in maps:
+                img = g[at[j]]
+                t = int(part_of[img[0]])
+                if t not in at:
+                    at[t] = img
+                    todo.append(t)
+                    target.append(t)
+                    source.append(k)
+                    image.append(img)
+    if not target:
+        return None
+    src, owner, pos = [], [], []
+    for i, (t, k, img) in enumerate(zip(target, source, image)):
+        order = np.argsort(img)
+        if not np.array_equal(img[order], cols[t]):
+            raise InternalSoundnessFailure(f"a letter permutation does not map part {k} onto part {t}")
+        src.append(cols[k][order])
+        owner.append(np.full(order.size, i))
+        pos.append(np.arange(order.size))
+    like = list(range(len(cols)))
+    for t, k in zip(target, source):
+        like[t] = k
+    tables = _frozen([np.array(target), np.array(source), *map(np.concatenate, (src, owner, pos))])
+    return _Orbits(*tables, like)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilpow.algebra
@@ -229,6 +229,13 @@ def _same_rows(a, b):
     return same and a.val.tolist() == b.val.tolist()
 
 
+def _canonical(s, d):
+    """The degree-d rows of s as entries, relabelled parts made canonical."""
+    blk = s.block(d)
+    blk.canonicalize()
+    return blk.entries()
+
+
 @given(
     st.integers(1, 3).flatmap(lambda m: st.lists(st.integers(1, 4), min_size=m, max_size=m)),
     st.integers(1, 9),
@@ -245,9 +252,51 @@ def test_commutators_match_all_splits_sweep(nil, top, p, multigraded):
         spec = AlgebraSpec(m=spec.m, nil=spec.nil, field=spec.field, max_degree=spec.max_degree - 1)
     full = Subspace(spec, full=True, multigraded=multigraded)
     closed = _derived_step(spec, full, from_full=True)
-    swept = _derived_step(spec, full, from_full=False)
+    swept = _derived_step(spec, full, from_full=False)  # symmetric, as the full space is
     for d in range(1, spec.max_degree + 1):
-        assert _same_rows(closed.block(d).entries(), swept.block(d).entries()), (spec, d)
+        assert _same_rows(_canonical(closed, d), _canonical(swept, d)), (spec, d)
+
+
+@st.composite
+def _equal_exponent_specs(draw):
+    """Specs where two nil exponents are equal: m <= 3 with exponents 1..4
+    (some degrees then have no words), or (4; 2,2,2,2); D is lowered until
+    the top degree has at most 1000 words (200 over Q)."""
+    p = draw(st.sampled_from([5, 32003, None]))
+    m = draw(st.integers(2, 4))
+    if m == 4:
+        nil, top = [2, 2, 2, 2], draw(st.integers(1, 6))
+    else:
+        nil = draw(st.lists(st.integers(1, 4), min_size=m - 1, max_size=m - 1))
+        nil.insert(draw(st.integers(0, m - 1)), draw(st.sampled_from(nil)))
+        top = draw(st.integers(1, 10))
+    spec = AlgebraSpec(m=m, nil=tuple(nil), field=Field(p), max_degree=top)
+    while spec.max_degree > 1 and dim_component(spec, spec.max_degree) > (1000 if p else 200):
+        spec = AlgebraSpec(m=m, nil=spec.nil, field=spec.field, max_degree=spec.max_degree - 1)
+    return spec
+
+
+@settings(max_examples=40)
+@given(_equal_exponent_specs())
+@example(AlgebraSpec(m=3, nil=(2, 2, 2), field=Field(5), max_degree=9))
+@example(AlgebraSpec(m=3, nil=(2, 2, 3), field=Field(None), max_degree=6))
+@example(AlgebraSpec(m=4, nil=(2, 2, 2, 2), field=Field(32003), max_degree=6))
+@example(AlgebraSpec(m=3, nil=(1, 3, 3), field=Field(32003), max_degree=8))
+@example(AlgebraSpec(m=2, nil=(1, 1), field=Field(5), max_degree=1))
+def test_relabelled_tower_matches_eliminated_tower(spec):
+    # Levels 1..3 and the ideals of levels 2 and 3, relabelled from one part
+    # of each orbit of the letter permutations, against the same built from
+    # a full space that is not symmetric, where every part is eliminated:
+    # equal dims and, once canonicalized, equal rows entry for entry.
+    relabelled, eliminated = DerivedTower(spec), DerivedTower(spec)
+    eliminated.levels[0] = Subspace(spec, full=True, symmetric=False)
+    built = [lambda t, i=i: t.level(i) for i in (1, 2, 3)] + [lambda t, k=k: t.ideal(k) for k in (2, 3)]
+    for get in built:
+        a, b = get(relabelled), get(eliminated)
+        assert a.symmetric and not b.symmetric
+        assert a.dims(all_degrees=True) == b.dims(all_degrees=True)
+        for d in range(1, spec.max_degree + 1):
+            assert _same_rows(_canonical(a, d), b.block(d).entries()), (spec, d)
 
 
 @pytest.mark.parametrize(

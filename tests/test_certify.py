@@ -334,6 +334,17 @@ def test_first_escape_across_run_boundaries(monkeypatch, buffer):
     assert nilpow.certify._first_escape(u, span(spec, [xx, xy]), range(2, 6)) == (4, hit)
 
 
+def test_first_escape_names_the_canonical_row():
+    # id(A^(2)) of (3; 2,2,3) is relabelled in degree 5, where the first
+    # escape lies. Which word escapes first does not depend on the rows'
+    # basis, but which row does: the report names the canonical one, as
+    # before relabelling (a relabelled basis names row 17, xzyxz).
+    t = DerivedTower(AlgebraSpec(m=3, nil=(2, 2, 3), max_degree=8))
+    assert t.ideal(2).block(5)._relabelled.any()
+    hit = dict(w="xyx", v="xzyzy", r=19, e=5, f=8)
+    assert nilpow.certify._first_escape(t.level(2), t.ideal(2), range(2, 9), lo=3) == (91, hit)
+
+
 @pytest.mark.parametrize("buffer", BUFFERS)
 def test_degree_split_reports_do_not_depend_on_runs(monkeypatch, buffer):
     # the same reports, passing or not, as under the default run lengths

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -9,7 +10,7 @@ from nilpow import AlgebraSpec, DerivedTower, Field
 from nilpow.cache import _rows_digest, cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
 from nilpow.cli import certificate_schema, main
 from nilpow.errors import CorruptCacheEntry
-from nilpow.words import multidegree_parts
+from nilpow.words import letter_orbits, multidegree_parts
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +249,30 @@ def test_cache_round_trip(tmp_path):
             assert restored.equal_at(s, d)
 
 
+# The SHA-256 of each entry that `dims --levels 3` writes for (3; 2,2,2) at
+# D=10, as written when every multidegree part was eliminated: relabelled
+# parts leave the engine canonical, byte for byte.
+M3_CACHE_ENTRIES = {
+    "22b69add7d7c7ec28296bf9991e220257ac8e718b26bb8c7d3f7a4ab5a5553b1.json": (
+        "7ce9ceb50c43e68a04b2c13e9aa9a9aceb4465494b4d018abf10cfb0d1cec60c"
+    ),
+    "86da578d59229335856a64de9abad96b84675dce9261a6dfd73fc0363c7ed2b4.json": (
+        "6517730ca4289d06c2642d03c3a4ef5534aa37e7ca75b4d1fc4f79eb9ee76c6b"
+    ),
+    "9da9f9d1a0792a4f86318c02f74cd2e35d44eab36df67e7ba1528de385400ff8.json": (
+        "0be7fa1614f015f20042bcd7fc0010b2f89560d7819493bd26a7a2325f2231ae"
+    ),
+}
+
+
+def test_m3_cache_entries_are_pinned(capsys, tmp_path):
+    argv = ["dims", "--generators", "3", "--nil", "2,2,2", "--max-degree", "10", "--levels", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == M3_CACHE_ENTRIES
+    assert run_cli(capsys, *argv, "--cache", str(tmp_path))[:2] == (0, out)  # read back
+
+
 def test_cache_miss_on_empty(tmp_path):
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
     assert cache_get(tmp_path, cache_key(spec, "derived[1]")) is None
@@ -368,6 +393,31 @@ def test_entry_across_multidegrees_is_a_miss(capsys, tmp_path):
     payload["digest"] = _rows_digest(payload["rows"])
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptCacheEntry, match="two multidegree parts"):
+        subspace_from_payload(spec, payload)
+    code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
+    assert code == 0 and out == plain
+    assert "warning: ignoring cache entry" in err
+
+
+def test_entry_not_invariant_is_a_miss(capsys, tmp_path):
+    # a row dropped from a part that relabelling fills leaves the rows in
+    # canonical RREF, and the recomputed digest matches: only the rank check
+    # of the load, part against the source of its orbit, rejects it; an
+    # entry taken as it is would change the dims
+    args = ["dims", "--generators", "2", "--nil", "3,3", "--max-degree", "7", "--levels", "2"]
+    _, plain, _ = run_cli(capsys, *args)
+    run_cli(capsys, *args, "--cache", str(tmp_path))
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=7)
+    path = tmp_path / f"{cache_key(spec, 'derived[1]')}.json"
+    payload = json.loads(path.read_text())
+    d = next(d for d in range(1, 8) if letter_orbits(spec, d) is not None)
+    part_of, _ = multidegree_parts(spec, d)
+    target = letter_orbits(spec, d).target[0]
+    rows = payload["rows"][str(d)]
+    rows.remove(next(row for row in rows if part_of[row[0][0]] == target))
+    payload["digest"] = _rows_digest(payload["rows"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptCacheEntry, match="not invariant"):
         subspace_from_payload(spec, payload)
     code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
     assert code == 0 and out == plain

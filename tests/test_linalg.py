@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilpow import AlgebraSpec, Field, GradedVector, Subspace, linalg, span
+from nilpow import AlgebraSpec, DerivedTower, Field, GradedVector, Subspace, linalg, span
 from nilpow.cache import subspace_to_payload
 from nilpow.errors import CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
-from nilpow.words import multidegree_parts
+from nilpow.words import letter_orbits, multidegree_parts
 
 from dense_oracle import Oracle
 
@@ -363,6 +363,52 @@ def test_multigraded_guards():
     with pytest.raises(CorruptCacheEntry):
         blk.load(linalg.Entries.of(two_parts))
     assert blk.rank == 0
+
+
+def test_symmetric_block_guards():
+    # an insertion leaves out the parts that relabelling fills, but a row
+    # across two parts still raises when one of them, or both, is left out
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=5)
+    orbits = letter_orbits(spec, 4)
+    _, cols = multidegree_parts(spec, 4)
+    t0, t1 = orbits.target[:2].tolist()
+    k = orbits.source[0]
+    for a, b in [(t0, k), (t0, t1)]:
+        s = Subspace(spec, symmetric=True)
+        row = np.zeros((1, s.block(4).dim), dtype=np.int64)
+        row[0, [cols[a][0], cols[b][0]]] = 1
+        with pytest.raises(InternalSoundnessFailure):
+            s.block(4).insert_matrix(row)
+        assert s.block(4).rank == 0
+    # a row in a left-out part only is dropped; relabelling fills that part
+    # from its source, and the block's rank counts it from the start
+    blk = Subspace(spec, symmetric=True).block(4)
+    only = np.zeros((1, blk.dim), dtype=np.int64)
+    only[0, cols[t0][0]] = 1
+    assert blk.insert_matrix(only) == 0
+    grew = blk.insert_matrix(np.eye(blk.dim, dtype=np.int64)[cols[k][:1]])
+    assert grew == 1 + (orbits.source == k).sum() and blk.rank == grew
+    blk.relabel()
+    assert _rows(blk).shape[0] == grew
+    assert blk.contains_matrix(only) is None
+    assert all(blk.contains_matrix(np.eye(blk.dim, dtype=np.int64)[[c[0]]]) is None for c in (cols[k], cols[t0]))
+
+
+def test_relabelled_rows_leave_canonical():
+    # relabelled parts hold a reduced basis that is not canonical RREF here;
+    # `canonicalize` makes it canonical once, and the engine's exits call it
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)
+    level = DerivedTower(spec).level(2)
+    eliminated = DerivedTower(spec)
+    eliminated.levels[0] = Subspace(spec, full=True, symmetric=False)
+    plain = eliminated.level(2)
+    assert level.symmetric and not plain.symmetric and not span(spec, []).symmetric
+    changed = [d for d in range(1, 9) if not np.array_equal(_rows(level.block(d)), _rows(plain.block(d)))]
+    assert changed
+    for d in changed:
+        assert level.basis_vectors(d) == plain.basis_vectors(d)
+        assert not level.block(d).canonicalize()  # once only
+    assert subspace_to_payload(level) == subspace_to_payload(plain)
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["parts", "one-part"])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from nilpow import AlgebraSpec, concat, dim_component, format_word, mul_table, normal_words, parse_word, word_index
 from nilpow.errors import DegreeOutOfRange, NotNormal, TruncationOverflow
 from nilpow.fields import Field
-from nilpow.words import is_normal, multidegree_parts
+from nilpow import words
+from nilpow.words import _orbits, _parts, _words, is_normal, letter_orbits, multidegree_parts
 
 from dense_oracle import brute_normal_words
 
@@ -185,3 +187,153 @@ def test_spec_equality_and_hash():
     assert base != AlgebraSpec(m=2, nil=(2, 2), field=Field.prime(31991), max_degree=8)
     assert base != AlgebraSpec(m=2, nil=(2, 2), max_degree=9)
     assert base != AlgebraSpec(m=2, nil=(2, 3), max_degree=8)
+
+
+# -- letter permutations and the parts that relabelling fills -----------------
+
+
+def _nil_keeping_perms(nil):
+    """Every permutation of the letters 1..m that keeps each nil exponent."""
+    m = len(nil)
+    return [
+        dict(zip(range(1, m + 1), p))
+        for p in itertools.permutations(range(1, m + 1))
+        if all(nil[a - 1] == nil[b - 1] for a, b in zip(range(1, m + 1), p))
+    ]
+
+
+def _word_at(nil, d, small):
+    """The normal word of an ordinal: from `normal_words` where it is small,
+    else counted out letter by letter (the word count after each prefix by
+    a memoised recursion), so that no degree-wide table of words is built."""
+    if small:
+        basis = normal_words(AlgebraSpec(m=len(nil), nil=nil, max_degree=d), d)
+        return lambda o: basis[o]
+    m = len(nil)
+
+    def runs(g, r):  # (letter, run) after each letter that may follow a run of r letters g
+        return [(h, r + 1 if h == g else 1) for h in range(1, m + 1) if (r + 1 if h == g else 1) < nil[h - 1]]
+
+    @functools.lru_cache(maxsize=None)
+    def tails(n, g, r):  # normal words of length n after a run of r letters g
+        return 1 if n == 0 else sum(tails(n - 1, h, run) for h, run in runs(g, r))
+
+    def word(o):
+        w, g, r = [], 0, 0
+        for i in range(d):
+            for h, run in runs(g, r):
+                n = tails(d - i - 1, h, run)
+                if o < n:
+                    w.append(h)
+                    g, r = h, run
+                    break
+                o -= n
+        return tuple(w)
+
+    return word
+
+
+def _map_errors(nil, d, orbits, sample=None):
+    """What is wrong with the column maps of degree d: each target's must
+    be a bijection from its source part onto the target part, and one
+    nil-keeping letter permutation must take the source word of each of
+    its columns to the word of that column. With ``sample``, the words of
+    that many columns of each target are checked."""
+    part_of, cols = _parts(nil, d)
+    dim = part_of.size
+    word = _word_at(nil, d, small=dim <= 20000)
+    perms = _nil_keeping_perms(nil)
+    rng = np.random.default_rng(0)
+    errors = []
+    for i, (t, k) in enumerate(zip(orbits.target.tolist(), orbits.source.tolist())):
+        src = orbits.src[orbits.owner == i]
+        if not np.array_equal(np.sort(src), cols[k]) or src.size != cols[t].size:
+            errors.append(f"degree {d}: target {t} is no bijection of part {k}")
+            continue
+        js = range(src.size) if sample is None or src.size <= sample else rng.choice(src.size, sample, replace=False)
+        pairs = [(word(int(src[j])), word(int(cols[t][j]))) for j in js]
+        if not any(all(tuple(p[g] for g in u) == v for u, v in pairs) for p in perms):
+            errors.append(f"degree {d}: no letter permutation takes part {k} to part {t} column by column")
+    return errors
+
+
+def _orbit_errors(nil, d, orbits):
+    """The targets must be the parts wider than one column that a letter
+    permutation takes an earlier part to, and their sources not targets."""
+    part_of, cols = _parts(nil, d)
+    w = _words(nil, d)
+    perms = _nil_keeping_perms(nil)
+    md = [tuple(r) for r in w.md.tolist()]
+    images = [{tuple(r[p[g] - 1] for g in range(1, len(nil) + 1)) for p in perms} for r in md]
+    expect = [k for k, c in enumerate(cols) if c.size > 1 and any(md[j] in images[k] for j in range(k))]
+    got = [] if orbits is None else orbits.target.tolist()
+    errors = [] if sorted(got) == expect else [f"degree {d}: targets {sorted(got)}, expected {expect}"]
+    if orbits is not None and set(orbits.source.tolist()) & set(got):
+        errors.append(f"degree {d}: a source is a target")
+    return errors
+
+
+# (nil, D): equal exponents, exponent 1 and degrees with no words, and
+# (2; 2,2) at D=41, where a word read as a base-(m+1) integer overflows int64
+MAP_CASES = [
+    ((2, 2), 41),
+    ((3, 3), 12),
+    ((1, 1), 1),
+    ((1, 3, 3), 9),
+    ((3, 1, 3), 7),
+    ((2, 2, 3), 9),
+    ((3, 2, 3), 9),
+    ((2, 2, 2), 10),
+    ((4, 4, 4), 7),
+    ((2, 2, 2, 2), 6),
+    ((3, 2, 3, 2), 6),
+    ((2, 3), 8),
+    ((1,), 3),
+    ((3, 3, 1, 1), 6),
+]
+
+
+@pytest.mark.parametrize("nil,D", MAP_CASES, ids=[f"{n}-{D}" for n, D in MAP_CASES])
+def test_column_maps_permute_letters(nil, D):
+    spec = AlgebraSpec(m=len(nil), nil=nil, max_degree=D)
+    for d in range(1, D + 1):
+        orbits = letter_orbits(spec, d)
+        assert _orbit_errors(nil, d, orbits) == []
+        if orbits is not None:
+            assert _map_errors(nil, d, orbits) == []
+
+
+def test_column_maps_at_degree_21():
+    # 3 * 2^20 words of degree 21: the maps come from the parent and letter
+    # arrays, and a sample of each target's columns is checked by counting
+    # words, which is first checked against `normal_words` at degree 10
+    nil = (2, 2, 2)
+    count, basis = _word_at(nil, 10, small=False), normal_words(spec_of(3, nil, 10), 10)
+    assert [count(o) for o in range(len(basis))] == list(basis)
+    try:
+        orbits = letter_orbits(AlgebraSpec(m=3, nil=nil, max_degree=21), 21)
+        assert _map_errors(nil, 21, orbits, sample=40) == []
+        assert len(orbits.target) == 65
+    finally:  # the word arrays of this degree take hundreds of MB
+        for cache in (words._orbits, words._swap_maps, words._parts, words._words):
+            cache.cache_clear()
+
+
+def test_identity_column_maps_fail():
+    # the check sees a map that leaves the columns in place
+    for nil, d in [((2, 2, 2), 6), ((3, 3), 7), ((2, 2, 2, 2), 5)]:
+        orbits = _orbits(nil, d)
+        _, cols = _parts(nil, d)
+        same = np.concatenate([cols[k] for k in orbits.source.tolist()])
+        assert _map_errors(nil, d, orbits._replace(src=same))
+        assert _map_errors(nil, d, orbits) == []
+
+
+def test_orbit_tables_are_shared_and_read_only():
+    a = AlgebraSpec(m=3, nil=(2, 2, 2), field=Field.prime(31991), max_degree=8)
+    b = AlgebraSpec(m=3, nil=(2, 2, 2), field=Field.rationals(), max_degree=9)
+    assert letter_orbits(a, 6) is letter_orbits(b, 6)
+    with pytest.raises(ValueError):
+        letter_orbits(a, 6).src[0] = 0
+    with pytest.raises(DegreeOutOfRange):
+        letter_orbits(a, 9)
