@@ -8,10 +8,10 @@ stderr, one line per derived level and one for the ideal closure give its
 seconds, its total rank over all degrees and the peak RSS so far.
 
 Example (the three-generator case; with one BLAS thread on 2 cores, each
-degree in a process of its own, degree 11 takes about 0.2 s and 52 MB,
-degree 12 about 0.6 s and 67 MB, degree 13, where the quotient first
-vanishes, about 1.9 s and 104 MB, degree 14 about 5.6 s and 249 MB, and
-degree 15 about 48 s and 0.89 GB):
+degree in a process of its own, degree 11 takes about 0.3 s and 49 MB,
+degree 12 about 0.9 s and 62 MB, degree 13, where the quotient first
+vanishes, about 2.2 s and 93 MB, degree 14 about 7.4 s and 219 MB, and
+degree 15 about 53 s and 0.78 GB):
 
     python3 scripts/explore_nilpotency.py --generators 3 --nil 2,2,2 \
         --k 3 --degrees 8,9,10,11

@@ -26,10 +26,12 @@ run with one membership test. One feeder, `_insert_all`, batches the
 candidates into an echelon block, which forms dense rows only over the
 columns of each multidegree part they reach. The first derived power
 [A, A] needs no elimination at all: its canonical RREF is written down
-from the rotations of the words (`_commutators`). `DerivedTower` is the
-one tower builder: it builds each level on first use, through an
-optional on-disk cache, and the ideal of each level once. Subspaces and
-towers carry their spec, so the closures take only the subspace.
+from the rotations of the words (`_commutators`) into the parts that own
+their rows (in a symmetric block, targets read their source's).
+`DerivedTower` is the one tower builder: it builds each level on first
+use, through an optional on-disk cache, and the ideal of each level once.
+Subspaces and towers carry their spec, so the closures take only the
+subspace.
 """
 
 from __future__ import annotations
@@ -218,11 +220,9 @@ def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries
     """Insert candidates(out, f) into out's degree-f block for f = 1..D in
     turn; the candidates may read out in degrees below f, already final.
     A symmetric out is eliminated in one part of each orbit of the letter
-    permutations, and the rest of the degree is relabelled from those."""
+    permutations, which the other parts of the orbit read relabelled."""
     for f in range(1, out.spec.max_degree + 1):
-        blk = out.block(f)
-        _insert_all(blk, candidates(out, f))
-        blk.relabel()
+        _insert_all(out.block(f), candidates(out, f))
     return out
 
 

@@ -14,7 +14,10 @@ writes it (pairs in ordinal order), have a row across two multidegrees
 (the cached derived powers are multigraded) or unequal ranks in two parts
 that a permutation of letters with equal nil exponents exchanges (the
 derived powers are symmetric), which `subspace_from_payload` rejects. The
-encoder canonicalizes each block first (`_Block.canonicalize`).
+encoder writes each block's canonical rows (`_Block.canonical_entries`),
+target parts included; the decoded level is symmetric, so a target part
+reads its source's rows, and the entry's rows of it are checked but not
+kept.
 """
 
 from __future__ import annotations
@@ -59,9 +62,7 @@ def subspace_to_payload(s: Subspace) -> dict:
     fmt = s.spec.field.format_coeff
     rows = {}
     for d, r in s.dims():
-        blk = s.block(d)
-        blk.canonicalize()
-        e = blk.entries()
+        e = s.block(d).canonical_entries()
         pairs = [[o, fmt(c)] for o, c in zip(e.col.tolist(), e.val.tolist())]
         at = np.searchsorted(e.row, np.arange(r + 1)).tolist()  # where each row's pairs start
         rows[str(d)] = [pairs[lo:hi] for lo, hi in zip(at, at[1:])]

@@ -249,13 +249,12 @@ def _first_escape(
             e = f - d
             n = s.dim_at(e)
             checked += (r // n + 1) * n
-            a, r = a + r // n, r % n
-            rows = s.block(e)
-            if rows.canonicalize():  # relabelled rows: test the word again on the canonical ones
-                one = np.zeros(1, dtype=np.intp)
-                word = Entries((1, dim_component(spec, d)), one, one + a, np.full(1, spec.field.one))
-                [(_, m)] = _brackets(spec, d, e, word, rows.entries())
-                r = u.block(f).contains_matrix(m)
+            a += r // n
+            # the word again, on the canonical rows, which s's rows need not be
+            one = np.zeros(1, dtype=np.intp)
+            word = Entries((1, dim_component(spec, d)), one, one + a, np.full(1, spec.field.one))
+            [(_, m)] = _brackets(spec, d, e, word, s.block(e).canonical_entries())
+            r = u.block(f).contains_matrix(m)
             w = format_word(spec, normal_words(spec, d)[a])
             v = format_word(spec, normal_words(spec, e)[r])
             return checked, dict(w=w, v=v, r=r, e=e, f=f)

@@ -3,7 +3,7 @@
 Elements are `GradedVector`s: one dense coefficient row per nonzero degree
 over the normal-word basis. Subspaces keep one reduced-row-echelon block per
 degree (monic pivots, fully back-reduced, rows sorted by pivot ordinal), so
-equal subspaces have literally equal rows, once canonicalized (below), and
+equal subspaces have literally equal rows, as read canonically (below), and
 every certificate is canonical.
 
 The relations are multihomogeneous, so the derived powers and the closures
@@ -22,17 +22,20 @@ map to itself: the full space, [A, A] in closed form, the derived step of a
 symmetric level, the closures of a symmetric subspace, whose copy keeps its
 layout, and the derived powers a tower decodes from the cache. The
 permutations map each multidegree part onto one of the same width
-(`words.letter_orbits`). A sweep into a symmetric subspace eliminates one
-part of each orbit of parts wider than one column and leaves the others out
-of its insertions, as it leaves full parts out; after each degree
-`_Block.relabel` fills them from that part by moving its pivots, free
-columns and R to the permuted columns. A relabelled part holds a reduced
-basis (the identity on its pivot columns) that need not be canonical RREF.
-Membership, containment and the readers of rows (bracket candidates,
-multiples) do not depend on the basis. Where rows leave the engine
-(`Subspace.basis_vectors`, the cache encoder and the row that
-`certify._first_escape` names) `_Block.canonicalize` re-eliminates the
-relabelled parts, once. So rows are canonical only after canonicalization.
+(`words.letter_orbits`). In a symmetric block, each target part (one wider
+than one column that is not the first of its orbit) shares its source
+part's `_Echelon` and lists its columns as the images of the source's, in
+the source's order. So the target reads the source's rows relabelled: its
+rank, membership in it and its entries come through the permutation, no
+copy is made, and it is never stale. A sweep eliminates the sources only
+and leaves targets out of its insertions, as it leaves full parts out.
+A target's rows are a reduced basis (the identity on its pivot columns)
+that need not be canonical RREF. Membership, containment and the readers of
+rows (bracket candidates, multiples) do not depend on the basis. Where rows
+leave the engine (`Subspace.basis_vectors`, the cache encoder and the row
+that `certify._first_escape` names) they are read with
+`_Block.canonical_entries`, which eliminates the targets afresh. So rows
+are canonical only through that reader.
 
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
@@ -41,16 +44,17 @@ residue*residue is exact as `Field` admits only p < 2^31), `Fraction`
 object arrays for Q. Candidate rows travel as `Entries`: (row, column,
 value) triples, unreduced, that add up where they meet. Rows leave a block
 only this way (`_Block.entries`, in degree columns, sorted by row, rows in
-pivot order; the columns of a row are in order only once canonical): the
-bracket generators, membership of one subspace in another and the cache
-read them so. `_Block.insert_matrix` groups a batch of candidate entries
-by part and scatters them into one dense matrix per part over that part's
-own columns, reducing each sum once; no matrix is as wide as its degree
-unless the block has one part. Rows already in canonical RREF skip
-elimination: `_Block.write` fills each part's `[I | R]` (below) from
-their entries, trusted for the closed form of [A, A] and checked on the
-entries by `_Block.load` for the cache. Only `Subspace.basis_vectors`
-forms dense degree rows, for its own degree.
+pivot order; the columns of a row are in order except in a target part,
+and `_Block.canonical_entries` is the canonical form): the bracket
+generators, membership of one subspace in another and the cache read them
+so. `_Block.insert_matrix` groups a batch of candidate entries by part and
+scatters them into one dense matrix per part over that part's own columns,
+reducing each sum once; no matrix is as wide as its degree unless the block
+has one part. Rows already in canonical RREF skip elimination:
+`_Block.write` fills the `[I | R]` (below) of each part that owns its
+`_Echelon` from their entries, trusted for the closed form of [A, A] and
+checked on the entries by `_Block.load` for the cache. Only
+`Subspace.basis_vectors` forms dense degree rows, for its own degree.
 
 One blocked kernel, `_Echelon.insert_matrix`, does all elimination into a
 part, after the echelon forms of M4RI and FFLAS-FFPACK. A part keeps its
@@ -290,10 +294,9 @@ _NO_COLUMNS = np.empty(0, dtype=np.intp)
 class _Echelon:
     """Canonical RREF rows over one set of columns, grown by the blocked
     kernel: row r is 1 at ``pivots[r]`` and ``R[r]`` at ``free``, both
-    sorted. Relabelled rows (`_Block.relabel`) have this form too, but R may
-    have entries left of a row's pivot. An empty part keeps None for
-    ``free`` and ``R``; a full part keeps an R of no columns. A stored array
-    is never written in place, so copies of a block may share them."""
+    sorted. An empty part keeps None for ``free`` and ``R``; a full part
+    keeps an R of no columns. A stored array is never written in place, so
+    copies of a block may share them."""
 
     __slots__ = ("arith", "dim", "pivots", "free", "R")
 
@@ -423,27 +426,35 @@ class _Block:
     `_Echelon` per multidegree part, over that part's columns; any other
     block keeps one over all columns (`_one_part`). A block built full keeps
     no rows. Rows enter through the kernel or, canonical already, `write`.
-    A block of a symmetric subspace also has ``orbits``: the parts that its
-    insertions leave out and `relabel` fills, which a sweep calls after each
-    degree; its candidates must span a space that the letter permutations
-    keep, and its rank counts those parts at their sources' rank."""
+    A block of a symmetric subspace also has ``orbits``: each of its target
+    parts shares its source part's `_Echelon`, over the images of the
+    source's columns (`letter_orbits`), so it reads the source's rows
+    relabelled and is never filled itself; its candidates must span a space
+    that the letter permutations keep."""
 
-    __slots__ = (
-        "arith", "dim", "rank", "_part_of", "_cols", "_pos", "_width", "_parts", "_entries", "_orbits", "_relabelled"
-    )
+    __slots__ = ("arith", "dim", "rank", "_part_of", "_cols", "_pos", "_width", "_parts", "_entries", "_orbits")
 
     def __init__(self, arith: _Arith, dim: int, full: bool = False, parts=None, orbits=None):
         """``parts``: the component's table (`multidegree_parts`); None keeps
-        one part. ``orbits``: the parts that `relabel` fills (`letter_orbits`)."""
+        one part. ``orbits``: the parts that read their source's rows and
+        the order of their columns (`letter_orbits`)."""
         self.arith = arith
         self.dim = dim
         self._part_of, self._cols = parts if parts is not None else _one_part(dim)
+        self._orbits = orbits
+        if orbits is not None:
+            self._cols = orbits.cols
         self._pos = self._width = None  # of a block with parts, once rows arrive
-        self._parts = None if full else [_Echelon(arith, c.size) for c in self._cols]
+        self._parts = None if full else self._views([_Echelon(arith, c.size) for c in self._cols])
         self.rank = dim if full else 0
         self._entries = None  # kept until the next insertion
-        self._orbits = orbits
-        self._relabelled = None if orbits is None else np.zeros(orbits.target.size, dtype=bool)  # by target
+
+    def _views(self, parts: list[_Echelon]) -> list[_Echelon]:
+        """parts, with each target part (``orbits``) its source's `_Echelon`."""
+        if self._orbits is not None:
+            for t, k in zip(self._orbits.target.tolist(), self._orbits.source.tolist()):
+                parts[t] = parts[k]
+        return parts
 
     @property
     def full(self) -> bool:
@@ -452,19 +463,52 @@ class _Block:
 
     def entries(self) -> Entries:
         """The rows as entries in degree columns, sorted by row; rows are in
-        pivot order. Within a row the columns are in order where the rows
-        are canonical RREF, which relabelled ones need not be (`relabel`).
-        The one way rows leave a block, so no degree-wide matrix is formed."""
+        pivot order. Within a row the columns are in order except in a
+        target part, which reads its source's rows over permuted columns
+        (`canonical_entries` orders them). The one way rows leave a block
+        for the engine, so no degree-wide matrix is formed."""
         if self._parts is None:
             i = np.arange(self.dim)
             return Entries((self.dim, self.dim), i, i, np.full(self.dim, self.arith.field.one))
         if self._entries is None:
-            self._entries = self._gather()
+            self._entries = self._gather(zip(self._cols, self._parts))
         return self._entries
 
-    def _gather(self) -> Entries:
-        """The pivot 1s and the nonzeros of each part's R, in degree columns."""
-        parts = [(c, e) for c, e in zip(self._cols, self._parts) if e.rank]
+    def canonical_entries(self) -> Entries:
+        """The rows as `entries` gives them, but in canonical RREF, so equal
+        blocks give equal entries: the way rows leave the engine. A target
+        part's rows are its source's, a reduced basis over permuted columns
+        that need not be canonical. In increasing columns, the rows with no
+        entry left of their 1 are already canonical RREF among themselves;
+        the others are added to those by the kernel, each call."""
+        if self._orbits is None or self._parts is None:
+            return self.entries()
+        parts = list(zip(self._cols, self._parts))
+        for t in self._orbits.target.tolist():
+            c, e = parts[t]
+            if 0 < e.rank < e.dim:
+                order = np.argsort(c)
+                at = np.empty_like(order)  # each column's place in increasing order
+                at[order] = np.arange(order.size)
+                piv, free = at[e.pivots], at[e.free]
+                bad = ((e.R != 0) & (free[None, :] < piv[:, None])).any(axis=1)
+                good = np.flatnonzero(~bad)
+                good = good[np.argsort(piv[good])]
+                canon = _Echelon(self.arith, e.dim, piv[good], _other_columns(e.dim, piv[good]))
+                canon.R = self.arith.zeros((good.size, canon.free.size))
+                canon.R[:, np.searchsorted(canon.free, free)] = e.R[good]
+                if bad.any():
+                    m = self.arith.zeros((int(bad.sum()), e.dim))
+                    m[np.arange(m.shape[0]), piv[bad]] = self.arith.field.one
+                    m[:, free] = e.R[bad]
+                    canon._add(m)
+                parts[t] = c[order], canon
+        return self._gather(parts)
+
+    def _gather(self, parts: Iterable[tuple[np.ndarray, _Echelon]]) -> Entries:
+        """The pivot 1s and the nonzeros of R of each (columns, part), in
+        degree columns."""
+        parts = [(c, e) for c, e in parts if e.rank]
         piv = np.concatenate([c[e.pivots] for c, e in parts] + [_NO_COLUMNS])
         at = np.empty(piv.size, dtype=np.intp)
         at[np.argsort(piv)] = np.arange(piv.size)
@@ -490,10 +534,10 @@ class _Block:
         each part k that is not full and where m has entries. ``sub`` holds
         those rows of m on the part's columns, reduced, and ``rows`` their
         indices in m. For an insertion (``insert``), a row with entries in
-        two parts raises `InternalSoundnessFailure` and the parts that
-        `relabel` fills are left out as full ones are; otherwise such a row
-        gives a piece in each part. In a one-part block every row is in the
-        piece."""
+        two parts raises `InternalSoundnessFailure` and target parts, which
+        read their source's rows, are left out as full ones are; otherwise
+        such a row gives a piece in each part, a target's over its source's
+        columns. In a one-part block every row is in the piece."""
         if len(self._cols) == 1:
             if self.rank == self.dim:
                 return []
@@ -546,82 +590,10 @@ class _Block:
         start = self.rank
         for k, _, sub in self._group(m, insert=True):
             self._parts[k].insert_matrix(sub)
-        if self._orbits is None:
-            self.rank = sum(e.rank for e in self._parts)
-        else:  # a part that `relabel` fills will have its source's rank
-            self.rank = sum(self._parts[k].rank for k in self._orbits.like)
+        self.rank = sum(e.rank for e in self._parts)  # a target counts its source's rows
         if self.rank > start:
             self._entries = None
         return self.rank - start
-
-    def relabel(self) -> None:
-        """Fill each part that the letter permutations take another part
-        to (``orbits``) from that source part, where their ranks differ: a
-        permutation taking the source's columns to the target's takes its
-        rows to rows of the target, as the row space is invariant. So the
-        rows are relabelled, not eliminated: a pivot column stays a pivot
-        column and R keeps its entries, moved to the relabelled columns.
-        The rows are a reduced basis but need not be canonical RREF
-        (`canonicalize`). One pass gathers the R of all targets from the
-        sources' R at once."""
-        o = self._orbits
-        if o is None:
-            return
-        ranks = np.array([e.rank for e in self._parts])
-        stale = ranks[o.target] != ranks[o.source]
-        if not stale.any():
-            return
-        # on degree columns: whether a source column is a pivot, and where its
-        # row begins in the sources' R laid end to end, or its column in R
-        is_piv, at = np.zeros(self.dim, dtype=bool), np.empty(self.dim, dtype=np.intp)
-        flat, base = [], 0
-        for k in dict.fromkeys(o.source[stale].tolist()):
-            e, c = self._parts[k], self._cols[k]
-            is_piv[c[e.pivots]] = True
-            at[c[e.pivots]] = base + np.arange(e.rank) * e.free.size
-            at[c[e.free]] = np.arange(e.free.size)
-            flat.append(e.R.ravel())
-            base += e.R.size
-        live = stale[o.owner]
-        src, owner, pos = o.src[live], o.owner[live], o.pos[live]
-        piv = is_piv[src]
-        pivots, free = pos[piv], pos[~piv]
-        rank = np.bincount(owner[piv], minlength=stale.size)
-        width = np.bincount(owner[~piv], minlength=stale.size)  # free columns
-        # entry (r, j) of target i's R is its source's at the source columns
-        # of the target's r-th pivot and j-th free column
-        size = rank * width
-        of = np.repeat(np.arange(stale.size), size)  # the target of each entry
-        r, j = np.divmod(np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size), width[of])
-        rows, cols = at[src[piv]], at[src[~piv]]
-        R = np.concatenate(flat)[rows[(np.cumsum(rank) - rank)[of] + r] + cols[(np.cumsum(width) - width)[of] + j]]
-        p0 = f0 = r0 = 0
-        for i in np.flatnonzero(stale).tolist():
-            e = self._parts[o.target[i]]
-            e.pivots, e.free = pivots[p0 : p0 + rank[i]], free[f0 : f0 + width[i]]
-            e.R = R[r0 : r0 + size[i]].reshape(rank[i], width[i])
-            p0, f0, r0 = p0 + rank[i], f0 + width[i], r0 + size[i]
-        self._relabelled = self._relabelled | stale
-        self._entries = None
-
-    def canonicalize(self) -> bool:
-        """Put the rows of the parts that `relabel` filled in canonical RREF,
-        once; returns whether there were such parts. Called where rows leave
-        the engine, so that they leave canonical."""
-        if self._relabelled is None or not self._relabelled.any():
-            return False
-        for t in self._orbits.target[self._relabelled].tolist():
-            e = self._parts[t]
-            if not (e.R[e.free[None, :] < e.pivots[:, None]] != 0).any():
-                continue  # no entry left of its row's pivot: canonical already
-            m = self.arith.zeros((e.rank, e.dim))
-            m[np.arange(e.rank), e.pivots] = self.arith.field.one
-            m[:, e.free] = e.R
-            c = _rref(self.arith, m)
-            e.pivots, e.free, e.R = c.pivots, c.free, c.R
-        self._relabelled = np.zeros_like(self._relabelled)
-        self._entries = None
-        return True
 
     def load(self, m: Entries) -> bool:
         """Take the rows m as the rows of this empty block (`write`) if they
@@ -629,7 +601,8 @@ class _Block:
         rows in order, none empty; columns strictly increasing in a row (so
         none repeats); a 1 first in each row; strictly increasing pivots; no
         other entry in a pivot column. Returns whether they were; raises
-        `CorruptCacheEntry` if a row has entries in two multidegree parts."""
+        `CorruptCacheEntry` if a row has entries in two multidegree parts or
+        the parts of one orbit (``orbits``) differ in rank."""
         row, col = m.row, m.col  # values are reduced where read: no copy of them all
         off = np.diff(row, prepend=row[:1] - 1) == 0  # the entries after their row's first
         piv = col[~off]
@@ -642,26 +615,31 @@ class _Block:
         ordered = (np.diff(col)[off[1:]] > 0).all() and (np.diff(piv) > 0).all()
         if not ordered or (self.arith.mod(m.val[~off]) != 1).any() or is_piv[col[off]].any():
             return False
-        self.write(piv, row[off], col[off], self.arith.mod(m.val[off]))
         if self._orbits is not None:
-            rank = np.array([e.rank for e in self._parts])
+            rank = np.bincount(self._part_of[piv], minlength=len(self._cols))
             if (rank[self._orbits.target] != rank[self._orbits.source]).any():
                 raise CorruptCacheEntry("the rows are not invariant under the letter permutations")
+        self.write(piv, row[off], col[off], self.arith.mod(m.val[off]))
         return True
 
     def write(self, piv: np.ndarray, row: np.ndarray, col: np.ndarray, val) -> None:
         """Take as the rows of this empty block the canonical RREF rows with
         increasing pivots piv and reduced values val at (row, col) off the
         pivot columns, unchecked (`load` checks). Each part's `[I | R]` is
-        filled from the entries, its R a view of one buffer for all parts."""
+        filled from the entries, its R a view of one buffer for all parts.
+        The rows of target parts are left out: those read their source's."""
         part = self._part_of[piv]
         rank = np.bincount(part, minlength=len(self._parts))
+        order, end = np.argsort(part, kind="stable"), np.cumsum(rank)  # rows by part, in order
+        if self._orbits is not None:
+            rank[self._orbits.target] = 0
+            keep = rank[part[row]] > 0
+            row, col, val = row[keep], col[keep], val[keep] if np.ndim(val) else val
         width = np.array([c.size for c in self._cols], dtype=np.intp) - rank  # free columns
         size = rank * width
         start, flat = np.cumsum(size) - size, self.arith.zeros(int(size.sum()))
         base = np.empty(piv.size, dtype=np.intp)  # where each row of R starts in flat
         free_at = np.empty(self.dim, dtype=np.intp)  # each free ordinal's column in R
-        order, end = np.argsort(part, kind="stable"), np.cumsum(rank)  # rows by part, in order
         for k in np.flatnonzero(rank).tolist():
             e, c, rows = self._parts[k], self._cols[k], order[end[k] - rank[k] : end[k]]
             base[rows] = start[k] + np.arange(rows.size) * width[k]
@@ -670,16 +648,17 @@ class _Block:
             free_at[c[e.free]] = np.arange(e.free.size)
             e.R = flat[start[k] : start[k] + size[k]].reshape(rank[k], width[k])  # filled below
         flat[base[row] + free_at[col]] = val
-        self.rank = piv.size
+        self.rank = sum(e.rank for e in self._parts)
         self._entries = None
 
     def copy(self) -> "_Block":
-        """An independent block; it shares the parts' arrays, never rewritten."""
+        """An independent block; it shares the parts' arrays, never rewritten,
+        and its target parts read its own source parts."""
         out = _Block.__new__(_Block)
         for name in _Block.__slots__:
             setattr(out, name, getattr(self, name))
         if self._parts is not None:
-            out._parts = [_Echelon(e.arith, e.dim, e.pivots, e.free, e.R) for e in self._parts]
+            out._parts = out._views([_Echelon(e.arith, e.dim, e.pivots, e.free, e.R) for e in self._parts])
         return out
 
     def contains_matrix(self, m) -> Optional[int]:
@@ -704,21 +683,19 @@ class Subspace:
     splits its blocks by multidegree and takes multihomogeneous rows only;
     the layout is fixed when the subspace is built."""
 
-    def __init__(
-        self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True, symmetric: Optional[bool] = None
-    ):
+    def __init__(self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True, symmetric: bool = False):
         """``symmetric``: the subspace is invariant under the permutations of
-        letters with equal nil exponents; by default, when it is full."""
+        letters with equal nil exponents."""
         self.spec = spec
         self.arith = _Arith(spec.field)
         self._blocks: dict[int, _Block] = {}
         self._full = full
         self.multigraded = multigraded
-        self.symmetric = full if symmetric is None else symmetric
+        self.symmetric = symmetric
 
     @classmethod
     def full_space(cls, spec: AlgebraSpec) -> "Subspace":
-        return cls(spec, full=True)
+        return cls(spec, full=True, symmetric=True)
 
     def block(self, d: int) -> _Block:
         if d not in self._blocks:
@@ -776,9 +753,7 @@ class Subspace:
         """The canonical RREF rows of degree d."""
         if self.dim_at(d) == 0:
             return []
-        blk = self.block(d)
-        blk.canonicalize()
-        return [GradedVector(self.spec, {d: row}) for row in blk.entries().dense(self.arith)]
+        return [GradedVector(self.spec, {d: row}) for row in self.block(d).canonical_entries().dense(self.arith)]
 
     def copy(self) -> "Subspace":
         out = Subspace(self.spec, full=self._full, multigraded=self.multigraded, symmetric=self.symmetric)

@@ -179,23 +179,19 @@ def _parts(nil: tuple[int, ...], d: int) -> tuple[np.ndarray, tuple[np.ndarray, 
 
 
 class _Orbits(NamedTuple):
-    """How the parts of one degree that relabelling fills come from others.
+    """How the letter permutations map the parts of one degree onto others.
 
     A permutation of the live letters that keeps every nil exponent maps
     normal words to normal words and each multidegree part onto one of the
     same width. ``target[i]`` is a part wider than one column that is not
-    the first part of its orbit, ``source[i]`` that first part. Over the
-    columns of the targets in turn, each in increasing order, ``src`` is the
-    source ordinal that a permutation taking ``source[i]`` to ``target[i]``
-    maps there, ``owner`` the i of the column and ``pos`` its place in its
-    part. ``like[k]`` is the source of part k if k is a target, else k."""
+    the first part of its orbit, ``source[i]`` that first part. ``cols[k]``
+    lists the ordinals of part k: increasing, except for a target, where
+    ``cols[target[i]][j]`` is the image of ``cols[source[i]][j]`` under one
+    permutation that takes the source onto the target."""
 
     target: np.ndarray
     source: np.ndarray
-    src: np.ndarray
-    owner: np.ndarray
-    pos: np.ndarray
-    like: list
+    cols: tuple
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +225,8 @@ def _swap_maps(nil: tuple[int, ...], d: int) -> np.ndarray:
 
 
 def letter_orbits(spec: AlgebraSpec, d: int) -> Optional[_Orbits]:
-    """The degree-d parts that relabelling fills (`_Orbits`); None if there
-    are none. Shared and read-only."""
+    """The degree-d parts that the letter permutations map onto other parts
+    (`_Orbits`); None if there are none. Shared and read-only."""
     _check_degree(spec, d)
     return _orbits(spec.nil, d)
 
@@ -239,37 +235,28 @@ def letter_orbits(spec: AlgebraSpec, d: int) -> Optional[_Orbits]:
 def _orbits(nil: tuple[int, ...], d: int) -> Optional[_Orbits]:
     part_of, cols = _parts(nil, d)
     maps = _swap_maps(nil, d)
-    target, source, image = [], [], []
+    at: dict[int, np.ndarray] = {}  # by part of an orbit: the ordinals that its first part's columns map to
+    target, source = [], []
     for k in range(len(cols)):
-        if k in target or cols[k].size == 1:  # one column: eliminated as it is
+        if k in at or cols[k].size == 1:  # one column: eliminated as it is
             continue
-        at, todo = {k: cols[k]}, [k]  # by part of the orbit: the ordinals that k's columns map to
+        at[k], todo = cols[k], [k]
         while todo:
             j = todo.pop()
             for g in maps:
                 img = g[at[j]]
                 t = int(part_of[img[0]])
                 if t not in at:
+                    if not np.array_equal(np.sort(img), cols[t]):
+                        raise InternalSoundnessFailure(f"a letter permutation does not map part {k} onto part {t}")
                     at[t] = img
                     todo.append(t)
                     target.append(t)
                     source.append(k)
-                    image.append(img)
     if not target:
         return None
-    src, owner, pos = [], [], []
-    for i, (t, k, img) in enumerate(zip(target, source, image)):
-        order = np.argsort(img)
-        if not np.array_equal(img[order], cols[t]):
-            raise InternalSoundnessFailure(f"a letter permutation does not map part {k} onto part {t}")
-        src.append(cols[k][order])
-        owner.append(np.full(order.size, i))
-        pos.append(np.arange(order.size))
-    like = list(range(len(cols)))
-    for t, k in zip(target, source):
-        like[t] = k
-    tables = _frozen([np.array(target), np.array(source), *map(np.concatenate, (src, owner, pos))])
-    return _Orbits(*tables, like)
+    _frozen(at.values())
+    return _Orbits(*_frozen([np.array(target), np.array(source)]), tuple(at.get(k, c) for k, c in enumerate(cols)))
 
 
 @lru_cache(maxsize=None)

@@ -230,10 +230,8 @@ def _same_rows(a, b):
 
 
 def _canonical(s, d):
-    """The degree-d rows of s as entries, relabelled parts made canonical."""
-    blk = s.block(d)
-    blk.canonicalize()
-    return blk.entries()
+    """The degree-d rows of s as canonical entries, target parts eliminated."""
+    return s.block(d).canonical_entries()
 
 
 @given(
@@ -250,7 +248,7 @@ def test_commutators_match_all_splits_sweep(nil, top, p, multigraded):
     spec = AlgebraSpec(m=len(nil), nil=tuple(nil), field=Field(p), max_degree=top)
     while spec.max_degree > 1 and dim_component(spec, spec.max_degree) > (400 if p else 100):
         spec = AlgebraSpec(m=spec.m, nil=spec.nil, field=spec.field, max_degree=spec.max_degree - 1)
-    full = Subspace(spec, full=True, multigraded=multigraded)
+    full = Subspace(spec, full=True, multigraded=multigraded, symmetric=True)
     closed = _derived_step(spec, full, from_full=True)
     swept = _derived_step(spec, full, from_full=False)  # symmetric, as the full space is
     for d in range(1, spec.max_degree + 1):
@@ -284,10 +282,11 @@ def _equal_exponent_specs(draw):
 @example(AlgebraSpec(m=3, nil=(1, 3, 3), field=Field(32003), max_degree=8))
 @example(AlgebraSpec(m=2, nil=(1, 1), field=Field(5), max_degree=1))
 def test_relabelled_tower_matches_eliminated_tower(spec):
-    # Levels 1..3 and the ideals of levels 2 and 3, relabelled from one part
-    # of each orbit of the letter permutations, against the same built from
-    # a full space that is not symmetric, where every part is eliminated:
-    # equal dims and, once canonicalized, equal rows entry for entry.
+    # Levels 1..3 and the ideals of levels 2 and 3, eliminated in one part
+    # of each orbit of the letter permutations and read relabelled in the
+    # others, against the same built from a full space that is not
+    # symmetric, where every part is eliminated: equal dims and equal
+    # canonical rows, entry for entry.
     relabelled, eliminated = DerivedTower(spec), DerivedTower(spec)
     eliminated.levels[0] = Subspace(spec, full=True, symmetric=False)
     built = [lambda t, i=i: t.level(i) for i in (1, 2, 3)] + [lambda t, k=k: t.ideal(k) for k in (2, 3)]
@@ -318,14 +317,46 @@ def test_commutator_quotient_counts_cyclic_words(m, nil, D):
 
 @pytest.mark.parametrize("multigraded", [True, False])
 def test_commutator_blocks_load_as_canonical(multigraded):
-    # `_Block.load` accepts only canonical RREF, and hands the same rows back
+    # `_Block.load` accepts only canonical RREF, and hands the same rows back.
+    # The target parts of a symmetric [A, A] read their source's rows over
+    # permuted columns, so its canonical rows are read with `canonical_entries`.
     spec = AlgebraSpec(m=3, nil=(2, 3, 2), max_degree=7)
-    level = _derived_step(spec, Subspace(spec, full=True, multigraded=multigraded), from_full=True)
-    fresh = Subspace(spec, multigraded=multigraded)
+    full = Subspace(spec, full=True, multigraded=multigraded, symmetric=True)
+    level = _derived_step(spec, full, from_full=True)
+    fresh = Subspace(spec, multigraded=multigraded, symmetric=True)
+    relabelled = 0
     for d in range(1, 8):
-        rows = level.block(d).entries()
+        rows = level.block(d).canonical_entries()
+        relabelled += not _same_rows(level.block(d).entries(), rows)
         assert fresh.block(d).load(rows)
-        assert _same_rows(fresh.block(d).entries(), rows)
+        assert _same_rows(fresh.block(d).canonical_entries(), rows)
+    assert bool(relabelled) == multigraded
+
+
+def test_closures_leave_their_level_untouched():
+    # A closure copies the level and sweeps into the copy, whose target
+    # parts must read the copy's own sources: the level keeps its rows, entry
+    # for entry, and the closures equal those of a tower where every part
+    # is eliminated.
+    spec = AlgebraSpec(m=3, nil=(2, 2, 3), max_degree=8)
+    t, eliminated = DerivedTower(spec), DerivedTower(spec)
+    eliminated.levels[0] = Subspace(spec, full=True)
+    level = t.level(2)
+
+    def rows():
+        out = []
+        for d in range(1, spec.max_degree + 1):
+            level.block(d)._entries = None  # gather the parts again
+            e = level.block(d).entries()
+            out.append((e.row.tolist(), e.col.tolist(), e.val.tolist()))
+        return out
+
+    before = rows()
+    closures = t.ideal(2), lie_ideal_closure(level)
+    assert rows() == before
+    for a, b in zip(closures, (eliminated.ideal(2), lie_ideal_closure(eliminated.level(2)))):
+        assert a.dims(all_degrees=True) == b.dims(all_degrees=True)
+        assert all(_same_rows(_canonical(a, d), b.block(d).entries()) for d in range(1, spec.max_degree + 1))
 
 
 # -- closures ----------------------------------------------------------------

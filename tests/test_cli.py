@@ -400,10 +400,10 @@ def test_entry_across_multidegrees_is_a_miss(capsys, tmp_path):
 
 
 def test_entry_not_invariant_is_a_miss(capsys, tmp_path):
-    # a row dropped from a part that relabelling fills leaves the rows in
-    # canonical RREF, and the recomputed digest matches: only the rank check
-    # of the load, part against the source of its orbit, rejects it; an
-    # entry taken as it is would change the dims
+    # a row dropped from a target part leaves the rows in canonical RREF,
+    # and the recomputed digest matches: only the rank check of the load,
+    # part against the source of its orbit, rejects it; an entry taken as
+    # it is would change the dims
     args = ["dims", "--generators", "2", "--nil", "3,3", "--max-degree", "7", "--levels", "2"]
     _, plain, _ = run_cli(capsys, *args)
     run_cli(capsys, *args, "--cache", str(tmp_path))
@@ -422,6 +422,31 @@ def test_entry_not_invariant_is_a_miss(capsys, tmp_path):
     code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
     assert code == 0 and out == plain
     assert "warning: ignoring cache entry" in err
+
+
+def test_entry_with_wrong_target_rows_decodes_to_the_level():
+    # Target part 2 of degree 4 holds one row. Replaced by the unit row on
+    # the part's first column, the entry stays canonical RREF, equal in rank
+    # across each orbit, and the recomputed digest matches. A target reads
+    # its source's rows, so the entry must decode to the true level, or be
+    # refused; its target rows must not change the answer.
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)
+    level = DerivedTower(spec).level(2)
+    payload = subspace_to_payload(level)
+    part_of, cols = multidegree_parts(spec, 4)
+    assert 2 in letter_orbits(spec, 4).target.tolist()
+    rows = payload["rows"]["4"]
+    [old] = [row for row in rows if part_of[row[0][0]] == 2]
+    new = [[int(cols[2][0]), spec.field.format_coeff(spec.field.one)]]
+    assert old != new
+    rows[:] = sorted([row for row in rows if row is not old] + [new], key=lambda row: row[0][0])
+    payload["digest"] = _rows_digest(payload["rows"])
+    try:
+        decoded = subspace_from_payload(spec, payload)
+    except CorruptCacheEntry:
+        return
+    assert decoded.dims() == level.dims()
+    assert decoded.contains_subspace(level) and level.contains_subspace(decoded)
 
 
 # how a tamper rewrites each coefficient of a degree: to a decimal past

@@ -24,6 +24,10 @@ def _rows(blk):
     return blk.entries().dense(blk.arith)
 
 
+def _same_entries(a, b):
+    return all(np.array_equal(x, y) for x, y in zip((a.row, a.col, a.val), (b.row, b.col, b.val)))
+
+
 def test_vector_construction_drops_zeros():
     v = GradedVector(S22, {2: {0: 0, 1: 5}})
     assert v.terms(2) == [(1, 5)]
@@ -366,8 +370,9 @@ def test_multigraded_guards():
 
 
 def test_symmetric_block_guards():
-    # an insertion leaves out the parts that relabelling fills, but a row
-    # across two parts still raises when one of them, or both, is left out
+    # an insertion leaves out target parts, which read their source's rows,
+    # but a row across two parts still raises when one of them, or both, is
+    # a target
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=5)
     orbits = letter_orbits(spec, 4)
     _, cols = multidegree_parts(spec, 4)
@@ -380,34 +385,38 @@ def test_symmetric_block_guards():
         with pytest.raises(InternalSoundnessFailure):
             s.block(4).insert_matrix(row)
         assert s.block(4).rank == 0
-    # a row in a left-out part only is dropped; relabelling fills that part
-    # from its source, and the block's rank counts it from the start
+    # a row in a target part only is dropped; the target shares its source's
+    # rows, read over the images of the source's columns (``orbits.cols``),
+    # and the block's rank and rows count them
     blk = Subspace(spec, symmetric=True).block(4)
-    only = np.zeros((1, blk.dim), dtype=np.int64)
-    only[0, cols[t0][0]] = 1
-    assert blk.insert_matrix(only) == 0
-    grew = blk.insert_matrix(np.eye(blk.dim, dtype=np.int64)[cols[k][:1]])
+    unit = np.eye(blk.dim, dtype=np.int64)
+    assert blk.insert_matrix(unit[orbits.cols[t0][:1]]) == 0
+    assert blk._parts[t0] is blk._parts[k]
+    grew = blk.insert_matrix(unit[cols[k][:1]])
     assert grew == 1 + (orbits.source == k).sum() and blk.rank == grew
-    blk.relabel()
     assert _rows(blk).shape[0] == grew
-    assert blk.contains_matrix(only) is None
-    assert all(blk.contains_matrix(np.eye(blk.dim, dtype=np.int64)[[c[0]]]) is None for c in (cols[k], cols[t0]))
+    for t in orbits.target[orbits.source == k].tolist():
+        assert blk.contains_matrix(unit[orbits.cols[t][:2]]) == 1  # the image of the source's row only
+    assert _same_entries(blk.canonical_entries(), blk.entries())  # unit rows are canonical as read
 
 
 def test_relabelled_rows_leave_canonical():
-    # relabelled parts hold a reduced basis that is not canonical RREF here;
-    # `canonicalize` makes it canonical once, and the engine's exits call it
+    # target parts read their source's rows, a reduced basis that is not
+    # canonical RREF here; `canonical_entries` eliminates them afresh, leaves
+    # the stored rows as they are, and the engine's exits read it
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)
     level = DerivedTower(spec).level(2)
     eliminated = DerivedTower(spec)
-    eliminated.levels[0] = Subspace(spec, full=True, symmetric=False)
+    eliminated.levels[0] = Subspace(spec, full=True)
     plain = eliminated.level(2)
-    assert level.symmetric and not plain.symmetric and not span(spec, []).symmetric
+    assert level.symmetric and Subspace.full_space(spec).symmetric
+    assert not plain.symmetric and not span(spec, []).symmetric
     changed = [d for d in range(1, 9) if not np.array_equal(_rows(level.block(d)), _rows(plain.block(d)))]
     assert changed
     for d in changed:
         assert level.basis_vectors(d) == plain.basis_vectors(d)
-        assert not level.block(d).canonicalize()  # once only
+        assert _same_entries(level.block(d).canonical_entries(), plain.block(d).entries())
+        assert not np.array_equal(_rows(level.block(d)), _rows(plain.block(d)))
     assert subspace_to_payload(level) == subspace_to_payload(plain)
 
 

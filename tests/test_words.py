@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilpow import AlgebraSpec, concat, dim_component, format_word, mul_table, normal_words, parse_word, word_index
-from nilpow.errors import DegreeOutOfRange, NotNormal, TruncationOverflow
+from nilpow.errors import DegreeOutOfRange, InternalSoundnessFailure, NotNormal, TruncationOverflow
 from nilpow.fields import Field
 from nilpow import words
 from nilpow.words import _orbits, _parts, _words, is_normal, letter_orbits, multidegree_parts
@@ -234,24 +234,30 @@ def _word_at(nil, d, small):
 
 
 def _map_errors(nil, d, orbits, sample=None):
-    """What is wrong with the column maps of degree d: each target's must
-    be a bijection from its source part onto the target part, and one
-    nil-keeping letter permutation must take the source word of each of
-    its columns to the word of that column. With ``sample``, the words of
-    that many columns of each target are checked."""
+    """What is wrong with the column lists of degree d: a part that is no
+    target must list its columns in increasing order; a target's list must
+    be a bijection onto the target part, and one nil-keeping letter
+    permutation σ must give its j-th column as σ of its source's j-th
+    column, for every j. With ``sample``, the words of that many columns of
+    each target are checked."""
     part_of, cols = _parts(nil, d)
     dim = part_of.size
     word = _word_at(nil, d, small=dim <= 20000)
     perms = _nil_keeping_perms(nil)
     rng = np.random.default_rng(0)
-    errors = []
-    for i, (t, k) in enumerate(zip(orbits.target.tolist(), orbits.source.tolist())):
-        src = orbits.src[orbits.owner == i]
-        if not np.array_equal(np.sort(src), cols[k]) or src.size != cols[t].size:
+    targets = set(orbits.target.tolist())
+    errors = [
+        f"degree {d}: part {k} out of order"
+        for k, c in enumerate(cols)
+        if k not in targets and not np.array_equal(orbits.cols[k], c)
+    ]
+    for t, k in zip(orbits.target.tolist(), orbits.source.tolist()):
+        src, img = orbits.cols[k], orbits.cols[t]
+        if not np.array_equal(np.sort(img), cols[t]):
             errors.append(f"degree {d}: target {t} is no bijection of part {k}")
             continue
         js = range(src.size) if sample is None or src.size <= sample else rng.choice(src.size, sample, replace=False)
-        pairs = [(word(int(src[j])), word(int(cols[t][j]))) for j in js]
+        pairs = [(word(int(src[j])), word(int(img[j]))) for j in js]
         if not any(all(tuple(p[g] for g in u) == v for u, v in pairs) for p in perms):
             errors.append(f"degree {d}: no letter permutation takes part {k} to part {t} column by column")
     return errors
@@ -320,13 +326,30 @@ def test_column_maps_at_degree_21():
 
 
 def test_identity_column_maps_fail():
-    # the check sees a map that leaves the columns in place
+    # the check sees a map that takes a source's columns to the target's in
+    # increasing order, and a target that lists a column twice
     for nil, d in [((2, 2, 2), 6), ((3, 3), 7), ((2, 2, 2, 2), 5)]:
         orbits = _orbits(nil, d)
         _, cols = _parts(nil, d)
-        same = np.concatenate([cols[k] for k in orbits.source.tolist()])
-        assert _map_errors(nil, d, orbits._replace(src=same))
+        assert _map_errors(nil, d, orbits._replace(cols=cols))
+        t = int(orbits.target[0])
+        twice = list(orbits.cols)
+        twice[t] = np.concatenate([orbits.cols[t][:1], orbits.cols[t][:-1]])
+        assert _map_errors(nil, d, orbits._replace(cols=tuple(twice)))
         assert _map_errors(nil, d, orbits) == []
+
+
+def test_orbits_refuse_a_map_that_is_no_bijection(monkeypatch):
+    # a letter permutation maps part to part one to one; a map that sends
+    # two columns of a part to one word raises
+    nil, d = (2, 2, 2), 6
+    maps = words._swap_maps(nil, d).copy()
+    _, cols = _parts(nil, d)
+    k = int(_orbits(nil, d).source[0])
+    maps[:, cols[k][1]] = maps[:, cols[k][0]]
+    monkeypatch.setattr(words, "_swap_maps", lambda *_: maps)
+    with pytest.raises(InternalSoundnessFailure, match="does not map part"):
+        _orbits.__wrapped__(nil, d)
 
 
 def test_orbit_tables_are_shared_and_read_only():
@@ -334,6 +357,6 @@ def test_orbit_tables_are_shared_and_read_only():
     b = AlgebraSpec(m=3, nil=(2, 2, 2), field=Field.rationals(), max_degree=9)
     assert letter_orbits(a, 6) is letter_orbits(b, 6)
     with pytest.raises(ValueError):
-        letter_orbits(a, 6).src[0] = 0
+        letter_orbits(a, 6).cols[letter_orbits(a, 6).target[0]][0] = 0
     with pytest.raises(DegreeOutOfRange):
         letter_orbits(a, 9)
