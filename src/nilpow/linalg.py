@@ -32,10 +32,11 @@ and leaves targets out of its insertions, as it leaves full parts out.
 A target's rows are a reduced basis (the identity on its pivot columns)
 that need not be canonical RREF. Membership, containment and the readers of
 rows (bracket candidates, multiples) do not depend on the basis. Where rows
-leave the engine (`Subspace.basis_vectors`, the cache encoder and the row
-that `certify._first_escape` names) they are read with
+leave the engine (`Subspace.basis_vectors` and the row that
+`certify._first_escape` names) they are read with
 `_Block.canonical_entries`, which eliminates the targets afresh. So rows
-are canonical only through that reader.
+are canonical only through that reader. The cache stores no target rows:
+the rows of the other parts are canonical as `_Block.entries` gives them.
 
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
@@ -478,31 +479,19 @@ class _Block:
         """The rows as `entries` gives them, but in canonical RREF, so equal
         blocks give equal entries: the way rows leave the engine. A target
         part's rows are its source's, a reduced basis over permuted columns
-        that need not be canonical. In increasing columns, the rows with no
-        entry left of their 1 are already canonical RREF among themselves;
-        the others are added to those by the kernel, each call."""
+        that need not be canonical, so they are put in RREF afresh (`_rref`)
+        over the part's columns in increasing order, each call."""
         if self._orbits is None or self._parts is None:
             return self.entries()
         parts = list(zip(self._cols, self._parts))
         for t in self._orbits.target.tolist():
             c, e = parts[t]
             if 0 < e.rank < e.dim:
-                order = np.argsort(c)
-                at = np.empty_like(order)  # each column's place in increasing order
-                at[order] = np.arange(order.size)
-                piv, free = at[e.pivots], at[e.free]
-                bad = ((e.R != 0) & (free[None, :] < piv[:, None])).any(axis=1)
-                good = np.flatnonzero(~bad)
-                good = good[np.argsort(piv[good])]
-                canon = _Echelon(self.arith, e.dim, piv[good], _other_columns(e.dim, piv[good]))
-                canon.R = self.arith.zeros((good.size, canon.free.size))
-                canon.R[:, np.searchsorted(canon.free, free)] = e.R[good]
-                if bad.any():
-                    m = self.arith.zeros((int(bad.sum()), e.dim))
-                    m[np.arange(m.shape[0]), piv[bad]] = self.arith.field.one
-                    m[:, free] = e.R[bad]
-                    canon._add(m)
-                parts[t] = c[order], canon
+                m = self.arith.zeros((e.rank, e.dim))
+                m[np.arange(e.rank), e.pivots] = self.arith.field.one
+                m[:, e.free] = e.R
+                order = np.argsort(c)  # the part's columns in increasing order
+                parts[t] = c[order], _rref(self.arith, m[:, order])
         return self._gather(parts)
 
     def _gather(self, parts: Iterable[tuple[np.ndarray, _Echelon]]) -> Entries:
@@ -601,8 +590,7 @@ class _Block:
         rows in order, none empty; columns strictly increasing in a row (so
         none repeats); a 1 first in each row; strictly increasing pivots; no
         other entry in a pivot column. Returns whether they were; raises
-        `CorruptCacheEntry` if a row has entries in two multidegree parts or
-        the parts of one orbit (``orbits``) differ in rank."""
+        `CorruptCacheEntry` if a row has entries in two multidegree parts."""
         row, col = m.row, m.col  # values are reduced where read: no copy of them all
         off = np.diff(row, prepend=row[:1] - 1) == 0  # the entries after their row's first
         piv = col[~off]
@@ -615,10 +603,6 @@ class _Block:
         ordered = (np.diff(col)[off[1:]] > 0).all() and (np.diff(piv) > 0).all()
         if not ordered or (self.arith.mod(m.val[~off]) != 1).any() or is_piv[col[off]].any():
             return False
-        if self._orbits is not None:
-            rank = np.bincount(self._part_of[piv], minlength=len(self._cols))
-            if (rank[self._orbits.target] != rank[self._orbits.source]).any():
-                raise CorruptCacheEntry("the rows are not invariant under the letter permutations")
         self.write(piv, row[off], col[off], self.arith.mod(m.val[off]))
         return True
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
+import numpy as np
 import pytest
 
 import nilpow.algebra
@@ -250,17 +253,18 @@ def test_cache_round_trip(tmp_path):
 
 
 # The SHA-256 of each entry that `dims --levels 3` writes for (3; 2,2,2) at
-# D=10, as written when every multidegree part was eliminated: relabelled
-# parts leave the engine canonical, byte for byte.
+# D=10 (`nilpow-cache-3`: the rows outside the target parts, as flat lists),
+# as a tower that eliminates every multidegree part writes them too: the
+# rows of an entry depend on the space alone, byte for byte.
 M3_CACHE_ENTRIES = {
-    "22b69add7d7c7ec28296bf9991e220257ac8e718b26bb8c7d3f7a4ab5a5553b1.json": (
-        "7ce9ceb50c43e68a04b2c13e9aa9a9aceb4465494b4d018abf10cfb0d1cec60c"
+    "592056c888cbd082e2bf6c504aa97387c17dc17e18656cc139aba5761c4ae6b0.json": (
+        "7bfb98ea72b72375df5aa9cb6e260037d86624eb34642c6746b45c19bd85ef86"
     ),
-    "86da578d59229335856a64de9abad96b84675dce9261a6dfd73fc0363c7ed2b4.json": (
-        "6517730ca4289d06c2642d03c3a4ef5534aa37e7ca75b4d1fc4f79eb9ee76c6b"
+    "73fc4261b5eda62ca30f108bc6f938ff88b7ac8a6e7016ad0d78cdb27c61cd59.json": (
+        "53e95c07559afd1dbb75ea466b8147c8e13b6afde83f51b9c5887c130f92543d"
     ),
-    "9da9f9d1a0792a4f86318c02f74cd2e35d44eab36df67e7ba1528de385400ff8.json": (
-        "0be7fa1614f015f20042bcd7fc0010b2f89560d7819493bd26a7a2325f2231ae"
+    "a34452be0020221efc4d22c3016f841012cc8a0ef9af7bb099c4dc0ff5fa7b6e.json": (
+        "7b2d2c2b50e21cb24f05457fae77acbe4dd671638a9e3322d55adb8a09c91615"
     ),
 }
 
@@ -271,6 +275,30 @@ def test_m3_cache_entries_are_pinned(capsys, tmp_path):
     assert code == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == M3_CACHE_ENTRIES
     assert run_cli(capsys, *argv, "--cache", str(tmp_path))[:2] == (0, out)  # read back
+
+
+def _pivots(flat):
+    """The pivot ordinals of a degree's [row lengths, ordinals, coeffs]."""
+    lengths, ordinals, _ = flat
+    return [ordinals[at] for at in np.cumsum([0] + lengths[:-1])]
+
+
+@pytest.mark.parametrize("nil", [(2, 2, 2), (3, 3), (2, 2, 3)])
+def test_entries_hold_no_target_rows(capsys, tmp_path, nil):
+    # a target part reads its source's rows, so no entry holds a row of one
+    spec = AlgebraSpec(m=len(nil), nil=nil, max_degree=9)
+    argv = ["dims", "--generators", str(spec.m), "--nil", ",".join(map(str, nil)), "--max-degree", "9"]
+    run_cli(capsys, *argv, "--levels", "3", "--cache", str(tmp_path))
+    tower, targets = DerivedTower(spec), 0
+    for j in (1, 2, 3):
+        rows = cache_get(tmp_path, cache_key(spec, f"derived[{j}]"))["rows"]
+        for d, flat in rows.items():
+            orbits = letter_orbits(spec, int(d))
+            if orbits is not None:
+                part = multidegree_parts(spec, int(d))[0][_pivots(flat)]
+                assert not np.isin(part, orbits.target).any(), (j, d)
+                targets += tower.level(j).dim_at(int(d)) > len(part)
+    assert targets  # some level has rows in a target part, which the entry leaves out
 
 
 def test_cache_miss_on_empty(tmp_path):
@@ -293,8 +321,69 @@ def test_cache_corrupt_entry_ignored(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def test_writers_sharing_a_cache_directory(capsys, tmp_path):
+    # two writers of one entry at once: each writes whole entries through a
+    # temporary file of its own, so neither loses its file to the other
+    payload = {"version": "any", "rows": list(range(20000))}
+
+    def write(_):
+        for _ in range(50):
+            cache_put(tmp_path, "key", payload)
+
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(write, range(2)))
+    assert [p.name for p in tmp_path.iterdir()] == ["key.json"]
+    assert json.loads((tmp_path / "key.json").read_text()) == payload
+    assert capsys.readouterr().err == ""
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (tmp_path / "key.json").stat().st_mode & 0o777 == 0o666 & ~umask  # as a plain write makes it
+
+
+def test_unwritable_cache_runs_uncached(capsys, tmp_path):
+    # a cache "directory" that is a file: no entry can be written, and the
+    # run warns once per level and goes on
+    args = ["dims", *SPEC22, "--max-degree", "6", "--levels", "2"]
+    _, plain, _ = run_cli(capsys, *args)
+    path = tmp_path / "cache"
+    path.write_text("")
+    code, out, err = run_cli(capsys, *args, "--cache", str(path))
+    assert code == 0 and out == plain
+    warnings = err.splitlines()
+    assert len(warnings) == 2 and all(w.startswith("warning: not writing cache entry") for w in warnings), err
+
+
+def _pairs(flat):
+    """A degree's [row lengths, ordinals, coeffs] as rows of [ordinal, coeff]."""
+    lengths, ordinals, coeffs = flat
+    at = np.cumsum([0] + lengths).tolist()
+    pairs = [[o, c] for o, c in zip(ordinals, coeffs)]
+    return [pairs[lo:hi] for lo, hi in zip(at, at[1:])]
+
+
+def _flat(rows):
+    return [[len(r) for r in rows], [o for r in rows for o, _ in r], [c for r in rows for _, c in r]]
+
+
+def _as_pairs(tamper):
+    """A tamper of the rows of each degree written as lists of [ordinal,
+    coeff] pairs, as one of the flat lists."""
+
+    def flat_tamper(rows):
+        nested = {d: _pairs(flat) for d, flat in rows.items()}
+        tamper(nested)
+        rows.clear()
+        rows.update({d: _flat(r) for d, r in nested.items()})
+
+    return flat_tamper
+
+
 def _tallest(rows):
     return max(rows.values(), key=len)
+
+
+def _tallest_flat(rows):
+    return max(rows.values(), key=lambda flat: len(flat[0]))
 
 
 def _entry_in_pivot_column(rows):
@@ -308,7 +397,7 @@ def _entry_in_pivot_column(rows):
         for j in range(i + 1, len(tall))
         if part_of[tall[i][0][0]] == part_of[tall[j][0][0]]
     )
-    tall[i].append([tall[j][0][0], "1"])
+    tall[i].append([tall[j][0][0], 1])
 
 
 def _long_row(rows):
@@ -326,28 +415,46 @@ def _swap_pairs(rows):
 def _change_non_pivot(rows):
     # entries after a row's pivot sit in non-pivot columns; still canonical RREF
     entry = next(r for r in _tallest(rows) if len(r) > 1)[-1]
-    entry[1] = "2" if entry[1] != "2" else "3"
+    entry[1] = 2 if entry[1] != 2 else 3
+
+
+def _to_float(k):
+    # the last value of flat list k (0: row lengths, 1: ordinals) becomes a
+    # float of the same value: one conversion to int64 would take it
+    # silently, so only a type check sees it
+    def tamper(rows):
+        values = _tallest_flat(rows)[k]
+        values[-1] = float(values[-1])
+
+    return tamper
 
 
 # kind -> (tamper, the reason `subspace_from_payload` gives). The digest is
 # recomputed after each tamper, so that each reaches the check it names,
-# except for the last two: the rows stay canonical RREF of one multidegree
-# per row, so only the digest catches them.
+# except for "last row dropped" and "non-pivot entry changed": the rows
+# stay canonical RREF of one multidegree per row, so only the digest
+# catches them.
 NOT_RREF = "rows are not in canonical echelon form"
 TAMPERS = {
-    "non-monic pivot": (lambda rows: _tallest(rows)[0][0].__setitem__(1, "2"), NOT_RREF),
-    "rows out of pivot order": (lambda rows: _tallest(rows).reverse(), NOT_RREF),
-    "entry in another pivot column": (_entry_in_pivot_column, NOT_RREF),
-    "zero row": (lambda rows: _tallest(rows).append([]), NOT_RREF),
-    "pair repeated": (lambda rows: _long_row(rows).append(list(_long_row(rows)[-1])), NOT_RREF),
-    "pairs out of order in a row": (_swap_pairs, NOT_RREF),
-    "ordinal out of range": (lambda rows: _tallest(rows)[0].append([10**6, "1"]), "an ordinal of degree"),
-    "negative ordinal": (lambda rows: _tallest(rows)[0].append([-1, "1"]), "an ordinal of degree"),
-    "bad coefficient": (lambda rows: _tallest(rows)[0][0].__setitem__(1, "one"), "undecodable rows: ValueError"),
-    "bad degree": (lambda rows: rows.__setitem__("99", [[[0, "1"]]]), "degree 99 outside 1..7"),
+    "non-monic pivot": (_as_pairs(lambda rows: _tallest(rows)[0][0].__setitem__(1, 2)), NOT_RREF),
+    "rows out of pivot order": (_as_pairs(lambda rows: _tallest(rows).reverse()), NOT_RREF),
+    "entry in another pivot column": (_as_pairs(_entry_in_pivot_column), NOT_RREF),
+    "zero row": (_as_pairs(lambda rows: _tallest(rows).append([])), NOT_RREF),
+    "pair repeated": (_as_pairs(lambda rows: _long_row(rows).append(list(_long_row(rows)[-1]))), NOT_RREF),
+    "pairs out of order in a row": (_as_pairs(_swap_pairs), NOT_RREF),
+    "ordinal out of range": (_as_pairs(lambda rows: _tallest(rows)[0].append([10**6, 1])), "an ordinal of degree"),
+    "negative ordinal": (_as_pairs(lambda rows: _tallest(rows)[0].append([-1, 1])), "an ordinal of degree"),
+    "float ordinal": (_to_float(1), "an ordinal of degree 7 is not an integer"),
+    "float row length": (_to_float(0), "a row length of degree 7 is not an integer"),
+    "row lengths past the entries": (
+        lambda rows: _tallest_flat(rows)[0].__setitem__(-1, _tallest_flat(rows)[0][-1] + 1),
+        "row lengths of degree 7 do not add up",
+    ),
+    "bad coefficient": (_as_pairs(lambda rows: _tallest(rows)[0][0].__setitem__(1, "one")), "a coefficient of degree"),
+    "bad degree": (lambda rows: rows.__setitem__("99", [[1], [0], [1]]), "degree 99 outside 1..7"),
     "degree rows not a list": (lambda rows: rows.update({k: 7 for k in rows}), "undecodable rows: TypeError"),
-    "last row dropped": (lambda rows: _tallest(rows).pop(), "rows do not match their digest"),
-    "non-pivot entry changed": (_change_non_pivot, "rows do not match their digest"),
+    "last row dropped": (_as_pairs(lambda rows: _tallest(rows).pop()), "rows do not match their digest"),
+    "non-pivot entry changed": (_as_pairs(_change_non_pivot), "rows do not match their digest"),
 }
 STALE_DIGEST = {"last row dropped", "non-pivot entry changed"}
 
@@ -383,13 +490,15 @@ def test_entry_across_multidegrees_is_a_miss(capsys, tmp_path):
     spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=7)
     path = tmp_path / f"{cache_key(spec, 'derived[1]')}.json"
     payload = json.loads(path.read_text())
-    d, rows = max(payload["rows"].items(), key=lambda kv: len(kv[1]))
+    d, flat = max(payload["rows"].items(), key=lambda kv: len(kv[1][0]))
+    rows = _pairs(flat)
     part_of, _ = multidegree_parts(spec, int(d))
     pivots = {row[0][0] for row in rows}
     row = rows[0]
     col = next(c for c in range(part_of.size) if c not in pivots and part_of[c] != part_of[row[0][0]])
-    row.append([col, "1"])
+    row.append([col, 1])
     row.sort()
+    payload["rows"][d] = _flat(rows)
     payload["digest"] = _rows_digest(payload["rows"])
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptCacheEntry, match="two multidegree parts"):
@@ -399,47 +508,25 @@ def test_entry_across_multidegrees_is_a_miss(capsys, tmp_path):
     assert "warning: ignoring cache entry" in err
 
 
-def test_entry_not_invariant_is_a_miss(capsys, tmp_path):
-    # a row dropped from a target part leaves the rows in canonical RREF,
-    # and the recomputed digest matches: only the rank check of the load,
-    # part against the source of its orbit, rejects it; an entry taken as
-    # it is would change the dims
-    args = ["dims", "--generators", "2", "--nil", "3,3", "--max-degree", "7", "--levels", "2"]
-    _, plain, _ = run_cli(capsys, *args)
-    run_cli(capsys, *args, "--cache", str(tmp_path))
-    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=7)
-    path = tmp_path / f"{cache_key(spec, 'derived[1]')}.json"
-    payload = json.loads(path.read_text())
-    d = next(d for d in range(1, 8) if letter_orbits(spec, d) is not None)
-    part_of, _ = multidegree_parts(spec, d)
-    target = letter_orbits(spec, d).target[0]
-    rows = payload["rows"][str(d)]
-    rows.remove(next(row for row in rows if part_of[row[0][0]] == target))
-    payload["digest"] = _rows_digest(payload["rows"])
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptCacheEntry, match="not invariant"):
-        subspace_from_payload(spec, payload)
-    code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
-    assert code == 0 and out == plain
-    assert "warning: ignoring cache entry" in err
-
-
 def test_entry_with_wrong_target_rows_decodes_to_the_level():
-    # Target part 2 of degree 4 holds one row. Replaced by the unit row on
-    # the part's first column, the entry stays canonical RREF, equal in rank
-    # across each orbit, and the recomputed digest matches. A target reads
-    # its source's rows, so the entry must decode to the true level, or be
-    # refused; its target rows must not change the answer.
+    # Target part 2 of degree 4 holds one row of the level, which the entry
+    # leaves out. A stray unit row on the part's first column, outside the
+    # level, keeps the entry canonical RREF, and the recomputed digest
+    # matches. A target reads its source's rows, so the entry must decode
+    # to the true level, or be refused; a stray row must not change the
+    # answer.
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)
     level = DerivedTower(spec).level(2)
     payload = subspace_to_payload(level)
     part_of, cols = multidegree_parts(spec, 4)
     assert 2 in letter_orbits(spec, 4).target.tolist()
-    rows = payload["rows"]["4"]
-    [old] = [row for row in rows if part_of[row[0][0]] == 2]
-    new = [[int(cols[2][0]), spec.field.format_coeff(spec.field.one)]]
-    assert old != new
-    rows[:] = sorted([row for row in rows if row is not old] + [new], key=lambda row: row[0][0])
+    stray = np.zeros((1, part_of.size), dtype=np.int64)
+    stray[0, cols[2][0]] = 1
+    assert level.block(4).contains_matrix(stray) == 0
+    rows = _pairs(payload["rows"]["4"])
+    assert not any(part_of[row[0][0]] == 2 for row in rows)
+    rows = sorted(rows + [[[int(cols[2][0]), 1]]], key=lambda row: row[0][0])
+    payload["rows"]["4"] = _flat(rows)
     payload["digest"] = _rows_digest(payload["rows"])
     try:
         decoded = subspace_from_payload(spec, payload)
@@ -449,9 +536,9 @@ def test_entry_with_wrong_target_rows_decodes_to_the_level():
     assert decoded.contains_subspace(level) and level.contains_subspace(decoded)
 
 
-# how a tamper rewrites each coefficient of a degree: to a decimal past
+# how a tamper rewrites each coefficient of a degree: to an integer past
 # int64 of the same residue, or to a list holding the coefficient
-RESIDUE_TAMPERS = {"past int64": lambda c: str(int(c) + 10**20 * 32003), "a list": lambda c: [c]}
+RESIDUE_TAMPERS = {"past int64": lambda c: c + 10**20 * 32003, "a list": lambda c: [c]}
 
 
 @pytest.mark.parametrize("kind", RESIDUE_TAMPERS)
@@ -460,9 +547,8 @@ def test_coefficient_that_is_no_residue_is_corrupt(kind):
     # past int64 is a corrupt entry even where its residue is right
     spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=7)
     payload = subspace_to_payload(DerivedTower(spec).level(1))
-    for row in max(payload["rows"].values(), key=len):
-        for pair in row:
-            pair[1] = RESIDUE_TAMPERS[kind](pair[1])
+    coeffs = _tallest_flat(payload["rows"])[2]
+    coeffs[:] = [RESIDUE_TAMPERS[kind](c) for c in coeffs]
     payload["digest"] = _rows_digest(payload["rows"])
     with pytest.raises(CorruptCacheEntry):
         subspace_from_payload(spec, payload)

@@ -169,7 +169,7 @@ def test_rationals_path():
     s = span(spec, [v])
     assert s.dim_at(2) == 1
     # pivot is monic after echelonization
-    assert subspace_to_payload(s)["rows"] == {"2": [[[0, "1"], [1, "-2/3"]]]}
+    assert subspace_to_payload(s)["rows"] == {"2": [[2], [0, 1], ["1", "-2/3"]]}
     assert s.contains(v.scale(Fraction(7, 5)))
 
 
