@@ -3,21 +3,28 @@
 
     python3 scripts/bench_ab.py --parent DIR --change DIR --workload W --pairs N --label L
 
-Pair k (k = 1..N) runs `perfbench/run.py --workload W --seed k --seconds T`
-once in each checkout and alternates which side goes first, so that a drift in machine speed
-falls on both sides alike. Every run is a fresh process started in its
-checkout. The result is written to `BENCH_<L>.json`: each run's result
-line, and per metric and side the median, quartiles and IQR, and the
-number of pairs in which the change reads lower. A run that fails or
-prints no result is recorded with `"correct": false`, the file is written
-with the runs made so far, and no further run starts. The exit status is
-1 unless every run reports `"correct": true` and no failed job.
+Pair k (k = 1..N) runs
+`perfbench/run.py --workload W --seed k --seconds T` once in each
+checkout and alternates which side goes first, so that a drift in
+machine speed falls on both sides alike. Every run is a fresh
+process started in its checkout, after the `__pycache__` directories
+under the checkout's `src/` are removed: a bytecode cache left in one
+checkout would spare only that side the compiling that `setup_s` times
+(when `PYTHONDONTWRITEBYTECODE` is set, every setup interpreter compiles
+the package; else the first one writes the cache that the others read).
+The result is written to `BENCH_<L>.json`: each run's result line, and
+per metric and side the median, quartiles and IQR, and the number of
+pairs in which the change reads lower. A run that fails or prints no
+result is recorded with `"correct": false`, the file is written with the
+runs made so far, and no further run starts. The exit status is 1 unless
+every run reports `"correct": true` and no failed job.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -27,6 +34,8 @@ from pathlib import Path
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result line of one benchmark run in a checkout, or a
     result with `"correct": false` and the error when the run fails."""
+    for cache in list((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout,

@@ -58,7 +58,7 @@ def random_homogeneous(spec: AlgebraSpec, rng: random.Random, d: int) -> GradedV
     dim = dim_component(spec, d)
     if dim == 0:
         return GradedVector(spec)
-    if spec.field.is_prime_field:
+    if spec.field.p is not None:
         row = np.array([rng.randrange(spec.field.p) for _ in range(dim)], dtype=np.int64)
     else:
         row = np.array([Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)], dtype=object)
@@ -82,10 +82,6 @@ class NilpotencyReport:
     n: Optional[int]
     quotient_dims: list[tuple[int, int]]
     total_dim: int
-
-    @property
-    def found(self) -> bool:
-        return self.n is not None
 
 
 def nilpotency_index(tower: DerivedTower, k: int) -> NilpotencyReport:

@@ -262,10 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         raise
     try:
         return args.func(args)
-    except NilpowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (NilpowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -21,6 +21,10 @@ class DivisionByZero(NilpowError):
     """Inverse of the zero field element requested."""
 
 
+class InexactCoefficient(NilpowError):
+    """A coefficient with no exact value (a float) was given."""
+
+
 class DegreeOutOfRange(NilpowError):
     """Degree outside the range 1..max_degree."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CharacteristicTwo, DivisionByZero, ModulusTooLarge, NonPrimeModulus
+from .errors import CharacteristicTwo, DivisionByZero, InexactCoefficient, ModulusTooLarge, NonPrimeModulus
 
 Coeff = Union[int, Fraction]
 
@@ -61,17 +61,16 @@ class Field:
     def rationals(cls) -> "Field":
         return cls(None)
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
     # -- element construction ------------------------------------------------
 
     def elem(self, x: int | Fraction) -> Coeff:
-        """Canonical field element from an integer or rational."""
-        if self.p is not None:
-            return int(x) % self.p
-        return Fraction(x)
+        """Canonical field element from an integer or rational; n/d is
+        n * d^-1 in F_p. A float, which has no exact value, is refused."""
+        if hasattr(x, "__index__"):  # an integer of any type: int, bool, numpy
+            return int(x) % self.p if self.p is not None else Fraction(int(x))
+        if not isinstance(x, Fraction):
+            raise InexactCoefficient(f"{x!r} is not an integer or a rational")
+        return x if self.p is None else x.numerator * self.inv(x.denominator % self.p) % self.p
 
     @property
     def one(self) -> Coeff:

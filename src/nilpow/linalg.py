@@ -30,13 +30,14 @@ rank, membership in it and its entries come through the permutation, no
 copy is made, and it is never stale. A sweep eliminates the sources only
 and leaves targets out of its insertions, as it leaves full parts out.
 A target's rows are a reduced basis (the identity on its pivot columns)
-that need not be canonical RREF. Membership, containment and the readers of
-rows (bracket candidates, multiples) do not depend on the basis. Where rows
-leave the engine (`Subspace.basis_vectors` and the row that
+that need not be canonical RREF. Membership, containment and the readers
+of rows (bracket candidates, multiples) do not depend on the basis.
+Where rows leave the engine (`Subspace.basis_vectors` and the row that
 `certify._first_escape` names) they are read with
-`_Block.canonical_entries`, which eliminates the targets afresh. So rows
-are canonical only through that reader. The cache stores no target rows:
-the rows of the other parts are canonical as `_Block.entries` gives them.
+`_Block.canonical_entries`, which puts them through the kernel afresh
+into a block with no target parts. So rows are canonical only through
+that reader. The cache stores no target rows: the rows of the other
+parts are canonical as `_Block.entries` gives them.
 
 Vector rows and block rows share one form: numpy arrays of int64 residues
 for F_p (with matrix products routed through float64 BLAS whenever the
@@ -57,18 +58,19 @@ has one part. Rows already in canonical RREF skip elimination:
 checked on the entries by `_Block.load` for the cache. Only
 `Subspace.basis_vectors` forms dense degree rows, for its own degree.
 
-One blocked kernel, `_Echelon.insert_matrix`, does all elimination into a
-part, after the echelon forms of M4RI and FFLAS-FFPACK. A part keeps its
-RREF as `[I | R]` up to a column permutation (Dumas, Giorgi and Pernet,
-arXiv:cs/0601133): its pivot columns, its other ("free") columns and R,
-the rows' entries on the free columns, and the kernel works on the free
-columns only. Per chunk of `_CHUNK` rows: a matmul reduces the chunk
-against the part, the remainder is put in RREF, a matmul back-reduces R
-by the new rows, and old and new rows of R are written once into a new
-array in pivot order. The remainder's RREF is the same step applied to
-its halves, recursively, so its work is matmuls too; only pieces of at
-most `_BASE` rows run a Gauss-Jordan loop. `_Arith.matmul` leaves its
-product unreduced, so each `x - product` is reduced mod p once.
+One blocked kernel, `_Echelon.insert_matrix`, does all elimination into
+a part (nothing else reaches `_rref`), after the echelon forms of M4RI
+and FFLAS-FFPACK. A part keeps its RREF as `[I | R]` up to a column
+permutation (Dumas, Giorgi and Pernet, arXiv:cs/0601133): its pivot
+columns, its other ("free") columns and R, the rows' entries on the free
+columns, and the kernel works on the free columns only. Per chunk of
+`_CHUNK` rows: a matmul reduces the chunk against the part, the
+remainder is put in RREF, a matmul back-reduces R by the new rows, and
+old and new rows of R are written once into a new array in pivot order.
+The remainder's RREF is the same step applied to its halves,
+recursively, so its work is matmuls too; only pieces of at most `_BASE`
+rows run a Gauss-Jordan loop. `_Arith.matmul` leaves its product
+unreduced, so each `x - product` is reduced mod p once.
 """
 
 from __future__ import annotations
@@ -130,11 +132,8 @@ class _Arith:
             return np.dot(a, b)
         return np.array(a.astype(object).dot(b.astype(object)) % self.p, dtype=np.int64)
 
-    def inv(self, x) -> Coeff:
-        return self.field.inv(x if self.p is None else int(x))
-
     def nonzero_rows(self, m: np.ndarray) -> np.ndarray:
-        return np.flatnonzero((m != 0).any(axis=1)) if m.size else np.empty(0, dtype=np.intp)
+        return np.flatnonzero((m != 0).any(axis=1))
 
 
 class GradedVector:
@@ -142,11 +141,12 @@ class GradedVector:
     row over the normal words of that degree, in the form of block rows.
 
     Takes rows (arrays or sequences) or, as the public form,
-    {degree: {ordinal: coeff}} maps, and copies and checks them. The
-    operations build their results with `_of`, which takes rows that are
-    already reduced and of the right width as they are. Either way the
-    stored rows are read-only, so vectors may share them; all operations
-    return fresh vectors. Zero rows are never stored.
+    {degree: {ordinal: coeff}} maps, and copies and checks them, each
+    coefficient through `Field.elem`. The operations build their results
+    with `_of`, which takes rows that are already reduced and of the right
+    width as they are. Either way the stored rows are read-only, so vectors
+    may share them; all operations return fresh vectors. Zero rows are
+    never stored.
     """
 
     __slots__ = ("spec", "parts")
@@ -169,8 +169,10 @@ class GradedVector:
                     row[o] = f.elem(c)
             elif np.asarray(comp).shape != row.shape:
                 raise SpecMismatch(f"a degree-{d} row needs {row.size} entries, not shape {np.shape(comp)}")
-            else:
+            elif np.asarray(comp).dtype.kind in "bi":
                 row = arith.mod(row + comp)  # a copy: the caller keeps comp
+            else:  # each value as `Field.elem` takes it, so a float is refused
+                row = np.array([f.elem(c) for c in np.asarray(comp).tolist()], dtype=row.dtype)
             clean[d] = row
         self.spec = spec
         self.parts = _nonzero_frozen(clean)
@@ -316,7 +318,7 @@ class _Echelon:
         there exactly when the row lies in the span."""
         if self.rank == 0:
             return self.arith.mod(m)
-        if self.rank == self.dim or m.shape[0] == 0:
+        if self.rank == self.dim:
             return self.arith.zeros((m.shape[0], self.dim - self.rank))
         coeffs = m[:, self.pivots]
         used = np.flatnonzero((coeffs != 0).any(axis=0))  # only these rows contribute
@@ -389,7 +391,7 @@ def _rref(arith: _Arith, c: np.ndarray) -> _Echelon:
         col = int(lead[i])
         if col == w:
             break
-        inv = arith.inv(c[i, col])
+        inv = arith.field.inv(c[i, col])
         if inv != 1:
             c[i, col:] = arith.mod(c[i, col:] * inv)
         piv[i], lead[i] = col, w
@@ -472,32 +474,25 @@ class _Block:
             i = np.arange(self.dim)
             return Entries((self.dim, self.dim), i, i, np.full(self.dim, self.arith.field.one))
         if self._entries is None:
-            self._entries = self._gather(zip(self._cols, self._parts))
+            self._entries = self._gather()
         return self._entries
 
     def canonical_entries(self) -> Entries:
         """The rows as `entries` gives them, but in canonical RREF, so equal
         blocks give equal entries: the way rows leave the engine. A target
-        part's rows are its source's, a reduced basis over permuted columns
-        that need not be canonical, so they are put in RREF afresh (`_rref`)
-        over the part's columns in increasing order, each call."""
-        if self._orbits is None or self._parts is None:
+        part reads its source's rows over permuted columns, so while one is
+        partly filled all rows go afresh, each call, through the kernel into
+        a block of the same parts with no targets and sorted columns."""
+        targets = () if self._orbits is None or self._parts is None else self._orbits.target
+        if not any(0 < self._parts[t].rank < self._parts[t].dim for t in targets):
             return self.entries()
-        parts = list(zip(self._cols, self._parts))
-        for t in self._orbits.target.tolist():
-            c, e = parts[t]
-            if 0 < e.rank < e.dim:
-                m = self.arith.zeros((e.rank, e.dim))
-                m[np.arange(e.rank), e.pivots] = self.arith.field.one
-                m[:, e.free] = e.R
-                order = np.argsort(c)  # the part's columns in increasing order
-                parts[t] = c[order], _rref(self.arith, m[:, order])
-        return self._gather(parts)
+        fresh = _Block(self.arith, self.dim, parts=(self._part_of, tuple(np.sort(c) for c in self._cols)))
+        fresh.insert_matrix(self.entries())
+        return fresh.entries()
 
-    def _gather(self, parts: Iterable[tuple[np.ndarray, _Echelon]]) -> Entries:
-        """The pivot 1s and the nonzeros of R of each (columns, part), in
-        degree columns."""
-        parts = [(c, e) for c, e in parts if e.rank]
+    def _gather(self) -> Entries:
+        """The pivot 1s and the nonzeros of R of each part, in degree columns."""
+        parts = [(c, e) for c, e in zip(self._cols, self._parts) if e.rank]
         piv = np.concatenate([c[e.pivots] for c, e in parts] + [_NO_COLUMNS])
         at = np.empty(piv.size, dtype=np.intp)
         at[np.argsort(piv)] = np.arange(piv.size)
@@ -510,13 +505,9 @@ class _Block:
             cols.append(c[e.free[j]])
             vals.append(e.R[r, j])
             r0 += e.rank
-        order = np.argsort(np.concatenate(rows), kind="stable")
-        return Entries(
-            (piv.size, self.dim),
-            np.concatenate(rows)[order],
-            np.concatenate(cols)[order],
-            np.concatenate(vals)[order],
-        )
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        order = np.argsort(rows, kind="stable")
+        return Entries((piv.size, self.dim), rows[order], cols[order], vals[order])
 
     def _group(self, m, insert: bool = False) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """The rows of m (dense, or `Entries`) by part: (k, rows, sub) for
@@ -528,8 +519,6 @@ class _Block:
         such a row gives a piece in each part, a target's over its source's
         columns. In a one-part block every row is in the piece."""
         if len(self._cols) == 1:
-            if self.rank == self.dim:
-                return []
             sub = m if isinstance(m, np.ndarray) else m.dense(self.arith)
             return [(0, np.arange(m.shape[0]), sub)]
         if isinstance(m, np.ndarray):
@@ -716,14 +705,6 @@ class Subspace:
             if r or all_degrees:
                 out.append((d, r))
         return out
-
-    def equal_at(self, other: "Subspace", d: int) -> bool:
-        self._check(other.spec)
-        if self.dim_at(d) != other.dim_at(d):
-            return False
-        if self.dim_at(d) == 0:
-            return True
-        return other.block(d).contains_matrix(self.block(d).entries()) is None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         for d in range(1, self.spec.max_degree + 1):

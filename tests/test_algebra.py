@@ -376,8 +376,7 @@ def test_ideal_closure_idempotent():
     comm = bracket(X, Y)
     clo = ideal_closure(span(S22, [comm]))
     again = ideal_closure(clo)
-    for d in range(1, 7):
-        assert clo.equal_at(again, d)
+    assert clo.dims() == again.dims() and clo.contains_subspace(again)
 
 
 def test_ideal_closure_matches_oracle(suite_specs):
@@ -413,8 +412,7 @@ def test_derived_powers_are_lie_ideals():
     t = DerivedTower(spec)
     for i in (1, 2):
         clo = lie_ideal_closure(t.level(i))
-        for d in range(1, 9):
-            assert clo.equal_at(t.level(i), d)
+        assert clo.dims() == t.level(i).dims() and clo.contains_subspace(t.level(i))
 
 
 def test_lie_ideal_closure_contains_seed():

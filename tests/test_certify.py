@@ -132,7 +132,7 @@ def test_m3_cache_round_trip_memory_d10():
 def test_nilpotency_not_found_is_a_value():
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
     rep = nilpotency_index(DerivedTower(spec), 3)
-    assert rep.n is None and not rep.found
+    assert rep.n is None
 
 
 def test_nilpotency_monotone_in_k(suite_specs):

@@ -115,6 +115,14 @@ def test_certify_verified_exit_zero(capsys, tmp_path):
     jsonschema.validate(cert, certificate_schema())
 
 
+def test_unwritable_out_exits_one(capsys, tmp_path):
+    for cmd in (["certify", "--i", "1"], ["dims"]):
+        out = tmp_path / "missing" / "out.json"
+        code, _, err = run_cli(capsys, *cmd, *SPEC22, "--max-degree", "6", "--out", str(out))
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert not out.parent.exists()
+
+
 def test_certify_small_degree_exit_two(capsys):
     code, out, err = run_cli(capsys, "certify", "--i", "1", *SPEC22, "--max-degree", "10")
     assert code == 2
@@ -248,8 +256,7 @@ def test_cache_round_trip(tmp_path):
         payload = cache_get(tmp_path, key)
         assert payload is not None
         restored = subspace_from_payload(spec, payload)
-        for d in range(1, 7):
-            assert restored.equal_at(s, d)
+        assert restored.dims() == s.dims() and restored.contains_subspace(s)
 
 
 # The SHA-256 of each entry that `dims --levels 3` writes for (3; 2,2,2) at

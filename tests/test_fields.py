@@ -10,7 +10,7 @@ from nilpow.errors import CharacteristicTwo, DivisionByZero, ModulusTooLarge, No
 
 def test_valid_prime_field():
     f = Field.prime(32003)
-    assert f.is_prime_field and f.p == 32003
+    assert f.p == 32003
 
 
 def test_characteristic_two_rejected():
@@ -36,7 +36,7 @@ def test_modulus_bound():
 
 def test_rationals_valid():
     f = Field.rationals()
-    assert not f.is_prime_field
+    assert f.p is None
     assert f.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from nilpow import AlgebraSpec, DerivedTower, Field, GradedVector, Subspace, linalg, span
 from nilpow.cache import subspace_to_payload
-from nilpow.errors import CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
+from nilpow.errors import (
+    CorruptCacheEntry,
+    DivisionByZero,
+    InexactCoefficient,
+    InternalSoundnessFailure,
+    SpecMismatch,
+)
 from nilpow.words import letter_orbits, multidegree_parts
 
 from dense_oracle import Oracle
@@ -60,6 +66,35 @@ def test_spec_mismatch_rejected():
     assert GradedVector(S22, {2: [0, 5]}).terms(2) == [(1, 5)]
 
 
+def test_coefficients_enter_exactly():
+    f7, q = Field.prime(7), Field.rationals()
+    assert f7.elem(Fraction(3, 2)) == 5 and f7.elem(Fraction(-1, 3)) == 2 and q.elem(3) == Fraction(3)
+    with pytest.raises(DivisionByZero):
+        f7.elem(Fraction(1, 14))
+    for field in (f7, q):
+        for x in (0.5, 1.0, np.float64(2.0), np.float32(2.0)):
+            with pytest.raises(InexactCoefficient):
+                field.elem(x)
+    spec = AlgebraSpec(m=2, nil=(2, 2), field=f7, max_degree=4)
+    half = GradedVector(spec, {1: {0: Fraction(1, 2)}})
+    assert half.terms(1) == [(0, 4)] and half.scale(2) == GradedVector(spec, {1: {0: 1}})
+    for row in ([Fraction(1, 2), 0], np.array([Fraction(1, 2), 0], dtype=object)):
+        v = GradedVector(spec, {1: row})
+        assert v.parts[1].dtype == np.int64 and v.parts[1].tolist() == [4, 0]
+    assert GradedVector(spec, {1: np.array([-1, 9])}).parts[1].tolist() == [6, 2]
+    qspec = AlgebraSpec(m=2, nil=(2, 2), field=q, max_degree=4)
+    for row in ([Fraction(1, 2), 3], np.array([Fraction(1, 2), 3], dtype=object)):
+        v = GradedVector(qspec, {1: row})
+        assert all(type(x) is Fraction for x in v.parts[1]) and v.terms(1) == [(0, Fraction(1, 2)), (1, 3)]
+    assert all(type(x) is Fraction for x in GradedVector(qspec, {1: np.array([1, 3])}).parts[1])
+    for field_spec in (spec, qspec):
+        for row in ([0.5, 0.0], np.array([0.5, 0.0]), np.array([1.0, 0.0])):
+            with pytest.raises(InexactCoefficient):
+                GradedVector(field_spec, {1: row})
+        with pytest.raises(InexactCoefficient):
+            GradedVector(field_spec, {1: {0: 0.5}})
+
+
 def test_insert_examples():
     s = Subspace(S22)
     insert = lambda v: s.block(2).insert_matrix(v.parts[2][None, :])
@@ -80,10 +115,10 @@ def test_contains_examples():
 def test_dims_and_equality():
     s = span(S22, [COMM])
     assert s.dims() == [(2, 1)]
-    assert s.equal_at(s, 2) and s.equal_at(s, 3)
+    assert s.contains_subspace(s)
     full = Subspace.full_space(S22)
     assert full.dims() == [(d, 2) for d in range(1, 7)]
-    assert not full.equal_at(s, 2)
+    assert full.contains_subspace(s) and not s.contains_subspace(full)
 
 
 def test_contains_iff_no_growth():
@@ -418,6 +453,36 @@ def test_relabelled_rows_leave_canonical():
         assert _same_entries(level.block(d).canonical_entries(), plain.block(d).entries())
         assert not np.array_equal(_rows(level.block(d)), _rows(plain.block(d)))
     assert subspace_to_payload(level) == subspace_to_payload(plain)
+
+
+@pytest.mark.parametrize(
+    "nil, field, top, first",
+    [
+        ((2, 2, 2), Field.rationals(), 6, 1),
+        ((3, 3), Field.rationals(), 8, 1),
+        ((2, 2, 3), Field.rationals(), 5, 1),
+        ((3, 3), Field.prime(32003), 10, 3),  # level 3 begins at degree 10, of 178 words
+    ],
+)
+def test_canonical_rows_match_reference(nil, field, top, first):
+    # `canonical_entries` and the fully eliminated tower both come from the
+    # kernel; a plain-Python RREF of the stored rows (`reference_insert`)
+    # checks them. Over Q every degree up to `top` has at most 100 words, so
+    # levels 1 and 2 have rows there and level 3 and id(A^(3)) none; those
+    # two are checked over F_p at degree 10 of (2; 3,3), of 178 words.
+    spec = AlgebraSpec(m=len(nil), nil=nil, field=field, max_degree=top)
+    tower = DerivedTower(spec)
+    spaces = [tower.level(i) for i in range(first, 4)] + [tower.ideal(3)]
+    relabelled = 0
+    for s in spaces:
+        assert s.symmetric
+        for d, rank in s.dims():
+            blk = s.block(d)
+            ref, grew = reference_insert(field, [], _rows(blk).tolist())
+            assert grew == rank
+            assert blk.canonical_entries().dense(blk.arith).tolist() == ref
+            relabelled += not _same_entries(blk.canonical_entries(), blk.entries())
+    assert relabelled  # some target part's rows are not canonical as stored
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["parts", "one-part"])
