@@ -110,6 +110,8 @@ class Field:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
     def parse_coeff(self, s: str) -> Coeff:
+        if not isinstance(s, str):
+            raise TypeError(f"a coefficient is written as a string, not {s!r}")
         if self.p is not None:
             return int(s) % self.p
         return Fraction(s)

@@ -2,7 +2,7 @@
 
 Elements are `GradedVector`s: one dense coefficient row per nonzero degree
 over the normal-word basis. Subspaces keep one reduced-row-echelon block per
-degree (monic pivots, fully back-reduced, rows sorted by pivot ordinal), so
+degree (monic pivots, fully back-reduced, rows read in pivot order), so
 equal subspaces have literally equal rows, as read canonically (below), and
 every certificate is canonical.
 
@@ -34,9 +34,9 @@ that need not be canonical RREF. Membership, containment and the readers
 of rows (bracket candidates, multiples) do not depend on the basis.
 Where rows leave the engine (`Subspace.basis_vectors` and the row that
 `certify._first_escape` names) they are read with
-`_Block.canonical_entries`, which puts them through the kernel afresh
-into a block with no target parts. So rows are canonical only through
-that reader. The cache stores no target rows: the rows of the other
+`_Block.canonical_entries`, which puts the target parts' rows through the
+kernel afresh into parts with sorted columns. So rows are canonical only
+through that reader. The cache stores no target rows: the rows of the other
 parts are canonical as `_Block.entries` gives them.
 
 Vector rows and block rows share one form: numpy arrays of int64 residues
@@ -66,8 +66,9 @@ columns, its other ("free") columns and R, the rows' entries on the free
 columns, and the kernel works on the free columns only. Per chunk of
 `_CHUNK` rows: a matmul reduces the chunk against the part, the
 remainder is put in RREF, a matmul back-reduces R by the new rows, and
-old and new rows of R are written once into a new array in pivot order.
-The remainder's RREF is the same step applied to its halves,
+the old rows of R, then the new, are written once into a new array: a
+part keeps rows in arrival order, and only `_Block._gather` sorts them by
+pivot. The remainder's RREF is the same step applied to its halves,
 recursively, so its work is matmuls too; only pieces of at most `_BASE`
 rows run a Gauss-Jordan loop. `_Arith.matmul` leaves its product
 unreduced, so each `x - product` is reduced mod p once.
@@ -296,10 +297,11 @@ _NO_COLUMNS = np.empty(0, dtype=np.intp)
 
 class _Echelon:
     """Canonical RREF rows over one set of columns, grown by the blocked
-    kernel: row r is 1 at ``pivots[r]`` and ``R[r]`` at ``free``, both
-    sorted. An empty part keeps None for ``free`` and ``R``; a full part
-    keeps an R of no columns. A stored array is never written in place, so
-    copies of a block may share them."""
+    kernel: row r is 1 at ``pivots[r]`` and ``R[r]`` at the sorted
+    ``free``. Rows are kept in the order they arrived, not by pivot (a
+    block gives them in pivot order). An empty part keeps None for ``free`` and ``R``;
+    a full part keeps an R of no columns. A stored array is never written
+    in place, so copies of a block may share them."""
 
     __slots__ = ("arith", "dim", "pivots", "free", "R")
 
@@ -318,8 +320,6 @@ class _Echelon:
         there exactly when the row lies in the span."""
         if self.rank == 0:
             return self.arith.mod(m)
-        if self.rank == self.dim:
-            return self.arith.zeros((m.shape[0], self.dim - self.rank))
         coeffs = m[:, self.pivots]
         used = np.flatnonzero((coeffs != 0).any(axis=0))  # only these rows contribute
         coeffs = self.arith.mod(coeffs[:, used])
@@ -347,64 +347,51 @@ class _Echelon:
 
     def _merge(self, new: "_Echelon") -> None:
         """Add ``new``, an RREF over the free columns: back-reduce R by its
-        rows, drop its pivot columns from R, and write old and new rows
-        once each into one array, at their `searchsorted` positions."""
+        rows, drop its pivot columns from R, and write the old rows, then
+        the new ones, once each into one array."""
         if self.rank == 0:
             self.pivots, self.free, self.R = new.pivots, new.free, new.R
             return
-        lp, lf = new.pivots, new.free
-        piv, opiv, old = self.free[lp], self.pivots, self.R
-        at_new = np.searchsorted(opiv, piv) + np.arange(piv.size)
-        at_old = np.searchsorted(piv, opiv) + np.arange(opiv.size)
-        R = np.empty((opiv.size + piv.size, lf.size), dtype=old.dtype)
-        R[at_new] = new.R
-        R[at_old] = old[:, lf]
-        coeffs = old[:, lp]
+        lp, lf, r = new.pivots, new.free, self.rank
+        R = np.empty((r + new.rank, lf.size), dtype=self.R.dtype)
+        R[:r], R[r:] = self.R[:, lf], new.R
+        coeffs = self.R[:, lp]
         hit = np.flatnonzero((coeffs != 0).any(axis=1))
         if hit.size and lf.size:
-            a = self.arith
-            R[at_old[hit]] = a.mod(R[at_old[hit]] - a.matmul(coeffs[hit], new.R))
-        pivots = np.empty(R.shape[0], dtype=np.intp)
-        pivots[at_new], pivots[at_old] = piv, opiv
-        self.pivots, self.free, self.R = pivots, self.free[lf], R
+            R[hit] = self.arith.mod(R[hit] - self.arith.matmul(coeffs[hit], new.R))
+        self.pivots, self.free, self.R = np.concatenate([self.pivots, self.free[lp]]), self.free[lf], R
 
 
 def _rref(arith: _Arith, c: np.ndarray) -> _Echelon:
     """The canonical RREF of c, a fresh matrix of nonzero rows, as an
-    `_Echelon` over its columns. Above `_BASE` rows, recursively, as in
-    FFLAS-FFPACK: the RREF of the top half becomes a scratch part and the
-    bottom half is added to it (`_Echelon._add`), so one matmul reduces the
-    bottom by the top and another back-reduces the top by what is left. Up
-    to `_BASE` rows, Gauss-Jordan over pivots in increasing column order;
-    each step touches only the rows with an entry in its column, right of
-    it (the pivot row is zero to its left)."""
+    `_Echelon` over its columns, rows in the order they were found. Above
+    `_BASE` rows, recursively, as in FFLAS-FFPACK: the RREF of the top half
+    becomes a scratch part and the bottom half is added to it
+    (`_Echelon._add`), so one matmul reduces the bottom by the top and
+    another back-reduces the top by what is left. Up to `_BASE` rows,
+    Gauss-Jordan over the rows in turn: a row's first nonzero (the earlier
+    pivot columns are cleared in it) is its pivot, and the step clears that
+    column in every other row with an entry there, right of the pivot."""
     n, w = c.shape
     if n > _BASE:
         e = _rref(arith, c[: n // 2])
         e._add(c[n // 2 :])
         return e
-    lead = (c != 0).argmax(axis=1)  # of open rows
-    piv = np.full(n, w, dtype=np.intp)  # of finished rows
-    # array methods, not the np.* wrappers: this loop runs once per pivot
-    while True:
-        i = int(lead.argmin())
-        col = int(lead[i])
-        if col == w:
-            break
+    piv = np.full(n, w, dtype=np.intp)
+    # array methods, not the np.* wrappers: this loop runs once per row
+    for i in range(n):
+        nz = c[i].nonzero()[0]
+        if not nz.size:
+            continue
+        col = piv[i] = nz[0]
         inv = arith.field.inv(c[i, col])
         if inv != 1:
             c[i, col:] = arith.mod(c[i, col:] * inv)
-        piv[i], lead[i] = col, w
-        hit = c[:, col] != 0
-        hit[i] = False
-        hit = hit.nonzero()[0]
+        hit = c[:, col].nonzero()[0]
+        hit = hit[hit != i]
         if hit.size:
             c[hit, col:] = arith.mod(c[hit, col:] - c[hit, col][:, None] * c[i, col:][None, :])
-            open_ = hit[piv[hit] == w]
-            nzh = c[open_, col:] != 0
-            lead[open_] = np.where(nzh.any(axis=1), col + nzh.argmax(axis=1), w)
     done = np.flatnonzero(piv < w)
-    done = done[np.argsort(piv[done])]
     free = _other_columns(w, piv[done])
     return _Echelon(arith, w, piv[done], free, c[done[:, None], free])
 
@@ -481,13 +468,19 @@ class _Block:
         """The rows as `entries` gives them, but in canonical RREF, so equal
         blocks give equal entries: the way rows leave the engine. A target
         part reads its source's rows over permuted columns, so while one is
-        partly filled all rows go afresh, each call, through the kernel into
-        a block of the same parts with no targets and sorted columns."""
+        partly filled its rows go afresh, each call, through the kernel into
+        a block of the same parts with sorted columns that shares the other
+        parts' rows, canonical already."""
         targets = () if self._orbits is None or self._parts is None else self._orbits.target
         if not any(0 < self._parts[t].rank < self._parts[t].dim for t in targets):
             return self.entries()
+        is_target = np.isin(np.arange(len(self._parts)), targets)
         fresh = _Block(self.arith, self.dim, parts=(self._part_of, tuple(np.sort(c) for c in self._cols)))
-        fresh.insert_matrix(self.entries())
+        fresh._parts = [f if t else _Echelon(e.arith, e.dim, e.pivots, e.free, e.R)
+                        for f, e, t in zip(fresh._parts, self._parts, is_target.tolist())]
+        m = self.entries()  # a row's entries all lie in its part
+        keep = is_target[self._part_of[m.col]]
+        fresh.insert_matrix(Entries(m.shape, m.row[keep], m.col[keep], m.val[keep]))
         return fresh.entries()
 
     def _gather(self) -> Entries:

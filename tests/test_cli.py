@@ -561,6 +561,26 @@ def test_coefficient_that_is_no_residue_is_corrupt(kind):
         subspace_from_payload(spec, payload)
 
 
+def test_rational_coefficient_that_is_no_string_is_a_miss(capsys, tmp_path):
+    # over Q each coefficient is the text of a rational; a float of the same
+    # value, with the digest recomputed, is a corrupt entry as over F_p
+    args = ["dims", "--generators", "2", "--nil", "3,3", "--max-degree", "7", "--levels", "1", "--field", "q"]
+    _, plain, _ = run_cli(capsys, *args)
+    run_cli(capsys, *args, "--cache", str(tmp_path))
+    spec = AlgebraSpec(m=2, nil=(3, 3), field=Field.rationals(), max_degree=7)
+    path = tmp_path / f"{cache_key(spec, 'derived[1]')}.json"
+    payload = json.loads(path.read_text())
+    coeffs = _tallest_flat(payload["rows"])[2]
+    coeffs[coeffs.index("-1")] = -1.0
+    payload["digest"] = _rows_digest(payload["rows"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptCacheEntry, match="TypeError"):
+        subspace_from_payload(spec, payload)
+    code, out, err = run_cli(capsys, *args, "--cache", str(tmp_path))
+    assert code == 0 and out == plain
+    assert err.startswith("warning: ignoring cache entry") and "TypeError" in err
+
+
 def test_cached_certify_matches_uncached(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     plain, cached, cached2 = (tmp_path / n for n in ("plain.json", "c1.json", "c2.json"))

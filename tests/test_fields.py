@@ -87,3 +87,12 @@ def test_coeff_round_trip():
     x = Fraction(-7, 3)
     assert fq.parse_coeff(fq.format_coeff(x)) == x
     assert fq.format_coeff(Fraction(4, 2)) == "2"
+
+
+@pytest.mark.parametrize("field", [Field.prime(7), Field.rationals()], ids=str)
+@pytest.mark.parametrize("value", [2.7, -1.0, 3, True])
+def test_coeff_parse_takes_strings_only(field, value):
+    # a float would be truncated (F_p) or taken as an exact rational (Q), and
+    # an integer or a bool is no text form either
+    with pytest.raises(TypeError):
+        field.parse_coeff(value)

@@ -278,6 +278,13 @@ def _kernel_cases(rng):
     wide = 4 * linalg._BASE + 8
     half = linalg._BASE + 1
     top = _combinations(rng, _random_rows(rng, 3, 3 * linalg._BASE), half)
+    # pivots arriving left of the earlier ones: rows zero on the left half,
+    # then rows on all columns, in a later `_CHUNK` chunk and in the bottom
+    # half of a `_BASE` split
+    right = [[0] * 10 + r for r in _random_rows(rng, 4, 10)]
+    late = _combinations(rng, right, linalg._CHUNK) + _combinations(rng, _random_rows(rng, 4, 20), 9)
+    wide_right = [[0] * (2 * linalg._BASE) + r for r in _random_rows(rng, 3, linalg._BASE)]
+    bottom = _combinations(rng, wide_right, half) + _combinations(rng, _random_rows(rng, 3, 3 * linalg._BASE), half)
     return {
         "zero rows": (8, _random_rows(rng, 3, 8), [[0] * 8, row, [0] * 8, [0] * 8, _random_rows(rng, 1, 8)[0]]),
         "duplicate rows": (8, _random_rows(rng, 2, 8), [row, row, [2 * x for x in row], row, [-x for x in row]]),
@@ -286,6 +293,8 @@ def _kernel_cases(rng):
         "more rows than chunk": (20, basis[:3], spanned),
         "full rank past base": (wide + 8, [], _path_rows(rng, wide, wide + 8)),
         "dependent top half": (3 * linalg._BASE, [], top + _random_rows(rng, half, 3 * linalg._BASE, -1, 1)),
+        "later chunk leads left": (20, right[:2], late),
+        "bottom half leads left": (3 * linalg._BASE, [], bottom),
     }
 
 
@@ -297,6 +306,8 @@ KERNEL_CASES = [
     "more rows than chunk",
     "full rank past base",
     "dependent top half",
+    "later chunk leads left",
+    "bottom half leads left",
 ]
 KERNEL_FIELDS = [Field.prime(5), Field.prime(32003), Field.prime(2**31 - 1), Field.rationals()]
 
@@ -320,8 +331,9 @@ def test_insert_matrix_matches_reference(field, case):
     ref, ref_grew = reference_insert(field, ref, chunk)
     assert blk.insert_matrix(dense(chunk)) == ref_grew
     assert [[field.elem(x) for x in r] for r in _rows(blk)] == ref
+    assert [[field.elem(x) for x in r] for r in blk.canonical_entries().dense(blk.arith)] == ref
     assert blk.rank == len(ref) and blk.full == (len(ref) == dim)
-    assert list(blk._parts[0].pivots) == [_lead(r) for r in ref]
+    assert sorted(blk._parts[0].pivots) == [_lead(r) for r in ref]
 
 
 # -- multigraded blocks against one-part blocks --------------------------------
@@ -640,8 +652,8 @@ def _check_layout(blk):
         if e.rank == 0:
             assert e.free is None and e.R is None
             continue
-        piv = e.pivots.tolist()
-        assert piv == sorted(set(piv))
+        piv = e.pivots.tolist()  # in the order the rows arrived
+        assert len(set(piv)) == len(piv)
         assert e.free.tolist() == sorted(set(range(e.dim)) - set(piv))
         assert e.R.shape == (e.rank, e.dim - e.rank)
 
