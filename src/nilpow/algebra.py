@@ -16,12 +16,13 @@ keeps the inner loops in numpy: `mul_table` slices them from the tables (p, 1..D
 by the nil exponents and degrees, not the field, so specs over different
 fields share them.
 
-One generator, `_brackets`, produces every bracket candidate (row x row;
-basis words enter as the identity rows of a full block). It reads the rows
-of blocks as entries (`_Block.entries`) and yields the candidates as
-`linalg.Entries` for a run of rows at a time, gathered from the tables in
-one pass per run: each product of two entries is one entry, unreduced, so
-no candidate matrix is as wide as its degree. The check suites test a
+One generator, `_brackets`, produces every closure's candidates: brackets
+row x row (basis words enter as the identity rows of a full block), or for
+the ideal closure both products of each row with each generator. It reads
+the rows of blocks as entries (`_Block.entries`) and yields the candidates
+as `linalg.Entries` for a run of rows at a time, gathered from the tables
+in one pass per run: each product of two entries is one entry, unreduced,
+so no candidate matrix is as wide as its degree. The check suites test a
 run with one membership test. One feeder, `_insert_all`, batches the
 candidates into an echelon block, which forms dense rows only over the
 columns of each multidegree part they reach. The first derived power
@@ -134,33 +135,36 @@ def eval_f(s: int, args: Sequence[GradedVector]) -> GradedVector:
 
 # -- closure machinery -------------------------------------------------------
 
-# candidate rows per `_Block.insert_matrix` call from `_insert_all`; they
-# arrive as entries, and the block forms one dense matrix per part they reach
+# `_insert_all` hands `_Block.insert_matrix` fewer than `_BUFFER` candidate
+# rows plus one run, as entries; the block forms a dense matrix per part hit
 _BUFFER = 2048
-# a run of `_brackets` holds at most `_BUFFER` // 8 rows and gathers at most
-# `_RUN_PAIRS` entry pairs, unless it is a single row of rows_p
+# a run of `_brackets`, for every closure, holds at most `_BUFFER` // 8 rows
+# (both products of a pair count) and gathers at most `_RUN_PAIRS` entry
+# pairs, unless it is a single row of rows_p
 _RUN_PAIRS = 2**16
 
 
 def _brackets(
-    spec: AlgebraSpec, p: int, q: int, rows_p: Entries, rows_q: Entries, same: bool = False
+    spec: AlgebraSpec, p: int, q: int, rows_p: Entries, rows_q: Entries, same: bool = False, products: bool = False
 ) -> Iterator[tuple[int, Entries]]:
     """Yield (a, m) for runs of rows a, a+1, ... of the degree-p rows_p,
     in order: m stacks, for each row a' of the run in turn, the brackets
     [rows_p[a'], rows_q[j]] with the rows j of the degree-q rows_q, or only
     those with j > a' under ``same`` (rows_q is then rows_p, p == q;
     antisymmetry covers the other pairs). Without ``same``, row r of m is
-    thus the bracket of row a + r // n with row r % n, n = rows_q.shape[0].
-    A run has at most `_BUFFER` // 8 rows of m and `_RUN_PAIRS` entry
-    pairs, or one row of rows_p. Both row sets are sorted by row; m holds
-    each product of two entries as an entry of its own, unreduced."""
+    thus the bracket of row a + r // n with row r % n, n = rows_q.shape[0];
+    under ``products`` that pair (u, v) gives u v in row 2r, v u in 2r + 1.
+    A run has at most `_BUFFER` // 8 rows of m and `_RUN_PAIRS` entry pairs,
+    or one row of rows_p. Both row sets are sorted by row; m holds each
+    product of two entries as an entry of its own, unreduced."""
     dimf = dim_component(spec, p + q)
     t1 = mul_table(spec, p, q)
     t2 = mul_table(spec, q, p)
     n = rows_q.shape[0]
     top = (n - 1 if same else rows_p.shape[0]) if n else 0  # the rows with a bracket
+    k = 2 if products else 1  # rows of m per pair
 
-    def before(a: int) -> int:  # the rows of m that rows 0..a-1 give
+    def before(a: int) -> int:  # the pairs that rows 0..a-1 give
         return a * n - (a * (a + 1) // 2 if same else 0)
 
     ptr = np.searchsorted(rows_p.row, np.arange(top + 1)).tolist()
@@ -173,33 +177,34 @@ def _brackets(
         stop = min(top, bisect_right(ptr, ptr[a] + _RUN_PAIRS // max(1, b.size)) - 1)
         if same:
             a1 = a + 1
-            while a1 < stop and before(a1 + 1) - before(a) <= max_rows:
+            while a1 < stop and k * (before(a1 + 1) - before(a)) <= max_rows:
                 a1 += 1
         else:
-            a1 = max(a + 1, min(stop, a + max_rows // n))
+            a1 = max(a + 1, min(stop, a + max_rows // (k * n)))
         e = slice(ptr[a], ptr[a1])
         pr, i, c = rows_p.row[e, None], rows_p.col[e, None], rows_p.val[e, None]
         # Product words of entry i of row a' with entry j of row b: u_i v_j
-        # with coefficient c*x, and v_j u_i with -c*x, in row
-        # before(a') - before(a) + b (less a' + 1 under ``same``) of m. An
-        # entry gets at most one product per sign (its word's degree-p
-        # prefix and suffix fix the factors), so a sum at one position stays
-        # below (p-1)^2 < 2^62.
+        # with coefficient c*x, and v_j u_i with -c*x, both in row r of m,
+        # r = before(a') - before(a) + b (less a' + 1 under ``same``), or in
+        # rows 2r and 2r + 1, both with c*x, under ``products``. An entry gets
+        # at most one product per sign (its word's degree-p prefix and suffix
+        # fix the factors), so a sum at one position stays below (p-1)^2 < 2^62.
         d = pr - a
-        rows = d * n - (d * (pr + a + 1) // 2 + pr + 1 if same else 0) + b
+        r = d * n - (d * (pr + a + 1) // 2 + pr + 1 if same else 0) + b
+        rows = np.concatenate([2 * r, 2 * r + 1] if products else [r, r])
         cols = np.concatenate([t1[i, j], t2[j, i]])
         keep = cols >= 0
         if same:
             keep &= np.tile(b > pr, (2, 1))
         cx = c * x
-        vals = np.concatenate([cx, -cx])
-        yield a, Entries((before(a1) - before(a), dimf), np.concatenate([rows, rows])[keep], cols[keep], vals[keep])
+        vals = np.concatenate([cx, cx if products else -cx])
+        yield a, Entries((k * (before(a1) - before(a)), dimf), rows[keep], cols[keep], vals[keep])
         a = a1
 
 
 def _insert_all(blk, mats: Iterable[Entries]) -> None:
-    """Insert a lazy stream of candidate rows into one echelon block, up to
-    `_BUFFER` rows per call; stops drawing once the block is full."""
+    """Insert a lazy stream of candidate rows into one echelon block, one call
+    per `_BUFFER` rows reached and one for the rest; stops when it is full."""
     if blk.full:
         return
     buf: list[Entries] = []
@@ -250,24 +255,11 @@ def _word_brackets(s: Subspace, f: int, lo: int = 1) -> Iterator[tuple[int, int,
 
 
 def _multiples(s: Subspace, e: int) -> Iterator[Entries]:
-    """Left and right multiples of the degree-e rows of s by each generator,
-    in pieces of at most `_BUFFER` rows, which bounds the rows that one
-    insertion scatters into dense parts."""
-    if not s.dim_at(e):
-        return
-    rows = s.block(e).entries()
-    n, dimf = rows.shape[0], dim_component(s.spec, e + 1)
-    tl = mul_table(s.spec, 1, e)
-    tr = mul_table(s.spec, e, 1)
-    for g in range(dim_component(s.spec, 1)):
-        for idx in (tl[g], tr[:, g]):
-            if (idx >= 0).any():
-                for lo in range(0, n, _BUFFER):
-                    at = slice(*np.searchsorted(rows.row, [lo, lo + _BUFFER]))  # rows are sorted
-                    cols = idx[rows.col[at]]
-                    k = cols >= 0
-                    shape = (min(_BUFFER, n - lo), dimf)
-                    yield Entries(shape, rows.row[at][k] - lo, cols[k], rows.val[at][k])
+    """u g and g u for each degree-e row u of s and each generator g."""
+    if s.dim_at(e):
+        gens = Subspace.full_space(s.spec).block(1).entries()
+        for _, m in _brackets(s.spec, e, 1, s.block(e).entries(), gens, products=True):
+            yield m
 
 
 # -- derived powers ----------------------------------------------------------
@@ -372,8 +364,8 @@ class DerivedTower:
 
 def ideal_closure(s: Subspace) -> Subspace:
     """Smallest two-sided associative ideal containing s, degree-wise: the
-    degree-f slice is that of s plus all one-generator left/right multiples
-    of the already-closed degree f-1 slice."""
+    degree-f slice is that of s plus the products u g and g u of each row u
+    of the closed degree f-1 slice with each generator g (`_multiples`)."""
     return _sweep(s.copy(), lambda out, f: _multiples(out, f - 1))
 
 

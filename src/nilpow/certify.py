@@ -33,8 +33,10 @@ from .algebra import (
     bracket,
     eval_f,
     ideal_closure,
+    jordan,
     lie_ideal_closure,
     lie_subalgebra_closure,
+    mul,
 )
 from .errors import (
     BoundExceedsTruncation,
@@ -336,8 +338,6 @@ def identity_check(
 ) -> CheckReport:
     """Seeded random check of the three classical bracket/circle identities
     and the half-splitting of the product (characteristic != 2)."""
-    from .algebra import jordan, mul
-
     rng = random.Random(seed)
     half = spec.field.half
     for t in range(trials):

@@ -31,7 +31,7 @@ copy is made, and it is never stale. A sweep eliminates the sources only
 and leaves targets out of its insertions, as it leaves full parts out.
 A target's rows are a reduced basis (the identity on its pivot columns)
 that need not be canonical RREF. Membership, containment and the readers
-of rows (bracket candidates, multiples) do not depend on the basis.
+of rows (the candidates of every closure) do not depend on the basis.
 Where rows leave the engine (`Subspace.basis_vectors` and the row that
 `certify._first_escape` names) they are read with
 `_Block.canonical_entries`, which puts the target parts' rows through the

@@ -24,7 +24,7 @@ from nilpow import (
     span,
 )
 from nilpow.algebra import _brackets, _derived_step
-from nilpow.linalg import Entries
+from nilpow.linalg import Entries, _Block
 from nilpow.certify import nilpotency_index, random_homogeneous
 from nilpow.errors import ArityMismatch
 
@@ -380,14 +380,32 @@ def test_ideal_closure_idempotent():
 
 
 def test_ideal_closure_matches_oracle(suite_specs):
-    for spec in suite_specs:
-        small = AlgebraSpec(m=spec.m, nil=spec.nil, field=spec.field, max_degree=6)
-        t = DerivedTower(small)
-        clo = ideal_closure(t.level(1))
-        oracle = Oracle(small.m, small.nil, 6)
-        ranks = oracle.graded_ranks(oracle.ideal_closure(oracle.derived_levels(1)[1]))
-        for d in range(1, 7):
-            assert clo.dim_at(d) == ranks[d]
+    for field, p in ((Field.prime(32003), 32003), (Field.prime(5), 5), (Field.rationals(), None)):
+        for spec in suite_specs:
+            # over Q the dense Fraction products take seconds for (3; 2,2,2) at D=6
+            top = 5 if p is None and spec.m == 3 else 6
+            small = AlgebraSpec(m=spec.m, nil=spec.nil, field=field, max_degree=top)
+            t = DerivedTower(small)
+            clo = ideal_closure(t.level(1))
+            oracle = Oracle(small.m, small.nil, top, p=p)
+            ranks = oracle.graded_ranks(oracle.ideal_closure(oracle.derived_levels(1)[1]))
+            for d in range(1, top + 1):
+                assert clo.dim_at(d) == ranks[d]
+
+
+def test_ideal_closure_insertions_are_bounded(monkeypatch):
+    # an insertion takes at most _BUFFER candidate rows plus one run of them
+    monkeypatch.setattr(nilpow.algebra, "_BUFFER", 64)
+    level = DerivedTower(AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)).level(1)
+    sizes, insert = [], _Block.insert_matrix
+
+    def recorded(blk, m):
+        sizes.append(m.shape[0])
+        return insert(blk, m)
+
+    monkeypatch.setattr(_Block, "insert_matrix", recorded)
+    ideal_closure(level)
+    assert sizes and max(sizes) <= 64 + 64 // 8
 
 
 @pytest.mark.parametrize("close", [ideal_closure, lie_ideal_closure])
@@ -454,12 +472,13 @@ def test_lie_subalgebra_closure_matches_oracle():
         assert clo.dim_at(d) == ranks[d]
 
 
-def _check_brackets(field, same, words):
+def _check_brackets(field, same, words, products=False):
     """Check every row that `_brackets` yields against `bracket` of its
-    (a', j) pair and the exact pair count; returns the runs as (first row
-    of rows_p, rows of rows_p)."""
+    (a', j) pair, or under ``products`` each pair of rows against the two
+    `mul`s with the degree-1 rows, and the exact pair count; returns the
+    runs as (first row of rows_p, rows of rows_p)."""
     spec = AlgebraSpec(m=2, nil=(3, 3), field=field, max_degree=7)
-    p, q = (3, 3) if same else (3, 4)
+    p, q = (3, 3) if same else (3, 1) if products else (3, 4)
     arith = Subspace(spec).arith
     if words:
         rows_p, rows_q = (Subspace.full_space(spec).block(d).entries().dense(arith) for d in (p, q))
@@ -478,15 +497,20 @@ def _check_brackets(field, same, words):
         return GradedVector(spec, {d: {o: row[o] for o in np.flatnonzero(row)}})
 
     pairs, runs, nxt = 0, [], 0
-    for a, m in _brackets(spec, p, q, Entries.of(rows_p), Entries.of(rows_q), same=same):
+    for a, m in _brackets(spec, p, q, Entries.of(rows_p), Entries.of(rows_q), same=same, products=products):
         assert a == nxt  # runs follow each other, row by row
-        expect = []  # the (a', j) pair of each row of m
-        while len(expect) < m.shape[0]:
+        expect = []  # the (a', j) pair of each row of m, or of each two under ``products``
+        while len(expect) < m.shape[0] // (2 if products else 1):
             expect += [(nxt, j) for j in range(nxt + 1 if same else 0, n_q)]
             nxt += 1
-        assert len(expect) == m.shape[0]  # a run ends where a row of rows_p does
-        for (a2, j), row in zip(expect, m.dense(arith)):
-            assert vec(p + q, row) == bracket(vec(p, rows_p[a2]), vec(q, rows_q[j]))
+        assert len(expect) * (2 if products else 1) == m.shape[0]  # a run ends where a row of rows_p does
+        dense = m.dense(arith)
+        for r, (a2, j) in enumerate(expect):
+            u, v = vec(p, rows_p[a2]), vec(q, rows_q[j])
+            if products:
+                assert vec(p + q, dense[2 * r]) == mul(u, v) and vec(p + q, dense[2 * r + 1]) == mul(v, u)
+            else:
+                assert vec(p + q, dense[r]) == bracket(u, v)
             pairs += 1
         runs.append((a, nxt - a))
     assert pairs == (n_p * (n_p - 1) // 2 if same else n_p * n_q)
@@ -526,6 +550,34 @@ def test_brackets_runs_split_mid_degree(monkeypatch, buffer, same, words):
     monkeypatch.setattr(nilpow.algebra, "_BUFFER", buffer)
     runs = _check_brackets(Field.prime(32003), same, words)
     assert [size for _, size in runs] == RUNS[buffer, same, words]
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(32003), Field.rationals()], ids=str)
+@pytest.mark.parametrize("words", [True, False], ids=["identity", "random"])
+def test_brackets_products_match_element_products(field, words):
+    runs = _check_brackets(field, False, words, products=True)
+    assert len(runs) == 1
+
+
+# run sizes under ``products``, in rows of rows_p, by (_BUFFER, words): both
+# rows of a pair count against _BUFFER // 8, so a row of rows_p gives 4
+# rows of m against the 2 degree-1 identity rows, or 10 against 5 random ones
+PRODUCT_RUNS = {
+    (1, True): [1] * 6,
+    (1, False): [1] * 5,
+    (64, True): [2, 2, 2],
+    (64, False): [1] * 5,
+    (160, True): [5, 1],
+    (160, False): [2, 2, 1],
+}
+
+
+@pytest.mark.parametrize("buffer, words", list(PRODUCT_RUNS))
+def test_brackets_products_runs_cap_rows(monkeypatch, buffer, words):
+    monkeypatch.setattr(nilpow.algebra, "_BUFFER", buffer)
+    sizes = [size for _, size in _check_brackets(Field.prime(32003), False, words, products=True)]
+    assert sizes == PRODUCT_RUNS[buffer, words]
+    assert all(size == 1 or size * (4 if words else 10) <= buffer // 8 for size in sizes)
 
 
 def test_brackets_runs_cap_entry_pairs(monkeypatch):
