@@ -7,8 +7,8 @@ Subcommands:
            a JSON certificate (exit 0 VERIFIED, 2 INCONCLUSIVE, 1 error)
   check    property suites: identities | lemma1 | fk | all
 
-Certificates are byte-identical across runs for the same configuration
-and seed; wall-clock timings go into the JSON only with --timings.
+Certificates are byte-identical across runs for the same configuration;
+wall-clock timings go into the JSON only with --timings.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def certificate_to_dict(cert: Certificate, with_timings: bool = False) -> dict:
             "quotient": [list(t) for t in cert.quotient_dims],
         },
         "verdict": cert.verdict,
-        "seed": cert.seed,
+        "seed": 0,  # certify draws nothing at random; the field goes with a format bump
         "timings_ms": {k: round(v, 3) for k, v in cert.timings_ms.items()} if with_timings else {},
     }
     if cert.reason is not None:
@@ -161,7 +161,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    cert = certify_generation(DerivedTower(spec, cache_dir=args.cache), args.i, seed=args.seed)
+    cert = certify_generation(DerivedTower(spec, cache_dir=args.cache), args.i)
     text = _dump_json(certificate_to_dict(cert, with_timings=args.timings))
     _write_out(text, args.out)
     if cert.verified:
@@ -235,7 +235,6 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="certify finite generation of a derived power")
     _add_spec_args(c)
     c.add_argument("--i", type=int, required=True, help="derived power index to certify")
-    c.add_argument("--seed", type=int, default=0, help="only echoed into the certificate: nothing is random")
     c.add_argument("--out", default=None)
     c.add_argument("--cache", default=os.environ.get("NILPOW_CACHE"))
     c.add_argument("--timings", action="store_true", help="include wall-clock timings in the JSON")

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 import nilpow.algebra
 import nilpow.certify
+import nilpow.cli
 from nilpow import (
     AlgebraSpec,
     DerivedTower,
@@ -22,10 +24,10 @@ from nilpow import (
     nilpotency_index,
     span,
 )
-from nilpow.algebra import eval_f, ideal_closure
+from nilpow.algebra import eval_f, ideal_closure, lie_subalgebra_closure
 from nilpow.cache import subspace_from_payload, subspace_to_payload
 from nilpow.certify import random_homogeneous, random_lie_ideal
-from nilpow.errors import BoundExceedsTruncation, NotALieIdeal
+from nilpow.errors import BoundExceedsTruncation, InternalSoundnessFailure, NotALieIdeal
 
 
 def test_nilpotency_index_k1_m2():
@@ -211,21 +213,86 @@ def test_certify_inconclusive_when_index_not_found():
     assert "not found" in cert.reason
 
 
-def test_certify_inconclusive_when_closure_falls_short(monkeypatch):
-    # a closure that loses the degree-2 generator [x, y] falls short there
+def _tower_short_above(spec, d):
+    """Tower of spec whose level 2 lacks its degree-d block, levels 1-3 built."""
+    tower = DerivedTower(spec)
+    tower.level(3)
+    short = tower.level(2).copy()
+    del short._blocks[d]
+    tower.levels[2] = short
+    return tower
+
+
+def test_certify_inconclusive_when_closure_falls_short(monkeypatch, capsys, tmp_path):
+    # level 2 without its degree-21 block: the closure of the degree <= 20
+    # generators of level 1 is level 2 at degree 21, which falls short there
     spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
-    close = nilpow.certify.lie_subalgebra_closure
-    monkeypatch.setattr(
-        nilpow.certify, "lie_subalgebra_closure", lambda spec, gens: close(spec, gens[1:])
-    )
-    cert = certify_generation(DerivedTower(spec), 1)
+    tower = _tower_short_above(spec, 21)
+    cert = certify_generation(tower, 1)
     assert cert.verdict == "INCONCLUSIVE"
-    assert cert.reason == "closure dimension 0 below target 1 at degree 2"
+    target = tower.level(1).dim_at(21)
+    assert target > 0
+    assert cert.reason == f"closure dimension 0 below target {target} at degree 21"
     assert cert.n == 11 and cert.bound == 20
     assert cert.generators == generating_set(DerivedTower(spec), 1, 11)
-    assert len(cert.generators) == 28 and cert.generators[0].degrees() == [2]
-    assert cert.dims_closure == close(spec, cert.generators[1:]).dims(all_degrees=True)
-    assert cert.dims_closure[1] == (2, 0)
+    assert cert.dims_closure == cert.dims_target[:20] + [(21, 0)]
+    # at the bound itself the generators span level 1, whatever level 2 holds
+    at_bound = certify_generation(_tower_short_above(spec, 20), 1)
+    assert at_bound.verified and at_bound.dims_closure == at_bound.dims_target
+    # the same certificate through the CLI: exit 2
+    monkeypatch.setattr(nilpow.cli, "DerivedTower", lambda spec, cache_dir=None: _tower_short_above(spec, 21))
+    out = tmp_path / "cert.json"
+    code = nilpow.cli.main(["certify", "--i", "1", "--generators", "2", "--nil", "2,2",
+                            "--max-degree", "24", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"INCONCLUSIVE: {cert.reason}\n"
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "INCONCLUSIVE" and doc["reason"] == cert.reason
+    assert doc["dims"]["closure"][-1] == [21, 0] and len(doc["dims"]["closure"]) == 21
+
+
+def test_certify_rejects_level_above_outside_target():
+    # A^(i+1) is in A^(i); a level above that escapes is an engine fault
+    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=24)
+    tower = DerivedTower(spec)
+    tower.level(3)
+    tower.levels[2] = tower.level(0)
+    with pytest.raises(InternalSoundnessFailure, match="derived power 2 escaped derived power 1"):
+        certify_generation(tower, 1)
+
+
+def test_closure_oracle_agrees_with_tower_criterion(suite_specs):
+    # graded Nakayama on real data: the Lie closure of A^(i) in degrees <= b
+    # is A^(i) up to b, then A^(i+1) through the first degree where that
+    # falls short of A^(i); past that degree the criterion says nothing
+    shortfalls = 0
+    for spec in suite_specs:
+        tower = DerivedTower(spec)
+        for i in (1, 2):
+            level, above = tower.level(i), tower.level(i + 1)
+            for b in range(1, spec.max_degree + 1):
+                gens = [g for d in range(1, b + 1) for g in level.basis_vectors(d)]
+                closure = lie_subalgebra_closure(spec, gens)
+                assert level.contains_subspace(closure)
+                predicted = []
+                for d in range(1, spec.max_degree + 1):
+                    predicted.append((d, level.dim_at(d) if d <= b else above.dim_at(d)))
+                    if predicted[-1][1] < level.dim_at(d):
+                        shortfalls += 1
+                        break
+                assert closure.dims(all_degrees=True)[: len(predicted)] == predicted, (spec, i, b)
+    assert shortfalls > 0
+
+
+@pytest.mark.parametrize("m, nil, max_degree, i", [(1, (4,), 8, 1), (2, (2, 2), 24, 1), (2, (2, 2), 41, 2)])
+def test_verified_certificates_match_closure_oracle(m, nil, max_degree, i):
+    spec = AlgebraSpec(m=m, nil=nil, max_degree=max_degree)
+    tower = DerivedTower(spec)
+    cert = certify_generation(tower, i)
+    assert cert.verified
+    closure = lie_subalgebra_closure(spec, cert.generators)
+    assert closure.dims(all_degrees=True) == cert.dims_closure
+    assert tower.level(i).contains_subspace(closure)
 
 
 def test_certify_rejects_i_zero():

@@ -158,11 +158,19 @@ def test_certify_reproducible_bytes(capsys, tmp_path):
     for path in (a, b):
         code, _, _ = run_cli(
             capsys,
-            "certify", "--i", "1", *SPEC22, "--max-degree", "24",
-            "--seed", "17", "--out", str(path),
+            "certify", "--i", "1", *SPEC22, "--max-degree", "24", "--out", str(path),
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_certify_takes_no_seed(capsys):
+    # certify draws nothing at random: --seed is a usage error, and the
+    # certificate's seed field reads 0 until a format bump drops it
+    code, _, _ = run_cli(capsys, "certify", "--i", "1", *SPEC22, "--max-degree", "8", "--seed", "17")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "certify", "--i", "1", *SPEC22, "--max-degree", "8")
+    assert code == 2 and json.loads(out)["seed"] == 0
 
 
 def test_certify_words_serialized_dotted(capsys, tmp_path):
