@@ -9,7 +9,9 @@ results are built with `GradedVector._of`, without a second check.
 Closures work degree-by-degree on echelon blocks: every contribution to
 degree f comes from strictly smaller degrees, so one increasing sweep is
 a fixpoint. `_sweep` is that sweep; each derived power past [A, A] and
-each closure is one call to it with its own candidate stream. Basis
+each closure is one call to it with its own candidate stream. A^(k) lies
+in A^(k-1), so a derived step's sweep has the level above as its ceiling:
+a part stops at its rank there. Basis
 products are looked up in (p, q)-degree multiplication tables, which
 keeps the inner loops in numpy: `mul_table` slices them from the tables (p, 1..D-p) that
 `words._product_tables` builds in one numpy pass per p. Those are keyed
@@ -202,10 +204,13 @@ def _brackets(
         a = a1
 
 
-def _insert_all(blk, mats: Iterable[Entries]) -> None:
+def _insert_all(blk, mats: Iterable[Entries], ceiling=None) -> None:
     """Insert a lazy stream of candidate rows into one echelon block, one call
-    per `_BUFFER` rows reached and one for the rest; stops when it is full."""
-    if blk.full:
+    per `_BUFFER` rows reached and one for the rest; stops drawing at its
+    ceiling, the rank of ``ceiling`` (`_Block.insert_matrix`) or else its
+    width, so a block whose ceiling is 0 draws none."""
+    top = blk.dim if ceiling is None else ceiling.rank
+    if blk.rank >= top:
         return
     buf: list[Entries] = []
     rows = 0
@@ -213,21 +218,23 @@ def _insert_all(blk, mats: Iterable[Entries]) -> None:
         buf.append(m)
         rows += m.shape[0]
         if rows >= _BUFFER:
-            blk.insert_matrix(Entries.stack(buf))
-            if blk.full:
+            blk.insert_matrix(Entries.stack(buf), ceiling)
+            if blk.rank >= top:
                 return
             buf, rows = [], 0
     if rows:
-        blk.insert_matrix(Entries.stack(buf))
+        blk.insert_matrix(Entries.stack(buf), ceiling)
 
 
-def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries]]) -> Subspace:
+def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries]], ceiling=None) -> Subspace:
     """Insert candidates(out, f) into out's degree-f block for f = 1..D in
     turn; the candidates may read out in degrees below f, already final.
+    ``ceiling``, a subspace of out's layout that holds every candidate,
+    stops each part of out at its rank there; out keeps no trace of it.
     A symmetric out is eliminated in one part of each orbit of the letter
     permutations, which the other parts of the orbit read relabelled."""
     for f in range(1, out.spec.max_degree + 1):
-        _insert_all(out.block(f), candidates(out, f))
+        _insert_all(out.block(f), candidates(out, f), None if ceiling is None else ceiling.block(f))
     return out
 
 
@@ -268,11 +275,13 @@ def _multiples(s: Subspace, e: int) -> Iterator[Entries]:
 def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspace:
     """[prev, prev], in prev's layout. ``from_full`` requires prev to be the
     full space, and writes [A, A] down in closed form (`_commutators`);
-    otherwise every split [prev_p, prev_q] is swept in, degree by degree."""
+    otherwise every split [prev_p, prev_q] is swept in, degree by degree,
+    with prev as the ceiling: prev must be closed under the bracket (a
+    derived power or a Lie ideal), so that [prev, prev] lies in it."""
     out = Subspace(spec, multigraded=prev.multigraded, symmetric=prev.symmetric)
     if from_full:
         return _commutators(out)
-    return _sweep(out, lambda _, f: _split_brackets(prev, f))
+    return _sweep(out, lambda _, f: _split_brackets(prev, f), ceiling=prev)
 
 
 def _commutators(out: Subspace) -> Subspace:

@@ -28,7 +28,9 @@ part's `_Echelon` and lists its columns as the images of the source's, in
 the source's order. So the target reads the source's rows relabelled: its
 rank, membership in it and its entries come through the permutation, no
 copy is made, and it is never stale. A sweep eliminates the sources only
-and leaves targets out of its insertions, as it leaves full parts out.
+and leaves targets out of its insertions, as it leaves parts at their
+ceiling out: a part's ceiling is its rank in a block known to hold the
+candidates (`_Block.insert_matrix`), else its width.
 A target's rows are a reduced basis (the identity on its pivot columns)
 that need not be canonical RREF. Membership, containment and the readers
 of rows (the candidates of every closure) do not depend on the basis.
@@ -325,15 +327,15 @@ class _Echelon:
         coeffs = self.arith.mod(coeffs[:, used])
         return self.arith.mod(m[:, self.free] - self.arith.matmul(coeffs, self.R[used]))
 
-    def insert_matrix(self, m: np.ndarray) -> None:
-        """Insert the rows of m, `_CHUNK` at a time (see the module docstring)."""
+    def insert_matrix(self, m: np.ndarray, top: int) -> None:
+        """Insert the rows of m, `_CHUNK` at a time, up to rank top, the part's ceiling (module docstring)."""
         if self.dim == 1:  # any nonzero row spans one column
             if self.rank == 0 and (m != 0).any():
                 self.pivots, self.free = np.zeros(1, dtype=np.intp), _NO_COLUMNS
                 self.R = self.arith.zeros((1, 0))
             return
         for lo in range(0, m.shape[0], _CHUNK):
-            if self.rank == self.dim:
+            if self.rank >= top:
                 break
             self._add(m[lo : lo + _CHUNK])
 
@@ -502,13 +504,14 @@ class _Block:
         order = np.argsort(rows, kind="stable")
         return Entries((piv.size, self.dim), rows[order], cols[order], vals[order])
 
-    def _group(self, m, insert: bool = False) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def _group(self, m, top=None) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """The rows of m (dense, or `Entries`) by part: (k, rows, sub) for
-        each part k that is not full and where m has entries. ``sub`` holds
-        those rows of m on the part's columns, reduced, and ``rows`` their
-        indices in m. For an insertion (``insert``), a row with entries in
-        two parts raises `InternalSoundnessFailure` and target parts, which
-        read their source's rows, are left out as full ones are; otherwise
+        each part k below its ceiling (top[k] for an insertion, else its
+        width) where m has entries. ``sub`` holds those rows of m on the
+        part's columns, reduced, and ``rows`` their indices in m. For an
+        insertion (``top`` given), a row with entries in two parts raises
+        `InternalSoundnessFailure` and target parts, which read their
+        source's rows, are left out as parts at their ceiling are; otherwise
         such a row gives a piece in each part, a target's over its source's
         columns. In a one-part block every row is in the piece."""
         if len(self._cols) == 1:
@@ -524,15 +527,16 @@ class _Block:
         part = self._part_of[m.col]
         has = np.zeros((len(self._parts), m.shape[0]), dtype=bool)  # part k meets row r
         has[part, m.row] = True
-        if insert and (has.sum(axis=0) > 1).any():
+        if top is not None and (has.sum(axis=0) > 1).any():
             raise InternalSoundnessFailure("a row has entries in two multidegree parts")
         row, col, val = m.row, m.col, m.val
-        full = [e.rank == e.dim for e in self._parts]
-        if insert and self._orbits is not None:
-            full = np.array(full)
-            full[self._orbits.target] = True
-        if any(full):
-            has[full] = False
+        tops = [e.dim for e in self._parts] if top is None else top
+        capped = [e.rank >= t for e, t in zip(self._parts, tops)]
+        if top is not None and self._orbits is not None:
+            capped = np.array(capped)
+            capped[self._orbits.target] = True
+        if any(capped):
+            has[capped] = False
             live = has[part, row]
             row, col, val, part = row[live], col[live], val[live], part[live]
         # part k's rows lie one after another in one flat buffer, from
@@ -552,15 +556,20 @@ class _Block:
     def insert(self, v: np.ndarray) -> bool:
         return self.insert_matrix(v[None, :]) > 0
 
-    def insert_matrix(self, m) -> int:
+    def insert_matrix(self, m, ceiling: Optional["_Block"] = None) -> int:
         """Insert candidate rows, dense or as `Entries`, each into its part;
-        returns the rank growth. A row with entries in two parts is an engine
+        returns the rank growth. ``ceiling``, a block of the same layout
+        whose span holds the rows (the level above, in a derived step), caps
+        each part at its rank there, else at its width; a part at its
+        ceiling takes no rows. A row with entries in two parts is an engine
         bug (`InternalSoundnessFailure`)."""
-        if self.full:
+        if self.rank >= (self.dim if ceiling is None else ceiling.rank):
             return 0
         start = self.rank
-        for k, _, sub in self._group(m, insert=True):
-            self._parts[k].insert_matrix(sub)
+        ceil = None if ceiling is None else ceiling._parts  # a block built full keeps none
+        top = [e.dim for e in self._parts] if ceil is None else [e.rank for e in ceil]
+        for k, _, sub in self._group(m, top):
+            self._parts[k].insert_matrix(sub, top[k])
         self.rank = sum(e.rank for e in self._parts)  # a target counts its source's rows
         if self.rank > start:
             self._entries = None

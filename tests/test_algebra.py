@@ -23,11 +23,12 @@ from nilpow import (
     mul,
     span,
 )
-from nilpow.algebra import _brackets, _derived_step
-from nilpow.linalg import Entries, _Block
-from nilpow.certify import nilpotency_index, random_homogeneous
+from nilpow.algebra import _brackets, _derived_step, _insert_all, _split_brackets, _sweep
+from nilpow.linalg import Entries, _Block, _Echelon
+from nilpow.certify import nilpotency_index, random_homogeneous, random_lie_ideal
 from nilpow.errors import ArityMismatch
 
+from conftest import make_suite_specs
 from dense_oracle import Oracle
 
 S22 = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
@@ -298,6 +299,88 @@ def test_relabelled_tower_matches_eliminated_tower(spec):
             assert _same_rows(_canonical(a, d), b.block(d).entries()), (spec, d)
 
 
+def _uncapped_step(prev):
+    """[prev, prev] swept with no ceiling: every part takes every candidate."""
+    out = Subspace(prev.spec, multigraded=prev.multigraded, symmetric=prev.symmetric)
+    return _sweep(out, lambda _, f: _split_brackets(prev, f))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    make_suite_specs() + [AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=9), AlgebraSpec(m=2, nil=(2, 3), max_degree=10)],
+    ids=lambda s: f"m{s.m}-nil{''.join(map(str, s.nil))}-D{s.max_degree}",
+)
+def test_ceiling_changes_no_level(spec):
+    # Levels 2 and 3 swept with the level above as the ceiling, against the
+    # same swept with none: equal canonical rows, each inside the other,
+    # equal ideals and an equal nilpotency report. An ideal closure sweeps a
+    # copy of its level with no ceiling, so a ceiling that outlived its
+    # sweep would show in the ideals.
+    capped, uncapped = DerivedTower(spec), DerivedTower(spec)
+    uncapped.levels.append(capped.level(1))
+    for i in (2, 3):
+        uncapped.levels.append(_uncapped_step(uncapped.levels[-1]))
+        a, b = capped.level(i), uncapped.level(i)
+        for d in range(1, spec.max_degree + 1):
+            assert _same_rows(_canonical(a, d), _canonical(b, d)), (spec, i, d)
+        assert a.contains_subspace(b) and b.contains_subspace(a)
+        assert capped.ideal(i).dims(all_degrees=True) == uncapped.ideal(i).dims(all_degrees=True)
+    assert nilpotency_index(capped, 3) == nilpotency_index(uncapped, 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ceiling_changes_no_step_of_a_lie_ideal(seed):
+    # [U, U] of a Lie ideal U, one part, with U as the ceiling and with none
+    spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=8)
+    u = random_lie_ideal(spec, random.Random(seed))
+    a, b = _derived_step(spec, u, from_full=False), _uncapped_step(u)
+    assert not a.multigraded and u.contains_subspace(a)
+    for d in range(1, spec.max_degree + 1):
+        assert _same_rows(_canonical(a, d), _canonical(b, d)), (seed, d)
+
+
+def test_ceiling_saves_insertions(monkeypatch):
+    # Level 2 of (3; 2,2,2) at D=10 against level 1: the degree-10 block
+    # reaches level 1's rank on its first insertion and draws no more
+    # candidates (with no ceiling it takes 3 insertions and 8476 rows in all),
+    # and no part that has level 1's rank is handed rows.
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=10)
+    tower = DerivedTower(spec)
+    above = tower.level(1)
+    degree = {dim_component(spec, d): d for d in range(1, spec.max_degree + 1)}
+    offered, capped, fed = [], set(), []
+    block_insert, part_insert = _Block.insert_matrix, _Echelon.insert_matrix
+
+    def block_recorded(blk, m, *args):
+        d = degree[blk.dim]
+        offered.append((d, m.shape[0]))
+        capped.clear()
+        capped.update(id(e) for e, c in zip(blk._parts, above.block(d)._parts) if e.rank >= c.rank)
+        return block_insert(blk, m, *args)
+
+    def part_recorded(e, sub, *args):
+        fed.append(id(e) in capped)
+        return part_insert(e, sub, *args)
+
+    monkeypatch.setattr(_Block, "insert_matrix", block_recorded)
+    monkeypatch.setattr(_Echelon, "insert_matrix", part_recorded)
+    level = tower.level(2)
+    assert [d for d, _ in offered].count(10) == 1
+    assert sum(r for _, r in offered) <= 5443
+    assert fed and not any(fed)
+    assert level.dim_at(10) == 1428
+
+
+def test_insert_all_at_ceiling_draws_nothing():
+    def never():
+        raise AssertionError("a candidate was drawn")
+        yield
+
+    s, zero = Subspace(S22), Subspace(S22)
+    _insert_all(s.block(3), never(), zero.block(3))
+    assert s.dim_at(3) == 0
+
+
 @pytest.mark.parametrize(
     "m,nil,D", [(1, (4,), 8), (2, (2, 3), 8), (2, (1, 3), 7), (3, (2, 2, 2), 7), (3, (3, 1, 2), 7)]
 )
@@ -399,9 +482,9 @@ def test_ideal_closure_insertions_are_bounded(monkeypatch):
     level = DerivedTower(AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)).level(1)
     sizes, insert = [], _Block.insert_matrix
 
-    def recorded(blk, m):
+    def recorded(blk, m, ceiling=None):
         sizes.append(m.shape[0])
-        return insert(blk, m)
+        return insert(blk, m, ceiling)
 
     monkeypatch.setattr(_Block, "insert_matrix", recorded)
     ideal_closure(level)
