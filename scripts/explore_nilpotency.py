@@ -7,11 +7,12 @@ Each D= line ends with the time and the process's peak RSS so far. On
 stderr, one line per derived level and one for the ideal closure give its
 seconds, its total rank over all degrees and the peak RSS so far.
 
-Example (the three-generator case; with one BLAS thread on 2 cores, each
-degree in a process of its own, degree 11 takes about 0.3 s and 49 MB,
-degree 12 about 0.9 s and 62 MB, degree 13, where the quotient first
-vanishes, about 2.2 s and 93 MB, degree 14 about 7.4 s and 219 MB, and
-degree 15 about 53 s and 0.78 GB):
+Example (the three-generator case with --k 3; with one BLAS thread on 2
+cores, each degree in a process of its own, medians of 3 runs, one at
+degree 15: degree 11 takes about 0.2 s and 49 MB, degree 12 about 0.5 s
+and 62 MB, degree 13, where the quotient first vanishes, about 1.4 s and
+93 MB, degree 14 about 5.0 s and 201 MB, and degree 15 about 43 s and
+0.77 GB):
 
     python3 scripts/explore_nilpotency.py --generators 3 --nil 2,2,2 \
         --k 3 --degrees 8,9,10,11
@@ -44,9 +45,11 @@ def main() -> None:
     ap.add_argument("--generators", type=int, required=True)
     ap.add_argument("--nil", required=True)
     ap.add_argument("--field", default="fp:32003")
-    ap.add_argument("--k", type=int, default=3)
+    ap.add_argument("--k", type=int, default=3, help="derived power k >= 1 whose ideal is scanned")
     ap.add_argument("--degrees", required=True, help="comma-separated truncation degrees to scan")
     args = ap.parse_args()
+    if args.k < 1:
+        ap.error(f"--k {args.k} is below 1")
 
     nil = tuple(int(x) for x in args.nil.split(","))
     for d in (int(x) for x in args.degrees.split(",")):
@@ -66,7 +69,8 @@ def main() -> None:
             flush=True,
         )
         if rep.n is not None:
-            print(f"  -> a VERIFIED certificate for i={args.k - 2} needs D >= {2 * rep.n - 1}")
+            if args.k >= 3:  # `certify --i` takes i >= 1
+                print(f"  -> a VERIFIED certificate for i={args.k - 2} needs D >= {2 * rep.n - 1}")
             break
 
 

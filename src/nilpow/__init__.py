@@ -27,7 +27,7 @@ from .certify import (
 )
 from .fields import Field, parse_field
 from .linalg import GradedVector, Subspace, span
-from .words import AlgebraSpec, concat, dim_component, format_word, normal_words, parse_word, word_index
+from .words import AlgebraSpec, concat, dim_component, format_word, normal_words, word_index
 
 __all__ = [
     "AlgebraSpec",
@@ -58,7 +58,6 @@ __all__ = [
     "nilpotency_index",
     "normal_words",
     "parse_field",
-    "parse_word",
     "span",
     "word_index",
 ]

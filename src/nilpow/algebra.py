@@ -48,8 +48,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .cache import cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
-from .errors import ArityMismatch, CorruptCacheEntry, InternalSoundnessFailure, SpecMismatch
-from .linalg import Entries, GradedVector, Subspace, _Arith, span
+from .errors import ArityMismatch, CorruptCacheEntry, InternalSoundnessFailure
+from .linalg import Entries, GradedVector, Subspace, _Arith, _same_spec, span
 from .words import AlgebraSpec, _product_tables, _words, dim_component
 
 
@@ -79,19 +79,13 @@ def _nonzero_index(spec: AlgebraSpec, p: int, q: int) -> np.ndarray:
 # -- element-level operations ------------------------------------------------
 
 
-def _check_pair(u: GradedVector, v: GradedVector) -> AlgebraSpec:
-    if u.spec != v.spec:
-        raise SpecMismatch("operands over different algebra specs")
-    return u.spec
-
-
 def _products(u: GradedVector, v: GradedVector, sign: int) -> GradedVector:
     """uv + sign*vu for sign in (1, -1), or uv for sign 0, in one pass over
     the degree splits (d1, d2); terms beyond max_degree are dropped. The
     product of two rows gathers their outer product at `_nonzero_index`.
     Each split adds at most one product per sign to a word and is reduced
     at once, so the sums stay below p + 2(p-1)^2 < 2^63 for p < 2^31."""
-    spec = _check_pair(u, v)
+    spec = _same_spec(u.spec, v.spec)
     mod = _Arith(spec.field).mod
     parts: dict[int, np.ndarray] = {}
     for d1, r1 in u.parts.items():

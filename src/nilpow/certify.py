@@ -46,7 +46,7 @@ from .errors import (
     InternalSoundnessFailure,
     NotALieIdeal,
 )
-from .linalg import Entries, GradedVector, Subspace, span
+from .linalg import Entries, GradedVector, Subspace, _first_nonmember, span
 from .words import AlgebraSpec, dim_component, format_word, normal_words
 
 VERIFIED = "VERIFIED"
@@ -111,15 +111,13 @@ def nilpotency_index(tower: DerivedTower, k: int) -> NilpotencyReport:
 
 
 def generating_set(tower: DerivedTower, i: int, n: int) -> list[GradedVector]:
-    """Echelon basis of the i-th derived power in degrees <= 2n-2 (for i=0,
-    the degree-1 component: the nonzero generators)."""
+    """Echelon basis of the i-th derived power in degrees <= 2n-2."""
     bound = 2 * n - 2
     if bound > tower.spec.max_degree:
         raise BoundExceedsTruncation(
             f"bound {bound} exceeds max degree {tower.spec.max_degree}"
         )
-    top = 1 if i == 0 else bound
-    return [g for d in range(1, top + 1) for g in tower.level(i).basis_vectors(d)]
+    return [g for d in range(1, bound + 1) for g in tower.level(i).basis_vectors(d)]
 
 
 # -- the main certificate ----------------------------------------------------
@@ -298,21 +296,6 @@ def fk_identity_check(tower: DerivedTower, k: int, trials: int = 100, seed: int 
             return report
         report.checked = t0 + len(drawn)
     return report
-
-
-def _first_nonmember(s: Subspace, vectors: list[GradedVector]) -> Optional[int]:
-    """Index of the first vector not in s, or None; one membership test per
-    degree for all the vectors' rows of that degree."""
-    at: dict[int, list[int]] = {}
-    for t, v in enumerate(vectors):
-        for d in v.parts:
-            at.setdefault(d, []).append(t)
-    bad = [
-        ts[r]
-        for d, ts in at.items()
-        if (r := s.block(d).contains_matrix(np.stack([vectors[t].parts[d] for t in ts]))) is not None
-    ]
-    return min(bad, default=None)
 
 
 def degree_split_check(tower: DerivedTower, i: int, n: int) -> CheckReport:

@@ -2,7 +2,7 @@
 
 Subcommands:
   dims     degree-by-degree dimension table of the algebra and its derived
-           powers (CSV, or JSON with --out *.json)
+           powers, as CSV
   certify  run the generation pipeline for the i-th derived power and emit
            a JSON certificate (exit 0 VERIFIED, 2 INCONCLUSIVE, 1 error)
   check    property suites: identities | lemma1 | fk | all
@@ -139,23 +139,11 @@ def cmd_dims(args: argparse.Namespace) -> int:
         rows.append(
             [d, dim_component(spec, d)] + [tower.level(i).dim_at(d) for i in range(1, levels + 1)]
         )
-    if args.out and args.out.endswith(".json"):
-        _write_out(
-            _dump_json(
-                {
-                    "spec": cache_mod.spec_key(spec),
-                    "columns": header,
-                    "rows": rows,
-                }
-            ),
-            args.out,
-        )
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        w.writerows(rows)
-        _write_out(buf.getvalue(), args.out)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _write_out(buf.getvalue(), args.out)
     return EXIT_OK
 
 

@@ -190,9 +190,9 @@ class GradedVector:
         return v
 
     @classmethod
-    def from_word(cls, spec: AlgebraSpec, w: Word, coeff: Coeff = 1) -> "GradedVector":
+    def from_word(cls, spec: AlgebraSpec, w: Word) -> "GradedVector":
         d, o = word_index(spec, w)
-        return cls(spec, {d: {o: coeff}})
+        return cls(spec, {d: {o: 1}})
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -207,12 +207,8 @@ class GradedVector:
 
     # -- linear operations ---------------------------------------------------
 
-    def _check(self, other: "GradedVector") -> None:
-        if self.spec != other.spec:
-            raise SpecMismatch("vectors over different algebra specs")
-
     def __add__(self, other: "GradedVector") -> "GradedVector":
-        self._check(other)
+        _same_spec(self.spec, other.spec)
         mod = _Arith(self.spec.field).mod
         parts = dict(self.parts)
         for d, row in other.parts.items():
@@ -681,15 +677,11 @@ class Subspace:
             self._blocks[d] = _Block(self.arith, dim_component(self.spec, d), self._full, parts, orbits)
         return self._blocks[d]
 
-    def _check(self, spec: AlgebraSpec) -> None:
-        if spec != self.spec:
-            raise SpecMismatch("operands over different algebra specs")
-
     # -- queries -------------------------------------------------------------
 
     def contains(self, v: GradedVector) -> bool:
-        self._check(v.spec)
-        return all(self.block(d).contains_matrix(row[None, :]) is None for d, row in v.parts.items())
+        _same_spec(self.spec, v.spec)
+        return _first_nonmember(self, [v]) is None
 
     def dim_at(self, d: int) -> int:
         if not 1 <= d <= self.spec.max_degree:
@@ -709,6 +701,7 @@ class Subspace:
         return out
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        _same_spec(self.spec, other.spec)
         for d in range(1, self.spec.max_degree + 1):
             if other.dim_at(d) == 0:
                 continue
@@ -731,6 +724,28 @@ class Subspace:
         return f"Subspace({self.spec.m} gens, dims={self.dims()})"
 
 
+def _same_spec(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
+    """The one spec check of every binary operation: a, which must be b."""
+    if a != b:
+        raise SpecMismatch("operands over different algebra specs")
+    return a
+
+
+def _first_nonmember(s: Subspace, vectors: list[GradedVector]) -> Optional[int]:
+    """Index of the first vector not in s, or None; one membership test per
+    degree for all the vectors' rows of that degree."""
+    at: dict[int, list[int]] = {}
+    for t, v in enumerate(vectors):
+        for d in v.parts:
+            at.setdefault(d, []).append(t)
+    bad = [
+        ts[r]
+        for d, ts in at.items()
+        if (r := s.block(d).contains_matrix(np.stack([vectors[t].parts[d] for t in ts]))) is not None
+    ]
+    return min(bad, default=None)
+
+
 def _multihomogeneous(spec: AlgebraSpec, d: int, m: np.ndarray) -> bool:
     """Whether each row of the degree-d matrix m lies in one multidegree part."""
     part_of, _ = multidegree_parts(spec, d)
@@ -744,8 +759,7 @@ def span(spec: AlgebraSpec, vectors: Iterable[GradedVector]) -> Subspace:
     degree; multigraded when every part is multihomogeneous."""
     rows: dict[int, list[np.ndarray]] = {}
     for v in vectors:
-        if v.spec != spec:
-            raise SpecMismatch("operands over different algebra specs")
+        _same_spec(spec, v.spec)
         for d, row in v.parts.items():
             rows.setdefault(d, []).append(row)
     mats = {d: np.stack(m) for d, m in rows.items()}

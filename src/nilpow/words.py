@@ -10,7 +10,7 @@ the caller's responsibility to drop.
 Computations read the words as numpy arrays, built one degree at a time
 (`_words`) and keyed by the nil exponents only, so specs that differ in
 field or truncation share them, read-only; `normal_words` makes tuples for
-display and parsing. The product of two normal words is zero or their
+display. The product of two normal words is zero or their
 concatenation, and the normal words of degree p+q are exactly the pairs
 (u, v) whose product is not zero, in row-major order. `_product_tables`
 builds the multiplication tables (p, 1..D-p) from this in one pass per p.
@@ -18,6 +18,7 @@ builds the multiplication tables (p, 1..D-p) from this in one pass per p.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -46,6 +47,12 @@ class AlgebraSpec:
     max_degree: int = 8
 
     def __post_init__(self) -> None:
+        try:  # an exact int each, as the cache key and the certificate record them
+            m, max_degree, *nil = (operator.index(x) for x in (self.m, self.max_degree, *self.nil))
+        except TypeError:
+            raise ValueError("m, max_degree and the nil exponents must be integers") from None
+        for name, value in (("m", m), ("max_degree", max_degree), ("nil", tuple(nil))):
+            object.__setattr__(self, name, value)
         if self.m < 1:
             raise ValueError("need at least one generator")
         if len(self.nil) != self.m:
@@ -153,7 +160,7 @@ def _word_tuples(nil: tuple[int, ...], d: int) -> tuple[Word, ...]:
 @lru_cache(maxsize=None)
 def normal_words(spec: AlgebraSpec, d: int) -> tuple[Word, ...]:
     """All normal words of degree d in lexicographic order, as tuples; for
-    display and parsing (computations read the arrays of `_words`)."""
+    display (computations read the arrays of `_words`)."""
     _check_degree(spec, d)
     return _word_tuples(spec.nil, d)
 
@@ -333,25 +340,3 @@ def format_word(spec: AlgebraSpec, w: Word, compact: bool | None = None) -> str:
     if compact and spec.m <= 3:
         return "".join(_COMPACT[g - 1] for g in w)
     return ".".join(f"x{g}" for g in w)
-
-
-def parse_word(spec: AlgebraSpec, text: str) -> Word:
-    """Accepts both 'x1.x2.x1' and (for m <= 3) compact 'xyx'."""
-    t = text.strip()
-    if "." in t or any(c.isdigit() for c in t):
-        letters = []
-        for part in t.split("."):
-            if not part.startswith("x"):
-                raise NotNormal(f"bad word syntax {text!r}")
-            letters.append(int(part[1:]))
-        w = tuple(letters)
-    else:
-        if spec.m > 3:
-            raise NotNormal(f"compact word syntax requires m <= 3, got {text!r}")
-        try:
-            w = tuple(_COMPACT.index(c) + 1 for c in t)
-        except ValueError:
-            raise NotNormal(f"bad word syntax {text!r}") from None
-    if not is_normal(spec, w):
-        raise NotNormal(f"{text!r} is not a normal word")
-    return w

@@ -158,12 +158,6 @@ def test_generating_set_i1():
     assert all(tower.level(1).contains(g) for g in gens)
 
 
-def test_generating_set_i0_is_degree_one_basis():
-    spec = AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
-    gens = generating_set(DerivedTower(spec), 0, 3)
-    assert gens == [GradedVector.from_word(spec, (1,)), GradedVector.from_word(spec, (2,))]
-
-
 def test_generating_set_empty_when_derived_power_zero():
     spec = AlgebraSpec(m=1, nil=(4,), max_degree=8)
     assert generating_set(DerivedTower(spec), 1, 4) == []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
@@ -23,6 +24,13 @@ def run_cli(capsys, *argv):
 
 
 SPEC22 = ["--generators", "2", "--nil", "2,2"]
+
+
+def test_package_exports_every_public_name():
+    public = {n for n, v in vars(nilpow).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert len(set(nilpow.__all__)) == len(nilpow.__all__)
+    assert all(hasattr(nilpow, n) for n in nilpow.__all__)
+    assert public == set(nilpow.__all__)
 
 
 def test_dims_csv(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilpow import AlgebraSpec, DerivedTower, Field, GradedVector, Subspace, linalg, span
+from nilpow import AlgebraSpec, DerivedTower, Field, GradedVector, Subspace, bracket, linalg, span
 from nilpow.cache import subspace_to_payload
 from nilpow.errors import (
     CorruptCacheEntry,
@@ -56,6 +56,10 @@ def test_spec_mismatch_rejected():
         s.contains(GradedVector.from_word(other, (1, 2)))
     with pytest.raises(SpecMismatch):
         span(S22, [GradedVector.from_word(other, (1, 2))])
+    with pytest.raises(SpecMismatch):  # a subspace over another spec is no subspace of s
+        s.contains_subspace(span(other, [GradedVector.from_word(other, (1, 2))]))
+    with pytest.raises(SpecMismatch):
+        bracket(COMM, GradedVector.from_word(other, (1, 2)))
     for ordinal in (-1, 5):  # degree 2 has the two words xy, yx
         with pytest.raises(SpecMismatch):
             GradedVector(S22, {2: {ordinal: 1}})

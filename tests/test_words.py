@@ -1,15 +1,17 @@
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilpow import AlgebraSpec, concat, dim_component, format_word, mul_table, normal_words, parse_word, word_index
+from nilpow import AlgebraSpec, concat, dim_component, format_word, mul_table, normal_words, word_index
 from nilpow.errors import DegreeOutOfRange, InternalSoundnessFailure, NotNormal, TruncationOverflow
 from nilpow.fields import Field
 from nilpow import words
+from nilpow.cache import cache_key
 from nilpow.words import _orbits, _parts, _words, is_normal, letter_orbits, multidegree_parts
 
 from dense_oracle import brute_normal_words
@@ -128,14 +130,10 @@ def test_concat_matches_full_scan(sw):
     assert got == expect
 
 
-def test_format_and_parse_word():
+def test_format_word():
     s = spec_of(2, (2, 2))
     assert format_word(s, (1, 2, 1)) == "xyx"
     assert format_word(s, (1, 2, 1), compact=False) == "x1.x2.x1"
-    assert parse_word(s, "xyx") == (1, 2, 1)
-    assert parse_word(s, "x1.x2.x1") == (1, 2, 1)
-    with pytest.raises(NotNormal):
-        parse_word(s, "xxy")
 
 
 # specs with empty components from degree 4 up, a dead generator, four
@@ -187,6 +185,28 @@ def test_spec_equality_and_hash():
     assert base != AlgebraSpec(m=2, nil=(2, 2), field=Field.prime(31991), max_degree=8)
     assert base != AlgebraSpec(m=2, nil=(2, 2), max_degree=9)
     assert base != AlgebraSpec(m=2, nil=(2, 3), max_degree=8)
+
+
+def test_spec_takes_integers_only():
+    # integer-like values are stored as Python ints, so keys and certificates agree
+    for spec in (
+        AlgebraSpec(m=np.int64(2), nil=(np.int64(2), np.int64(2)), max_degree=np.int64(8)),
+        AlgebraSpec(m=2, nil=[2, 2], max_degree=8),
+    ):
+        assert spec == AlgebraSpec(m=2, nil=(2, 2), max_degree=8)
+        assert hash(spec) == hash(AlgebraSpec(m=2, nil=(2, 2), max_degree=8))
+        assert type(spec.nil) is tuple and all(type(x) is int for x in (spec.m, spec.max_degree, *spec.nil))
+        assert cache_key(spec, "derived[1]") == cache_key(AlgebraSpec(m=2, nil=(2, 2), max_degree=8), "derived[1]")
+    for kwargs in (
+        dict(m=2, nil=(2, 2.5)),
+        dict(m=2.0, nil=(2, 2)),
+        dict(m=2, nil=(2, 2), max_degree=6.0),
+        dict(m=2, nil=(2, Fraction(2))),
+        dict(m=1, nil=2),
+        dict(m=2, nil="22"),
+    ):
+        with pytest.raises(ValueError):
+            AlgebraSpec(**kwargs)
 
 
 # -- letter permutations and the parts that relabelling fills -----------------
