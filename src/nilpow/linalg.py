@@ -52,10 +52,9 @@ pivot order; the columns of a row are in order except in a target part,
 and `_Block.canonical_entries` is the canonical form): the bracket
 generators, membership of one subspace in another and the cache read them
 so. `_Block.insert_matrix` groups a batch of candidate entries by part and
-scatters them into one dense matrix per part over that part's own columns,
-reducing each sum once; no matrix is as wide as its degree unless the block
-has one part. Rows already in canonical RREF skip elimination:
-`_Block.write` fills the `[I | R]` (below) of each part that owns its
+scatters them into one dense matrix per part over that part's own columns;
+no matrix is as wide as its degree unless the block has one part. Rows
+already in canonical RREF skip elimination: `_Block.write` fills the `[I | R]` (below) of each part that owns its
 `_Echelon` from their entries, trusted for the closed form of [A, A] and
 checked on the entries by `_Block.load` for the cache. Only
 `Subspace.basis_vectors` forms dense degree rows, for its own degree.
@@ -72,8 +71,16 @@ the old rows of R, then the new, are written once into a new array: a
 part keeps rows in arrival order, and only `_Block._gather` sorts them by
 pivot. The remainder's RREF is the same step applied to its halves,
 recursively, so its work is matmuls too; only pieces of at most `_BASE`
-rows run a Gauss-Jordan loop. `_Arith.matmul` leaves its product
-unreduced, so each `x - product` is reduced mod p once.
+rows run a Gauss-Jordan loop.
+
+Every dense matrix inside the kernel holds residues in [0, p), so a value
+is reduced only where it can leave that range, as in FFLAS-FFPACK:
+`_Arith.scatter` reduces the positions it wrote, not the zeros around
+them; `_Block._group` reduces a caller's dense rows once, the one place
+unreduced dense rows enter; `_Arith.matmul` leaves its product
+unreduced, so each `x - product` is reduced once; `_Echelon.reduce_matrix`
+takes its rows as they come. Over Q, `_Arith.matmul` multiplies only
+pairs of nonzero entries, as the RREF rows it meets are sparse.
 """
 
 from __future__ import annotations
@@ -114,19 +121,27 @@ class _Arith:
 
     def scatter(self, size: int, at: np.ndarray, val: np.ndarray) -> np.ndarray:
         """A reduced flat array of the given size whose entry i is the sum
-        of the values val[t] with at[t] == i."""
+        of the values val[t] with at[t] == i; only the positions written
+        are reduced, the others being zero."""
         out = self.zeros(size)
         np.add.at(out, at, val)
         if self.p is not None:
-            np.remainder(out, self.p, out=out)
+            out[at] %= self.p
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact product of reduced (entries in [0, p)) operand matrices,
         over F_p unreduced while inner*(p-1)^2 < 2^63 (float64 BLAS while
-        it is below 2^53, where float sums are exact) and reduced above."""
+        it is below 2^53, where float sums are exact) and reduced above.
+        Over Q only pairs of nonzero entries are multiplied: per inner
+        index k, the nonzeros of column k of a by those of row k of b."""
         if self.p is None:
-            return a.dot(b)
+            out = self.zeros((a.shape[0], b.shape[1]))
+            a_nz, b_nz = a != 0, b != 0
+            for k in np.flatnonzero(a_nz.any(axis=0) & b_nz.any(axis=1)).tolist():
+                i, j = np.flatnonzero(a_nz[:, k]), np.flatnonzero(b_nz[k])
+                out[np.ix_(i, j)] += np.multiply.outer(a[i, k], b[k, j])
+            return out
         inner = a.shape[-1]
         bound = inner * (self.p - 1) ** 2
         if bound < 2**53:
@@ -313,15 +328,14 @@ class _Echelon:
         return self.pivots.size
 
     def reduce_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Remainders of the rows of m modulo the row space, reduced mod p,
-        on the free columns (all columns while the part is empty); zero
-        there exactly when the row lies in the span."""
+        """Remainders of the rows of m (reduced, as every matrix in the
+        kernel) modulo the row space, on the free columns, or m itself while
+        the part is empty; zero exactly when the row lies in the span."""
         if self.rank == 0:
-            return self.arith.mod(m)
+            return m
         coeffs = m[:, self.pivots]
         used = np.flatnonzero((coeffs != 0).any(axis=0))  # only these rows contribute
-        coeffs = self.arith.mod(coeffs[:, used])
-        return self.arith.mod(m[:, self.free] - self.arith.matmul(coeffs, self.R[used]))
+        return self.arith.mod(m[:, self.free] - self.arith.matmul(coeffs[:, used], self.R[used]))
 
     def insert_matrix(self, m: np.ndarray, top: int) -> None:
         """Insert the rows of m, `_CHUNK` at a time, up to rank top, the part's ceiling (module docstring)."""
@@ -511,7 +525,8 @@ class _Block:
         such a row gives a piece in each part, a target's over its source's
         columns. In a one-part block every row is in the piece."""
         if len(self._cols) == 1:
-            sub = m if isinstance(m, np.ndarray) else m.dense(self.arith)
+            # a caller's dense rows may be unreduced: the one place they enter the kernel
+            sub = self.arith.mod(m) if isinstance(m, np.ndarray) else m.dense(self.arith)
             return [(0, np.arange(m.shape[0]), sub)]
         if isinstance(m, np.ndarray):
             m = Entries.of(m)

@@ -341,6 +341,18 @@ def test_lemma1_on_derived_powers():
         assert rep.passed
 
 
+def test_lemma1_counts_agree_over_q_and_fp():
+    # over Q the ideal closures and membership tests multiply `Fraction`
+    # matrices, where only pairs of nonzero entries may be multiplied
+    counts = {}
+    for field in (Field.prime(32003), Field.rationals()):
+        tower = DerivedTower(AlgebraSpec(m=3, nil=(2, 2, 2), field=field, max_degree=7))
+        reports = [lemma1_check(tower.level(i), tower.ideal(i + 1)) for i in (1, 2)]
+        assert all(rep.passed for rep in reports)
+        counts[field] = [rep.checked for rep in reports]
+    assert counts[Field.prime(32003)] == counts[Field.rationals()] == [2400, 522]
+
+
 def test_lemma1_on_random_ideals(suite_specs):
     rng = random.Random(42)
     for spec in suite_specs:

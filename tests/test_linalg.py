@@ -718,3 +718,103 @@ def test_parts_keep_pivots_and_free_columns(field, case):
     assert loaded.load(blk.entries())
     _check_layout(loaded)
     assert np.array_equal(_rows(loaded), _rows(blk))
+
+
+# -- reduction: every dense matrix inside the kernel holds residues ------------
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_scatter_matches_sum_then_reduce(field):
+    # `scatter` reduces only the positions it wrote; the others stay zero
+    arith = linalg._Arith(field)
+    rng = random.Random(f"scatter-{field}")
+    size = 40
+    # repeated positions below size // 2, none above it; at size // 2 two
+    # values summing to a nonzero multiple of p (to zero over Q)
+    at = np.array([rng.randrange(size // 2) for _ in range(200)] + [size // 2] * 2)
+    if field.p:
+        val = [rng.randint(-3 * field.p, 3 * field.p) for _ in range(200)] + [field.p, field.p]
+        val = np.array(val, dtype=np.int64)
+    else:
+        val = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(200)] + [Fraction(1, 3), Fraction(-1, 3)]
+        val = np.array(val, dtype=object)
+    ref = [0] * size
+    for t, v in zip(at.tolist(), val.tolist()):
+        ref[t] += v
+    out = arith.scatter(size, at, val)
+    assert out.dtype == (np.int64 if field.p else object)
+    assert out.tolist() == [field.elem(x) for x in ref]
+    assert not out[size // 2 :].any()
+
+
+def _unreduced(field, rng, rows, part_of, cols):
+    """rows with random multiples of p (negative ones too) added on the
+    columns of each row's part, so the rows stay multihomogeneous; over Q,
+    a copy."""
+    out = rows.copy()
+    if field.p:
+        for r, row in enumerate(rows):
+            nz = np.flatnonzero(row != 0)
+            c = cols[part_of[nz[0]] if nz.size else rng.randrange(len(cols))]
+            out[r, c] += field.p * np.array([rng.randint(-3, 3) for _ in c], dtype=np.int64)
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("split", [True, False], ids=["parts", "one-part"])
+def test_unreduced_dense_rows_act_as_their_residues(field, split):
+    # a caller's dense rows may hold any integers; the block reduces them
+    # once, as it takes them, and leaves the caller's array as it was
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), field=field, max_degree=5)
+    part_of, cols = multidegree_parts(spec, 5)
+    dim = part_of.size
+    arith = linalg._Arith(field)
+    rng = random.Random(f"unreduced-{field}-{split}")
+    new = lambda: linalg._Block(arith, dim, parts=(part_of, cols) if split else None)
+    rows = _dense(field, _multihomogeneous_rows(rng, cols, dim, 120))
+    given = _unreduced(field, rng, rows, part_of, cols)
+    if field.p:
+        assert (given != rows).any() and ((given < 0) | (given >= field.p)).any()
+    saved = given.copy()
+    by_residues, by_given = new(), new()
+    for lo, hi in ((0, 30), (30, len(rows))):  # the second call meets earlier rows
+        assert by_given.insert_matrix(given[lo:hi]) == by_residues.insert_matrix(rows[lo:hi])
+        assert by_given.rank == by_residues.rank
+        assert np.array_equal(_rows(by_given), _rows(by_residues))
+    assert 0 < by_residues.rank < dim
+
+    probe = np.vstack([rows[:10], _dense(field, _multihomogeneous_rows(rng, cols, dim, 30))])
+    probe_given = _unreduced(field, rng, probe, part_of, cols)
+    saved_probe = probe_given.copy()
+    verdicts = [by_residues.contains_matrix(probe[t : t + 1]) is None for t in range(len(probe))]
+    assert [by_residues.contains_matrix(probe_given[t : t + 1]) is None for t in range(len(probe))] == verdicts
+    assert True in verdicts and False in verdicts
+    assert by_residues.contains_matrix(probe_given) == by_residues.contains_matrix(probe) == verdicts.index(False)
+    assert np.array_equal(given, saved) and np.array_equal(probe_given, saved_probe)
+
+
+def _sparse_fractions(rng, shape, zero_rows=(), zero_cols=()):
+    """A `Fraction` matrix with about a third of its entries nonzero, none
+    in the given rows and columns."""
+    a = np.empty(shape, dtype=object)
+    a[...] = Fraction(0)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            if i not in zero_rows and j not in zero_cols and rng.random() < 0.35:
+                a[i, j] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    return a
+
+
+# (rows of a, inner size, columns of b); the last three have an empty side
+@pytest.mark.parametrize("n, k, w", [(6, 9, 7), (1, 12, 1), (9, 3, 8), (5, 0, 4), (0, 3, 2), (4, 3, 0)])
+def test_q_matmul_multiplies_nonzeros_only(n, k, w):
+    arith = linalg._Arith(Field.rationals())
+    rng = random.Random(f"q-matmul-{n}-{k}-{w}")
+    # a row and a column of each operand all zero, and column 2 of a meets row 2 of b, which is zero
+    a = _sparse_fractions(rng, (n, k), zero_rows={0}, zero_cols={1})
+    b = _sparse_fractions(rng, (k, w), zero_rows={1, 2}, zero_cols={0})
+    for x, y in ((a, b), (arith.zeros((n, k)), b), (a, arith.zeros((k, w)))):
+        out = arith.matmul(x, y)
+        assert out.shape == (n, w) and out.dtype == object
+        assert all(type(v) is Fraction for v in out.flat)
+        assert out.tolist() == x.dot(y).tolist()
