@@ -27,7 +27,7 @@ from .certify import (
 )
 from .fields import Field, parse_field
 from .linalg import GradedVector, Subspace, span
-from .words import AlgebraSpec, concat, dim_component, format_word, normal_words, word_index
+from .words import AlgebraSpec, dim_component, format_word, normal_words, word_index
 
 __all__ = [
     "AlgebraSpec",
@@ -40,7 +40,6 @@ __all__ = [
     "Subspace",
     "bracket",
     "certify_generation",
-    "concat",
     "degree_split_check",
     "dim_component",
     "eval_f",

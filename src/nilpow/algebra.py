@@ -141,18 +141,19 @@ _RUN_PAIRS = 2**16
 
 
 def _brackets(
-    spec: AlgebraSpec, p: int, q: int, rows_p: Entries, rows_q: Entries, same: bool = False, products: bool = False
+    spec: AlgebraSpec, p: int, q: int, rows_p: Entries, rows_q: Entries, products: bool = False
 ) -> Iterator[tuple[int, Entries]]:
     """Yield (a, m) for runs of rows a, a+1, ... of the degree-p rows_p,
     in order: m stacks, for each row a' of the run in turn, the brackets
     [rows_p[a'], rows_q[j]] with the rows j of the degree-q rows_q, or only
-    those with j > a' under ``same`` (rows_q is then rows_p, p == q;
-    antisymmetry covers the other pairs). Without ``same``, row r of m is
-    thus the bracket of row a + r // n with row r % n, n = rows_q.shape[0];
-    under ``products`` that pair (u, v) gives u v in row 2r, v u in 2r + 1.
+    those with j > a' when rows_q is rows_p (``same``; antisymmetry covers
+    the other pairs). Otherwise row r of m is the bracket of row
+    a + r // n with row r % n, n = rows_q.shape[0]; under ``products``
+    that pair (u, v) gives u v in row 2r, v u in 2r + 1.
     A run has at most `_BUFFER` // 8 rows of m and `_RUN_PAIRS` entry pairs,
     or one row of rows_p. Both row sets are sorted by row; m holds each
     product of two entries as an entry of its own, unreduced."""
+    same = rows_q is rows_p
     dimf = dim_component(spec, p + q)
     t1 = mul_table(spec, p, q)
     t2 = mul_table(spec, q, p)
@@ -239,7 +240,7 @@ def _split_brackets(s: Subspace, f: int) -> Iterator[Entries]:
         if s.dim_at(p) and s.dim_at(q):
             rows_p = s.block(p).entries()
             rows_q = rows_p if p == q else s.block(q).entries()
-            for _, m in _brackets(s.spec, p, q, rows_p, rows_q, same=p == q):
+            for _, m in _brackets(s.spec, p, q, rows_p, rows_q):
                 yield m
 
 

@@ -316,10 +316,7 @@ def identity_check(
     rng = random.Random(seed)
     half = spec.field.half
     for t in range(trials):
-        degs = []
-        while len(degs) < 3:
-            d = rng.randint(1, max(1, spec.max_degree // 2))
-            degs.append(d)
+        degs = [rng.randint(1, max(1, spec.max_degree // 2)) for _ in range(3)]
         x, y, z = (random_homogeneous(spec, rng, d) for d in degs)
         lhs1 = mul(x, y)
         rhs1 = (bracket(x, y) + jordan(x, y)).scale(half)

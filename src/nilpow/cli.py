@@ -38,12 +38,6 @@ from .words import AlgebraSpec, dim_component, format_word, normal_words
 
 CERT_FORMAT_VERSION = "nilpow-cert-1"
 
-
-def certificate_schema() -> dict:
-    """The JSON schema certificates are published against."""
-    path = Path(__file__).with_name("certificate_schema.json")
-    return json.loads(path.read_text())
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2

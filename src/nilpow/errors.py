@@ -33,10 +33,6 @@ class NotNormal(NilpowError):
     """Word contains a forbidden power run and is zero in the algebra."""
 
 
-class TruncationOverflow(NilpowError):
-    """Product degree exceeds the truncation bound."""
-
-
 class SpecMismatch(NilpowError):
     """Operands belong to different algebra presentations or fields."""
 

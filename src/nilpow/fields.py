@@ -4,8 +4,11 @@ Characteristic 2 is rejected everywhere: the factor 1/2 in the identity
 xy = (1/2)([x,y] + x o y) must exist. So is any p >= 2^31: the dense
 kernels hold residues in int64, where a product of two residues plus a
 residue must stay exact. Field elements are plain values
-(ints in [0, p) for F_p, `fractions.Fraction` for Q); the `Field` object
-carries the arithmetic.
+(ints in [0, p) for F_p, `fractions.Fraction` for Q). A `Field` carries
+coefficients in and out (`elem`, the text forms) and the few scalars the
+engine needs (`one`, `half`, `neg`, `inv`); sums and products of
+coefficients are taken on the rows, in `linalg`, not one scalar at a
+time here.
 """
 
 from __future__ import annotations
@@ -81,15 +84,6 @@ class Field:
         return self.inv(self.elem(2))
 
     # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def sub(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a - b) % self.p if self.p is not None else a - b
-
-    def mul(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a * b) % self.p if self.p is not None else a * b
 
     def neg(self, a: Coeff) -> Coeff:
         return (-a) % self.p if self.p is not None else -a

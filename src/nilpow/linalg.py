@@ -1,7 +1,9 @@
 """Exact graded linear algebra over the chosen field.
 
 Elements are `GradedVector`s: one dense coefficient row per nonzero degree
-over the normal-word basis. Subspaces keep one reduced-row-echelon block per
+over the normal-word basis. They are given in one public form,
+{degree: {ordinal: coeff}}; the engine builds its own from reduced rows
+(`GradedVector._of`). Subspaces keep one reduced-row-echelon block per
 degree (monic pivots, fully back-reduced, rows read in pivot order), so
 equal subspaces have literally equal rows, as read canonically (below), and
 every certificate is canonical.
@@ -85,6 +87,7 @@ pairs of nonzero entries, as the RREF rows it meets are sparse.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
@@ -158,39 +161,33 @@ class GradedVector:
     """Element of the truncated algebra: degree -> one reduced coefficient
     row over the normal words of that degree, in the form of block rows.
 
-    Takes rows (arrays or sequences) or, as the public form,
-    {degree: {ordinal: coeff}} maps, and copies and checks them, each
-    coefficient through `Field.elem`. The operations build their results
-    with `_of`, which takes rows that are already reduced and of the right
-    width as they are. Either way the stored rows are read-only, so vectors
-    may share them; all operations return fresh vectors. Zero rows are
-    never stored.
+    The one public form is {degree: {ordinal: coeff}}: degrees and ordinals
+    are integers, each coefficient goes through `Field.elem`, and anything
+    else raises `SpecMismatch`. The operations build their results with
+    `_of`, which takes rows that are already reduced and of the right width
+    as they are. Either way the stored rows are read-only, so vectors may
+    share them; all operations return fresh vectors. Zero rows are never
+    stored.
     """
 
     __slots__ = ("spec", "parts")
 
-    def __init__(
-        self, spec: AlgebraSpec, parts: Mapping[int, Mapping[int, Coeff] | np.ndarray] | None = None
-    ):
+    def __init__(self, spec: AlgebraSpec, parts: Mapping[int, Mapping[int, Coeff]] | None = None):
         f = spec.field
         arith = _Arith(f)
         clean: dict[int, np.ndarray] = {}
         for d, comp in (parts or {}).items():
+            d = _integer(d, "degree")
             if not 1 <= d <= spec.max_degree:
                 raise SpecMismatch(f"degree {d} outside truncation range")
+            if not isinstance(comp, Mapping):
+                raise SpecMismatch(f"degree {d} needs an {{ordinal: coeff}} map, not {type(comp).__name__}")
             row = arith.zeros(dim_component(spec, d))
-            # the ndarray test first: a `Mapping` test costs several times more
-            if not isinstance(comp, np.ndarray) and isinstance(comp, Mapping):
-                for o, c in comp.items():
-                    if not 0 <= o < row.size:
-                        raise SpecMismatch(f"ordinal {o} outside the degree-{d} basis")
-                    row[o] = f.elem(c)
-            elif np.asarray(comp).shape != row.shape:
-                raise SpecMismatch(f"a degree-{d} row needs {row.size} entries, not shape {np.shape(comp)}")
-            elif np.asarray(comp).dtype.kind in "bi":
-                row = arith.mod(row + comp)  # a copy: the caller keeps comp
-            else:  # each value as `Field.elem` takes it, so a float is refused
-                row = np.array([f.elem(c) for c in np.asarray(comp).tolist()], dtype=row.dtype)
+            for o, c in comp.items():
+                o = _integer(o, "ordinal")
+                if not 0 <= o < row.size:
+                    raise SpecMismatch(f"ordinal {o} outside the degree-{d} basis")
+                row[o] = f.elem(c)
             clean[d] = row
         self.spec = spec
         self.parts = _nonzero_frozen(clean)
@@ -260,6 +257,13 @@ class GradedVector:
             for o, c in self.terms(d):
                 bits.append(f"{self.spec.field.format_coeff(c)}*{format_word(self.spec, basis[o])}")
         return " + ".join(bits)
+
+
+def _integer(x, what: str) -> int:
+    try:  # an exact int, as `AlgebraSpec` takes its fields
+        return operator.index(x)
+    except TypeError:
+        raise SpecMismatch(f"{what} {x!r} is not an integer") from None
 
 
 def _nonzero_frozen(parts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -728,7 +732,7 @@ class Subspace:
         """The canonical RREF rows of degree d."""
         if self.dim_at(d) == 0:
             return []
-        return [GradedVector(self.spec, {d: row}) for row in self.block(d).canonical_entries().dense(self.arith)]
+        return [GradedVector._of(self.spec, {d: row}) for row in self.block(d).canonical_entries().dense(self.arith)]
 
     def copy(self) -> "Subspace":
         out = Subspace(self.spec, full=self._full, multigraded=self.multigraded, symmetric=self.symmetric)

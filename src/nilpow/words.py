@@ -14,6 +14,9 @@ display. The product of two normal words is zero or their
 concatenation, and the normal words of degree p+q are exactly the pairs
 (u, v) whose product is not zero, in row-major order. `_product_tables`
 builds the multiplication tables (p, 1..D-p) from this in one pass per p.
+These two are the only statement of the rules: there is no word-at-a-time
+normality test or product. Their reference is `tests/dense_oracle.py`,
+which enumerates words and concatenates them by brute force.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, InternalSoundnessFailure, NotNormal, TruncationOverflow
+from .errors import DegreeOutOfRange, InternalSoundnessFailure, NotNormal
 from .fields import DEFAULT_PRIME, Field
 
 Word = tuple[int, ...]
@@ -71,20 +74,6 @@ class AlgebraSpec:
     def dead_generators(self) -> tuple[int, ...]:
         """Generators with nil exponent 1 (identically zero)."""
         return tuple(i for i in range(1, self.m + 1) if self.nil[i - 1] == 1)
-
-
-def is_normal(spec: AlgebraSpec, w: Word) -> bool:
-    """Full forbidden-run scan; O(len(w))."""
-    run = 0
-    prev = 0
-    for g in w:
-        if not 1 <= g <= spec.m:
-            return False
-        run = run + 1 if g == prev else 1
-        if run >= spec.nil[g - 1]:
-            return False
-        prev = g
-    return True
 
 
 def _check_degree(spec: AlgebraSpec, d: int) -> None:
@@ -305,29 +294,6 @@ def word_index(spec: AlgebraSpec, w: Word) -> tuple[int, int]:
         return d, _ordinal_table(spec.nil, d)[w]
     except KeyError:
         raise NotNormal(f"{format_word(spec, w)} is not a normal word") from None
-
-
-def concat(spec: AlgebraSpec, u: Word, v: Word) -> Optional[Word]:
-    """Product of two normal words: their concatenation, or None for zero.
-
-    Both factors are normal, so any forbidden run in uv straddles the
-    junction; only the maximal same-letter run around it needs checking.
-    """
-    d = len(u) + len(v)
-    if d > spec.max_degree:
-        raise TruncationOverflow(f"product degree {d} exceeds {spec.max_degree}")
-    g = u[-1]
-    if v[0] != g:
-        return u + v
-    i = len(u) - 1
-    while i > 0 and u[i - 1] == g:
-        i -= 1
-    j = 1
-    while j < len(v) and v[j] == g:
-        j += 1
-    if (len(u) - i) + j >= spec.nil[g - 1]:
-        return None
-    return u + v
 
 
 # -- text form ---------------------------------------------------------------

@@ -579,8 +579,10 @@ def _check_brackets(field, same, words, products=False):
     def vec(d, row):
         return GradedVector(spec, {d: {o: row[o] for o in np.flatnonzero(row)}})
 
+    e_p = Entries.of(rows_p)
+    e_q = e_p if same else Entries.of(rows_q)  # one object: `_brackets` then takes the pairs j > a' only
     pairs, runs, nxt = 0, [], 0
-    for a, m in _brackets(spec, p, q, Entries.of(rows_p), Entries.of(rows_q), same=same, products=products):
+    for a, m in _brackets(spec, p, q, e_p, e_q, products=products):
         assert a == nxt  # runs follow each other, row by row
         expect = []  # the (a', j) pair of each row of m, or of each two under ``products``
         while len(expect) < m.shape[0] // (2 if products else 1):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.resources
 import json
 import os
 import types
@@ -12,7 +13,7 @@ import nilpow.algebra
 import nilpow.certify
 from nilpow import AlgebraSpec, DerivedTower, Field
 from nilpow.cache import _rows_digest, cache_get, cache_key, cache_put, subspace_from_payload, subspace_to_payload
-from nilpow.cli import certificate_schema, main
+from nilpow.cli import main
 from nilpow.errors import CorruptCacheEntry
 from nilpow.words import letter_orbits, multidegree_parts
 
@@ -24,6 +25,8 @@ def run_cli(capsys, *argv):
 
 
 SPEC22 = ["--generators", "2", "--nil", "2,2"]
+# the schema certificates are published against, as the installed package holds it
+SCHEMA = json.loads(importlib.resources.files("nilpow").joinpath("certificate_schema.json").read_text())
 
 
 def test_package_exports_every_public_name():
@@ -120,7 +123,7 @@ def test_certify_verified_exit_zero(capsys, tmp_path):
     cert = json.loads(out_file.read_text())
     assert cert["verdict"] == "VERIFIED"
     assert cert["n"] == 11 and cert["bound"] == 20
-    jsonschema.validate(cert, certificate_schema())
+    jsonschema.validate(cert, SCHEMA)
 
 
 def test_unwritable_out_exits_one(capsys, tmp_path):
@@ -137,7 +140,7 @@ def test_certify_small_degree_exit_two(capsys):
     cert = json.loads(out)
     assert cert["verdict"] == "INCONCLUSIVE"
     assert "INCONCLUSIVE" in err
-    jsonschema.validate(cert, certificate_schema())
+    jsonschema.validate(cert, SCHEMA)
 
 
 def test_certify_no_governed_degree_exit_two(capsys):
@@ -149,7 +152,7 @@ def test_certify_no_governed_degree_exit_two(capsys):
     assert cert["reason"] == "max degree 20 below 21, no governed degree exercised"
     assert cert["n"] == 11 and cert["bound"] == 20 and cert["generators"] == []
     assert f"INCONCLUSIVE: {cert['reason']}" in err
-    jsonschema.validate(cert, certificate_schema())
+    jsonschema.validate(cert, SCHEMA)
 
 
 def test_certify_trivial_single_generator(capsys):

@@ -63,11 +63,27 @@ def test_spec_mismatch_rejected():
     for ordinal in (-1, 5):  # degree 2 has the two words xy, yx
         with pytest.raises(SpecMismatch):
             GradedVector(S22, {2: {ordinal: 1}})
-    # a row must have one entry per word: none is broadcast
-    for row in ([5], np.array([5]), 5, [1, 2, 3], [[1, 2]], np.zeros((2, 2), dtype=np.int64)):
+    # a degree's coefficients are an {ordinal: coeff} map; rows are no input form
+    for row in ([5], np.array([5]), 5, [0, 5], np.array([0, 5]), [[1, 2]], np.zeros((2, 2), dtype=np.int64)):
         with pytest.raises(SpecMismatch):
             GradedVector(S22, {2: row})
-    assert GradedVector(S22, {2: [0, 5]}).terms(2) == [(1, 5)]
+    assert GradedVector(S22, {2: {1: 5}}).terms(2) == [(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [{2.0: {1: 3}}, {"2": {1: 3}}, {Fraction(2): {1: 3}}, {2: {1.0: 3}}, {2: {"1": 3}}, {2: {np.float64(1): 3}}],
+    ids=["degree-float", "degree-str", "degree-fraction", "ordinal-float", "ordinal-str", "ordinal-npfloat"],
+)
+def test_vector_keys_must_be_integers(parts):
+    with pytest.raises(SpecMismatch):
+        GradedVector(S22, parts)
+
+
+def test_vector_integer_keys_become_ints():
+    v = GradedVector(S22, {np.int64(2): {np.int64(1): 3}})
+    assert v == GradedVector(S22, {2: {1: 3}})
+    assert all(type(d) is int for d in v.parts)
 
 
 def test_coefficients_enter_exactly():
@@ -82,21 +98,17 @@ def test_coefficients_enter_exactly():
     spec = AlgebraSpec(m=2, nil=(2, 2), field=f7, max_degree=4)
     half = GradedVector(spec, {1: {0: Fraction(1, 2)}})
     assert half.terms(1) == [(0, 4)] and half.scale(2) == GradedVector(spec, {1: {0: 1}})
-    for row in ([Fraction(1, 2), 0], np.array([Fraction(1, 2), 0], dtype=object)):
-        v = GradedVector(spec, {1: row})
-        assert v.parts[1].dtype == np.int64 and v.parts[1].tolist() == [4, 0]
-    assert GradedVector(spec, {1: np.array([-1, 9])}).parts[1].tolist() == [6, 2]
+    v = GradedVector(spec, {1: {0: Fraction(1, 2), 1: 0}})
+    assert v.parts[1].dtype == np.int64 and v.parts[1].tolist() == [4, 0]
+    assert GradedVector(spec, {1: {0: np.int64(-1), 1: 9}}).parts[1].tolist() == [6, 2]
     qspec = AlgebraSpec(m=2, nil=(2, 2), field=q, max_degree=4)
-    for row in ([Fraction(1, 2), 3], np.array([Fraction(1, 2), 3], dtype=object)):
-        v = GradedVector(qspec, {1: row})
-        assert all(type(x) is Fraction for x in v.parts[1]) and v.terms(1) == [(0, Fraction(1, 2)), (1, 3)]
-    assert all(type(x) is Fraction for x in GradedVector(qspec, {1: np.array([1, 3])}).parts[1])
+    v = GradedVector(qspec, {1: {0: Fraction(1, 2), 1: 3}})
+    assert all(type(x) is Fraction for x in v.parts[1]) and v.terms(1) == [(0, Fraction(1, 2)), (1, 3)]
+    assert all(type(x) is Fraction for x in GradedVector(qspec, {1: {0: np.int64(1), 1: 3}}).parts[1])
     for field_spec in (spec, qspec):
-        for row in ([0.5, 0.0], np.array([0.5, 0.0]), np.array([1.0, 0.0])):
+        for x in (0.5, 0.0, np.float64(1.0)):
             with pytest.raises(InexactCoefficient):
-                GradedVector(field_spec, {1: row})
-        with pytest.raises(InexactCoefficient):
-            GradedVector(field_spec, {1: {0: 0.5}})
+                GradedVector(field_spec, {1: {0: x}})
 
 
 def test_insert_examples():
@@ -229,13 +241,13 @@ def reference_insert(field, rows, candidates):
         for r in rows:
             c = v[_lead(r)]
             if c != 0:
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, r)]
+                v = [field.elem(a - c * b) for a, b in zip(v, r)]
         if all(x == 0 for x in v):
             continue
         piv = _lead(v)
         inv = field.inv(v[piv])
-        v = [field.mul(inv, x) for x in v]
-        rows = [[field.sub(a, field.mul(r[piv], b)) for a, b in zip(r, v)] for r in rows]
+        v = [field.elem(inv * x) for x in v]
+        rows = [[field.elem(a - r[piv] * b) for a, b in zip(r, v)] for r in rows]
         rows = sorted(rows + [v], key=_lead)
         grew += 1
     return rows, grew
