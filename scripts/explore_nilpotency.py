@@ -4,15 +4,17 @@ truncation degree for one presentation. Used to discover how large a
 truncation degree a VERIFIED certificate would need.
 
 Each D= line ends with the time and the process's peak RSS so far. On
-stderr, one line per derived level and one for the ideal closure give its
-seconds, its total rank over all degrees and the peak RSS so far.
+stderr, one line for the ideal closure gives its seconds, its total rank
+over all degrees and the peak RSS so far. Levels are built only as far
+as the ideal reads them, so that line times them too: for (3; 2,2,2),
+level 2 is built only through degree D-4.
 
 Example (the three-generator case with --k 3; with one BLAS thread on 2
 cores, each degree in a process of its own, medians of 3 runs, one at
-degree 15: degree 11 takes about 0.2 s and 49 MB, degree 12 about 0.5 s
-and 62 MB, degree 13, where the quotient first vanishes, about 1.4 s and
-93 MB, degree 14 about 5.0 s and 201 MB, and degree 15 about 43 s and
-0.77 GB):
+degree 15: degree 11 takes about 0.1 s and 48 MB, degree 12 about 0.3 s
+and 62 MB, degree 13, where the quotient first vanishes, about 0.9 s and
+93 MB, degree 14 about 3.0 s and 193 MB, and degree 15 about 23 s and
+0.73 GB):
 
     python3 scripts/explore_nilpotency.py --generators 3 --nil 2,2,2 \
         --k 3 --degrees 8,9,10,11
@@ -58,8 +60,6 @@ def main() -> None:
         )
         t0 = time.time()
         tower = DerivedTower(spec)
-        for i in range(1, args.k + 1):
-            timed(f"D={d} level {i}", lambda: tower.level(i))
         timed(f"D={d} id(level {args.k})", lambda: tower.ideal(args.k))
         rep = nilpotency_index(tower, args.k)  # reads the ideal built above
         quot = ", ".join(f"{deg}:{q}" for deg, q in rep.quotient_dims)

@@ -8,10 +8,17 @@ the bracket and the Jordan product form uv -+ vu in the same pass, and
 results are built with `GradedVector._of`, without a second check.
 Closures work degree-by-degree on echelon blocks: every contribution to
 degree f comes from strictly smaller degrees, so one increasing sweep is
-a fixpoint. `_sweep` is that sweep; each derived power past [A, A] and
-each closure is one call to it with its own candidate stream. A^(k) lies
-in A^(k-1), so a derived step's sweep has the level above as its ceiling:
-a part stops at its rank there. Basis
+a fixpoint. `_sweep` is that sweep, made lazy: it gives the output the
+fill of one degree, run on the first read of that degree or one above
+(`linalg.Subspace`), so each level and closure is built only as far as
+something reads it. Each derived power past [A, A] and each closure is
+one call to it with its own candidate stream. A^(k) lies in A^(j) for
+every j < k, so a derived step at degree f takes as its ceiling the
+nearest level above whose degree f is already final (level 1, written in
+closed form, always is): a part stops at its rank there. A ceiling only
+decides when to stop, so the rows are the same whichever is used, and it
+never forces work. A closure seeds its degree-f block with a copy of its
+input's when it fills degree f, so it reads its input no further. Basis
 products are looked up in (p, q)-degree multiplication tables, which
 keeps the inner loops in numpy: `mul_table` slices them from the tables (p, 1..D-p) that
 `words._product_tables` builds in one numpy pass per p. Those are keyed
@@ -31,7 +38,7 @@ columns of each multidegree part they reach. The first derived power
 [A, A] needs no elimination at all: its canonical RREF is written down
 from the rotations of the words (`_commutators`) into the parts that own
 their rows (in a symmetric block, targets read their source's).
-`DerivedTower` is the one tower builder: it builds each level on first
+`DerivedTower` is the one tower builder: it sets up each level on first
 use, through an optional on-disk cache, and the ideal of each level once.
 Subspaces and towers carry their spec, so the closures take only the
 subspace.
@@ -221,16 +228,22 @@ def _insert_all(blk, mats: Iterable[Entries], ceiling=None) -> None:
         blk.insert_matrix(Entries.stack(buf), ceiling)
 
 
-def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries]], ceiling=None) -> Subspace:
-    """Insert candidates(out, f) into out's degree-f block for f = 1..D in
-    turn; the candidates may read out in degrees below f, already final.
-    ``ceiling``, a subspace of out's layout that holds every candidate,
-    stops each part of out at its rank there; out keeps no trace of it.
-    A symmetric out is eliminated in one part of each orbit of the letter
-    permutations, which the other parts of the orbit read relabelled."""
-    for f in range(1, out.spec.max_degree + 1):
-        _insert_all(out.block(f), candidates(out, f), None if ceiling is None else ceiling.block(f))
-    return out
+def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries]],
+           ceilings: Sequence[Subspace] = (), seed: Optional[Subspace] = None) -> Subspace:
+    """Make out lazy: filling degree f inserts candidates(out, f), which may
+    read out below f, into its degree-f block, first a copy of ``seed``'s
+    if given. The ceiling is the block of the first of ``ceilings`` (each
+    of out's layout and holding every candidate) whose degree f is final,
+    else none. A symmetric out is eliminated in one part of each orbit of
+    the letter permutations, which the other parts read relabelled."""
+
+    def fill(out: Subspace, f: int) -> None:
+        if seed is not None:
+            out._blocks[f] = seed.block(f).copy()
+        ceiling = next((c.block(f) for c in ceilings if c._done >= f), None)
+        _insert_all(out._block(f), candidates(out, f), ceiling)
+
+    return out._lazy(fill)
 
 
 def _split_brackets(s: Subspace, f: int) -> Iterator[Entries]:
@@ -270,13 +283,15 @@ def _multiples(s: Subspace, e: int) -> Iterator[Entries]:
 def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspace:
     """[prev, prev], in prev's layout. ``from_full`` requires prev to be the
     full space, and writes [A, A] down in closed form (`_commutators`);
-    otherwise every split [prev_p, prev_q] is swept in, degree by degree,
-    with prev as the ceiling: prev must be closed under the bracket (a
-    derived power or a Lie ideal), so that [prev, prev] lies in it."""
+    otherwise every split [prev_p, prev_q] is swept in lazily, degree by
+    degree, with prev and the spaces prev lies in as the ceilings: prev
+    must be closed under the bracket (a derived power or a Lie ideal), so
+    that [prev, prev] lies in it."""
     out = Subspace(spec, multigraded=prev.multigraded, symmetric=prev.symmetric)
     if from_full:
         return _commutators(out)
-    return _sweep(out, lambda _, f: _split_brackets(prev, f), ceiling=prev)
+    out._within = (prev,) + prev._within
+    return _sweep(out, lambda _, f: _split_brackets(prev, f), ceilings=out._within)
 
 
 def _commutators(out: Subspace) -> Subspace:
@@ -329,9 +344,10 @@ def _cached(spec: AlgebraSpec, key: str, cache_dir: str | Path) -> Optional[Subs
 
 class DerivedTower:
     """The derived series of one spec, each level truncated at max_degree;
-    level 0 is the full space. `level(i)` builds the levels up to i that
-    are missing. With ``cache_dir`` each level is read from the on-disk
-    cache when an entry decodes, and computed and written back otherwise.
+    level 0 is the full space. `level(i)` sets up the levels up to i that
+    are missing; each is built as far as it is read. With ``cache_dir``
+    each level is read from the on-disk cache when an entry decodes, and
+    otherwise computed and written back whole.
     `ideal(k)` keeps the ideal of each level it is asked for, so the checks
     and the nilpotency index share it."""
 
@@ -367,10 +383,11 @@ class DerivedTower:
 
 
 def ideal_closure(s: Subspace) -> Subspace:
-    """Smallest two-sided associative ideal containing s, degree-wise: the
-    degree-f slice is that of s plus the products u g and g u of each row u
-    of the closed degree f-1 slice with each generator g (`_multiples`)."""
-    return _sweep(s.copy(), lambda out, f: _multiples(out, f - 1))
+    """Smallest two-sided associative ideal containing s, degree-wise and
+    lazily: the degree-f slice is that of s plus the products u g and g u
+    of each row u of the closed degree f-1 slice with each generator g
+    (`_multiples`)."""
+    return _sweep(s._like(), lambda out, f: _multiples(out, f - 1), seed=s)
 
 
 def lie_ideal_closure(s: Subspace) -> Subspace:
@@ -380,7 +397,7 @@ def lie_ideal_closure(s: Subspace) -> Subspace:
     multiples by the degree-1 slice alone do not generate multiples by
     higher components.
     """
-    return _sweep(s.copy(), lambda out, f: (m for _, _, m in _word_brackets(out, f)))
+    return _sweep(s._like(), lambda out, f: (m for _, _, m in _word_brackets(out, f)), seed=s)
 
 
 def lie_subalgebra_closure(spec: AlgebraSpec, gens: Iterable[GradedVector]) -> Subspace:

@@ -18,10 +18,17 @@ Membership reduces a row in every part where it has entries, so it is exact
 for any row. Other subspaces keep one part. A subspace's layout is fixed
 when `span`, a sweep, the closed form of [A, A] or the cache builds it.
 
+A subspace a sweep builds is lazy (`Subspace._lazy`): it holds a fill
+step and a cursor, the last degree that is final. `block(f)` and
+`dim_at(f)` first run the fill on each degree past the cursor up to f,
+in turn, and `copy()` up to D; the fill of degree f reads the subspace
+only below f. So a subspace is built only as far as something reads it.
+A fill that raises leaves its degree unfinished, to be filled again.
+
 A permutation of the letters that keeps every nil exponent is an
 automorphism of the algebra. A *symmetric* subspace is one that all of them
 map to itself: the full space, [A, A] in closed form, the derived step of a
-symmetric level, the closures of a symmetric subspace, whose copy keeps its
+symmetric level, the closures of a symmetric subspace, which take its
 layout, and the derived powers a tower decodes from the cache. The
 permutations map each multidegree part onto one of the same width
 (`words.letter_orbits`). In a symmetric block, each target part (one wider
@@ -90,7 +97,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -671,7 +678,9 @@ class _Block:
 class Subspace:
     """Graded subspace as one echelon block per degree. A multigraded one
     splits its blocks by multidegree and takes multihomogeneous rows only;
-    the layout is fixed when the subspace is built."""
+    the layout is fixed when the subspace is built. A lazy one (`_lazy`)
+    has a fill step and a cursor: `block`, `dim_at` and `copy` first fill
+    the degrees up to the one they read."""
 
     def __init__(self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True, symmetric: bool = False):
         """``symmetric``: the subspace is invariant under the permutations of
@@ -682,12 +691,38 @@ class Subspace:
         self._full = full
         self.multigraded = multigraded
         self.symmetric = symmetric
+        self._fill: Optional[Callable[[Subspace, int], None]] = None
+        self._done = spec.max_degree  # the cursor: degrees 1.._done are final
+        self._within: tuple[Subspace, ...] = ()  # known to hold this one, nearest first
 
     @classmethod
     def full_space(cls, spec: AlgebraSpec) -> "Subspace":
         return cls(spec, full=True, symmetric=True)
 
+    def _lazy(self, fill: Callable[[Subspace, int], None]) -> "Subspace":
+        """Make each degree f final only when read, by fill(self, f). The
+        fill is handed the subspace, not holding it: a cycle would keep a
+        half-read subspace's arrays until the cyclic collector runs."""
+        self._fill, self._done = fill, 0
+        return self
+
+    def _reach(self, d: int) -> None:
+        """Fill the degrees up to d that are not final, in turn; a fill that
+        raises leaves its degree unfinished, to be filled again."""
+        top = min(d, self.spec.max_degree)
+        while self._done < top:
+            self._fill(self, self._done + 1)
+            self._done += 1
+        if self._done == self.spec.max_degree:
+            self._fill = None  # drop what the fill holds
+
     def block(self, d: int) -> _Block:
+        if self._done < d:
+            self._reach(d)
+        return self._block(d)
+
+    def _block(self, d: int) -> _Block:
+        """The degree-d block as it stands, made empty if missing."""
         if d not in self._blocks:
             parts = orbits = None
             if self.multigraded and not self._full:
@@ -705,6 +740,8 @@ class Subspace:
     def dim_at(self, d: int) -> int:
         if not 1 <= d <= self.spec.max_degree:
             return 0
+        if self._done < d:
+            self._reach(d)
         blk = self._blocks.get(d)
         if blk is None:
             return dim_component(self.spec, d) if self._full else 0
@@ -735,9 +772,14 @@ class Subspace:
         return [GradedVector._of(self.spec, {d: row}) for row in self.block(d).canonical_entries().dense(self.arith)]
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.spec, full=self._full, multigraded=self.multigraded, symmetric=self.symmetric)
+        self._reach(self.spec.max_degree)
+        out = self._like()
         out._blocks = {d: blk.copy() for d, blk in self._blocks.items()}
         return out
+
+    def _like(self) -> "Subspace":
+        """An empty subspace of this one's layout."""
+        return Subspace(self.spec, full=self._full, multigraded=self.multigraded, symmetric=self.symmetric)
 
     def __repr__(self) -> str:
         return f"Subspace({self.spec.m} gens, dims={self.dims()})"

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,7 @@ from nilpow import (
     mul,
     span,
 )
-from nilpow.algebra import _brackets, _derived_step, _insert_all, _split_brackets, _sweep
+from nilpow.algebra import _brackets, _derived_step, _insert_all, _multiples, _split_brackets, _sweep
 from nilpow.linalg import Entries, _Block, _Echelon
 from nilpow.certify import nilpotency_index, random_homogeneous, random_lie_ideal
 from nilpow.errors import ArityMismatch
@@ -256,6 +258,83 @@ def test_commutators_match_all_splits_sweep(nil, top, p, multigraded):
         assert _same_rows(_canonical(closed, d), _canonical(swept, d)), (spec, d)
 
 
+_READS = [(level, i) for i in (1, 2, 3) for level in (True, False)]
+
+
+def _read(tower, level, i):
+    return tower.level(i) if level else tower.ideal(i)
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from(
+        [
+            AlgebraSpec(m=3, nil=(2, 2, 2), field=Field(5), max_degree=8),
+            AlgebraSpec(m=2, nil=(2, 3), field=Field(32003), max_degree=10),
+            AlgebraSpec(m=2, nil=(2, 2), field=Field(None), max_degree=10),
+            AlgebraSpec(m=3, nil=(2, 2, 2), field=Field(None), max_degree=6),
+        ]
+    ).flatmap(lambda spec: st.tuples(st.just(spec), st.permutations([(r, d) for r in _READS for d in range(1, 11)])))
+)
+def test_lazy_reads_in_any_order_match_degree_order(drawn):
+    # Levels 1..3 and their ideals, each degree read in a random order, so a
+    # derived step finds the level above final or not at each degree and
+    # takes its ceiling from whichever is: the dims and canonical rows of a
+    # tower read degree by degree, one subspace after another.
+    spec, order = drawn
+    lazy, ordered = DerivedTower(spec), DerivedTower(spec)
+    got = {(r, d): (_read(lazy, *r).dim_at(d), _canonical(_read(lazy, *r), d)) for r, d in order if d <= spec.max_degree}
+    for r in _READS:
+        s = _read(ordered, *r)
+        for d in range(1, spec.max_degree + 1):
+            dim, rows = got[r, d]
+            assert dim == s.dim_at(d) and _same_rows(rows, _canonical(s, d)), (spec, r, d)
+
+
+def test_fill_that_raises_leaves_its_degree_unfinished(monkeypatch):
+    # An ideal closure whose degree-4 candidates raise once some rows went
+    # in (level 1 has rank 8 there, its ideal 9 of 10): degree 4 stays
+    # unfinished and is filled afresh, from its seed, on the next read.
+    monkeypatch.setattr(nilpow.algebra, "_BUFFER", 4)
+    level = DerivedTower(AlgebraSpec(m=2, nil=(3, 3), max_degree=8)).level(1)
+    broken, inserted = [True], []
+    insert = _Block.insert_matrix
+    monkeypatch.setattr(_Block, "insert_matrix", lambda blk, *a: inserted.append(blk.dim) or insert(blk, *a))
+
+    def candidates(out, f):
+        for m in _multiples(out, f - 1):
+            if f == 4 and broken[0] and 10 in inserted:  # degree 4 has 10 words
+                raise RuntimeError("fill failed")
+            yield m
+
+    s = _sweep(level._like(), candidates, seed=level)
+    with pytest.raises(RuntimeError):
+        s.dim_at(6)
+    assert s._done == 3 and 10 in inserted
+    with pytest.raises(RuntimeError):
+        s.block(4)
+    broken[0] = False
+    ref = ideal_closure(level)
+    assert s.dims() == ref.dims()
+    assert all(_same_rows(_canonical(s, d), _canonical(ref, d)) for d in range(1, 9))
+
+
+def test_half_read_closure_goes_with_its_last_reference():
+    # the fill is handed its subspace rather than holding it, so a closure
+    # read only part of the way is freed at once, not at the next run of the
+    # cyclic collector, which would hold its arrays meanwhile
+    level = DerivedTower(AlgebraSpec(m=2, nil=(3, 3), max_degree=8)).level(1)
+    s = ideal_closure(level)
+    assert s.dim_at(4) and s._done == 4
+    gone = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 @st.composite
 def _equal_exponent_specs(draw):
     """Specs where two nil exponents are equal: m <= 3 with exponents 1..4
@@ -365,6 +444,7 @@ def test_ceiling_saves_insertions(monkeypatch):
     monkeypatch.setattr(_Block, "insert_matrix", block_recorded)
     monkeypatch.setattr(_Echelon, "insert_matrix", part_recorded)
     level = tower.level(2)
+    level.dims()  # a level is built as far as it is read
     assert [d for d, _ in offered].count(10) == 1
     assert sum(r for _, r in offered) <= 5443
     assert fed and not any(fed)
@@ -487,7 +567,7 @@ def test_ideal_closure_insertions_are_bounded(monkeypatch):
         return insert(blk, m, ceiling)
 
     monkeypatch.setattr(_Block, "insert_matrix", recorded)
-    ideal_closure(level)
+    ideal_closure(level).dims()  # a closure is built as far as it is read
     assert sizes and max(sizes) <= 64 + 64 // 8
 
 

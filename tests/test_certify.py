@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +209,19 @@ def test_certify_inconclusive_when_index_not_found():
     assert "not found" in cert.reason
 
 
+def test_certify_m3_builds_level_2_as_far_as_level_3_reads_it():
+    # (3; 2,2,2) at D=10: level 2 starts in degree 4, so [A^(2), A^(2)] reads
+    # it through degree 6, and no step of the INCONCLUSIVE certificate reads
+    # it further; the certificate keeps its golden bytes
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=10)
+    tower = DerivedTower(spec)
+    cert = certify_generation(tower, 1)
+    assert [level._done for level in tower.levels] == [10, 10, 6, 10]
+    text = nilpow.cli._dump_json(nilpow.cli.certificate_to_dict(cert))
+    golden = {c["argv"]: c["sha256"] for c in json.loads((Path(__file__).parent / "golden_hashes.json").read_text())}
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["certify --i 1 --generators 3 --nil 2,2,2 --max-degree 10"]
+
+
 def _tower_short_above(spec, d):
     """Tower of spec whose level 2 lacks its degree-d block, levels 1-3 built."""
     tower = DerivedTower(spec)
@@ -359,6 +374,24 @@ def test_lemma1_on_random_ideals(suite_specs):
         for _ in range(3):
             rep = lemma1_check(random_lie_ideal(spec, rng))
             assert rep.passed
+
+
+def test_lemma1_reads_uu_ideal_below_top_degree(monkeypatch):
+    # _first_escape brackets id([U, U]) by words of degree >= 1, so it reads
+    # it only below D, and that is as far as id([U, U]) and [U, U] are built;
+    # the checked counts are those of the sweeps that built them whole
+    built, close = [], nilpow.certify.ideal_closure
+    monkeypatch.setattr(nilpow.certify, "ideal_closure", lambda s: built.append((s, close(s))) or built[-1][1])
+    cases = [((3, (2, 2, 2), 8), [84, 327, 18, 3432]), ((2, (3, 3), 8), [38, 804, 1424, 804])]
+    for (m, nil, d), counts in cases:
+        spec, rng, checked = AlgebraSpec(m=m, nil=nil, max_degree=d), random.Random(5), []
+        for _ in counts:
+            built.clear()
+            rep = lemma1_check(random_lie_ideal(spec, rng))
+            [(uu, uu_ideal)] = built
+            assert rep.passed and uu._done == uu_ideal._done == d - 1
+            checked.append(rep.checked)
+        assert checked == counts
 
 
 def test_lemma1_vacuous_on_zero():

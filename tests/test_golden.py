@@ -5,7 +5,8 @@ its stdout: `certify --i 1`, `dims --levels 3` and `check all --trials 100
 --seed 0` for the four suite presentations, one dims table over Q, and three
 certificates beyond the suite: (2; 2,3) at D=14, with unequal exponents,
 the VERIFIED i=2 certificate of (2; 2,2) at D=41, and `certify --i 1` of
-(3; 2,2,2) at D=11, where [A, A] has 5701 rows; and `check all
+(3; 2,2,2) at D=11, where [A, A] has 5701 rows, and at D=10, the
+benchmark's tower job, whose level 2 is built only through degree 6; and `check all
 --trials 20 --seed 1` over Q for (2; 3,3) at D=7 and (3; 2,2,2) at D=5,
 which pin the Fraction path of the bracket generator and of the element
 operations. A refactor that changes any certificate, dimension table or
