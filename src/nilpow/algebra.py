@@ -26,7 +26,7 @@ by the nil exponents and degrees, not the field, so specs over different
 fields share them.
 
 One generator, `_brackets`, produces every closure's candidates: brackets
-row x row (basis words enter as the identity rows of a full block), or for
+row x row (basis words enter as identity rows, `_word_rows`), or for
 the ideal closure both products of each row with each generator. It reads
 the rows of blocks as entries (`_Block.entries`) and yields the candidates
 as `linalg.Entries` for a run of rows at a time, gathered from the tables
@@ -229,18 +229,18 @@ def _insert_all(blk, mats: Iterable[Entries], ceiling=None) -> None:
 
 
 def _sweep(out: Subspace, candidates: Callable[[Subspace, int], Iterable[Entries]],
-           ceilings: Sequence[Subspace] = (), seed: Optional[Subspace] = None) -> Subspace:
+           seed: Optional[Subspace] = None) -> Subspace:
     """Make out lazy: filling degree f inserts candidates(out, f), which may
     read out below f, into its degree-f block, first a copy of ``seed``'s
-    if given. The ceiling is the block of the first of ``ceilings`` (each
-    of out's layout and holding every candidate) whose degree f is final,
-    else none. A symmetric out is eliminated in one part of each orbit of
-    the letter permutations, which the other parts read relabelled."""
+    if given. The ceiling is the block of the first of ``out._within`` (each
+    of out's layout, holding every candidate) whose degree f is final, else
+    none. A symmetric out is eliminated in one part of each orbit of the
+    letter permutations, which the other parts read relabelled."""
 
     def fill(out: Subspace, f: int) -> None:
         if seed is not None:
             out._blocks[f] = seed.block(f).copy()
-        ceiling = next((c.block(f) for c in ceilings if c._done >= f), None)
+        ceiling = next((c.block(f) for c in out._within if c._done >= f), None)
         _insert_all(out._block(f), candidates(out, f), ceiling)
 
     return out._lazy(fill)
@@ -257,23 +257,27 @@ def _split_brackets(s: Subspace, f: int) -> Iterator[Entries]:
                 yield m
 
 
+def _word_rows(spec: AlgebraSpec, d: int) -> Entries:
+    """The degree-d basis words as rows: the identity, as entries."""
+    i = np.arange(dim_component(spec, d))
+    return Entries((i.size, i.size), i, i, np.full(i.size, spec.field.one))
+
+
 def _word_brackets(s: Subspace, f: int, lo: int = 1) -> Iterator[tuple[int, int, Entries]]:
     """(d, a, m) for each degree lo <= d < f and each run of degree-d basis
     words from word a on: row r of m is [word a + r // n, row r % n of
     s_{f-d}], where n = s.dim_at(f - d)."""
-    words = Subspace.full_space(s.spec)
     for d in range(lo, f):
         if s.dim_at(f - d):
             rows_q = s.block(f - d).entries()
-            for a, m in _brackets(s.spec, d, f - d, words.block(d).entries(), rows_q):
+            for a, m in _brackets(s.spec, d, f - d, _word_rows(s.spec, d), rows_q):
                 yield d, a, m
 
 
 def _multiples(s: Subspace, e: int) -> Iterator[Entries]:
     """u g and g u for each degree-e row u of s and each generator g."""
     if s.dim_at(e):
-        gens = Subspace.full_space(s.spec).block(1).entries()
-        for _, m in _brackets(s.spec, e, 1, s.block(e).entries(), gens, products=True):
+        for _, m in _brackets(s.spec, e, 1, s.block(e).entries(), _word_rows(s.spec, 1), products=True):
             yield m
 
 
@@ -287,11 +291,11 @@ def _derived_step(spec: AlgebraSpec, prev: Subspace, from_full: bool) -> Subspac
     degree, with prev and the spaces prev lies in as the ceilings: prev
     must be closed under the bracket (a derived power or a Lie ideal), so
     that [prev, prev] lies in it."""
-    out = Subspace(spec, multigraded=prev.multigraded, symmetric=prev.symmetric)
+    out = prev._like()
     if from_full:
         return _commutators(out)
     out._within = (prev,) + prev._within
-    return _sweep(out, lambda _, f: _split_brackets(prev, f), ceilings=out._within)
+    return _sweep(out, lambda _, f: _split_brackets(prev, f))
 
 
 def _commutators(out: Subspace) -> Subspace:
@@ -345,7 +349,7 @@ def _cached(spec: AlgebraSpec, key: str, cache_dir: str | Path) -> Optional[Subs
 class DerivedTower:
     """The derived series of one spec, each level truncated at max_degree;
     level 0 is the full space. `level(i)` sets up the levels up to i that
-    are missing; each is built as far as it is read. With ``cache_dir``
+    are missing; each, level 0 too, is built as far as it is read. With ``cache_dir``
     each level is read from the on-disk cache when an entry decodes, and
     otherwise computed and written back whole.
     `ideal(k)` keeps the ideal of each level it is asked for, so the checks

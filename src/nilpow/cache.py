@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CorruptCacheEntry
-from .linalg import Entries, Subspace
+from .linalg import Entries, Layout, Subspace
 from .words import AlgebraSpec, letter_orbits, multidegree_parts
 
 CACHE_FORMAT_VERSION = "nilpow-cache-3"
@@ -81,10 +81,10 @@ def _ints(values, what: str) -> np.ndarray:
 
 
 def subspace_from_payload(spec: AlgebraSpec, payload: dict) -> Subspace:
-    """Decode a payload into a multigraded, symmetric subspace, taking each
+    """Decode a payload into a subspace of the views layout, taking each
     degree's rows as they are; raises `CorruptCacheEntry` unless they match
     the stored digest, are in canonical RREF and are each multihomogeneous."""
-    s = Subspace(spec, symmetric=True)
+    s = Subspace(spec, Layout.VIEWS)
     f = spec.field
     try:
         if payload["digest"] != _rows_digest(payload["rows"]):

@@ -15,28 +15,30 @@ multidegree part over that part's columns (`words.multidegree_parts`). The
 parts have disjoint column supports, so the union of their rows is the
 block's canonical RREF. A row with entries in two parts is an engine bug.
 Membership reduces a row in every part where it has entries, so it is exact
-for any row. Other subspaces keep one part. A subspace's layout is fixed
-when `span`, a sweep, the closed form of [A, A] or the cache builds it.
+for any row. Other subspaces keep one part. A subspace's `Layout` (one
+part, multidegree parts, or parts with views, below) is fixed when `span`,
+a sweep, [A, A] in closed form, the full space or the cache builds it.
 
-A subspace a sweep builds is lazy (`Subspace._lazy`): it holds a fill
-step and a cursor, the last degree that is final. `block(f)` and
-`dim_at(f)` first run the fill on each degree past the cursor up to f,
-in turn, and `copy()` up to D; the fill of degree f reads the subspace
-only below f. So a subspace is built only as far as something reads it.
-A fill that raises leaves its degree unfinished, to be filled again.
+A subspace a sweep builds is lazy (`Subspace._lazy`), as is the full
+space: it holds a fill step and a cursor, the last degree that is final.
+`block(f)` and `dim_at(f)` first run the fill on each degree past the
+cursor up to f, in turn; the fill of degree f reads the subspace only
+below f. So a subspace is built only as far as something reads it. The
+full space's fill writes a degree's basis words as the identity rows of
+a full block. A fill that raises leaves its degree unfinished.
 
 A permutation of the letters that keeps every nil exponent is an
 automorphism of the algebra. A *symmetric* subspace is one that all of them
 map to itself: the full space, [A, A] in closed form, the derived step of a
 symmetric level, the closures of a symmetric subspace, which take its
-layout, and the derived powers a tower decodes from the cache. The
-permutations map each multidegree part onto one of the same width
-(`words.letter_orbits`). In a symmetric block, each target part (one wider
-than one column that is not the first of its orbit) shares its source
-part's `_Echelon` and lists its columns as the images of the source's, in
-the source's order. So the target reads the source's rows relabelled: its
-rank, membership in it and its entries come through the permutation, no
-copy is made, and it is never stale. A sweep eliminates the sources only
+layout, and the derived powers a tower decodes from the cache; each has
+the views layout. The permutations map each multidegree part onto one of
+the same width (`words.letter_orbits`). In a symmetric block, each target
+part (one wider than one column that is not the first of its orbit)
+shares its source part's `_Echelon` and lists its columns as the images
+of the source's, in the source's order. So the target reads the source's
+rows relabelled: its rank, membership in it and its entries come through
+the permutation, no copy is made, and it is never stale. A sweep eliminates the sources only
 and leaves targets out of its insertions, as it leaves parts at their
 ceiling out: a part's ceiling is its rank in a block known to hold the
 candidates (`_Block.insert_matrix`), else its width.
@@ -64,8 +66,8 @@ so. `_Block.insert_matrix` groups a batch of candidate entries by part and
 scatters them into one dense matrix per part over that part's own columns;
 no matrix is as wide as its degree unless the block has one part. Rows
 already in canonical RREF skip elimination: `_Block.write` fills the `[I | R]` (below) of each part that owns its
-`_Echelon` from their entries, trusted for the closed form of [A, A] and
-checked on the entries by `_Block.load` for the cache. Only
+`_Echelon` from their entries, trusted for [A, A] in closed form and the
+full space, and checked on the entries by `_Block.load` for the cache. Only
 `Subspace.basis_vectors` forms dense degree rows, for its own degree.
 
 One blocked kernel, `_Echelon.insert_matrix`, does all elimination into
@@ -95,6 +97,7 @@ pairs of nonzero entries, as the RREF rows it meets are sparse.
 from __future__ import annotations
 
 import operator
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional
@@ -437,8 +440,8 @@ def _one_part(dim: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 class _Block:
     """RREF rows of one graded component. A multigraded block keeps one
     `_Echelon` per multidegree part, over that part's columns; any other
-    block keeps one over all columns (`_one_part`). A block built full keeps
-    no rows. Rows enter through the kernel or, canonical already, `write`.
+    block keeps one over all columns (`_one_part`). Rows enter through the
+    kernel or, canonical already (the full space's identity rows), `write`.
     A block of a symmetric subspace also has ``orbits``: each of its target
     parts shares its source part's `_Echelon`, over the images of the
     source's columns (`letter_orbits`), so it reads the source's rows
@@ -447,7 +450,7 @@ class _Block:
 
     __slots__ = ("arith", "dim", "rank", "_part_of", "_cols", "_pos", "_width", "_parts", "_entries", "_orbits")
 
-    def __init__(self, arith: _Arith, dim: int, full: bool = False, parts=None, orbits=None):
+    def __init__(self, arith: _Arith, dim: int, parts=None, orbits=None):
         """``parts``: the component's table (`multidegree_parts`); None keeps
         one part. ``orbits``: the parts that read their source's rows and
         the order of their columns (`letter_orbits`)."""
@@ -458,8 +461,8 @@ class _Block:
         if orbits is not None:
             self._cols = orbits.cols
         self._pos = self._width = None  # of a block with parts, once rows arrive
-        self._parts = None if full else self._views([_Echelon(arith, c.size) for c in self._cols])
-        self.rank = dim if full else 0
+        self._parts = self._views([_Echelon(arith, c.size) for c in self._cols])
+        self.rank = 0
         self._entries = None  # kept until the next insertion
 
     def _views(self, parts: list[_Echelon]) -> list[_Echelon]:
@@ -480,9 +483,6 @@ class _Block:
         target part, which reads its source's rows over permuted columns
         (`canonical_entries` orders them). The one way rows leave a block
         for the engine, so no degree-wide matrix is formed."""
-        if self._parts is None:
-            i = np.arange(self.dim)
-            return Entries((self.dim, self.dim), i, i, np.full(self.dim, self.arith.field.one))
         if self._entries is None:
             self._entries = self._gather()
         return self._entries
@@ -494,7 +494,7 @@ class _Block:
         partly filled its rows go afresh, each call, through the kernel into
         a block of the same parts with sorted columns that shares the other
         parts' rows, canonical already."""
-        targets = () if self._orbits is None or self._parts is None else self._orbits.target
+        targets = () if self._orbits is None else self._orbits.target
         if not any(0 < self._parts[t].rank < self._parts[t].dim for t in targets):
             return self.entries()
         is_target = np.isin(np.arange(len(self._parts)), targets)
@@ -588,8 +588,7 @@ class _Block:
         if self.rank >= (self.dim if ceiling is None else ceiling.rank):
             return 0
         start = self.rank
-        ceil = None if ceiling is None else ceiling._parts  # a block built full keeps none
-        top = [e.dim for e in self._parts] if ceil is None else [e.rank for e in ceil]
+        top = [e.dim for e in self._parts] if ceiling is None else [e.rank for e in ceiling._parts]
         for k, _, sub in self._group(m, top):
             self._parts[k].insert_matrix(sub, top[k])
         self.rank = sum(e.rank for e in self._parts)  # a target counts its source's rows
@@ -619,10 +618,10 @@ class _Block:
         self.write(piv, row[off], col[off], self.arith.mod(m.val[off]))
         return True
 
-    def write(self, piv: np.ndarray, row: np.ndarray, col: np.ndarray, val) -> None:
+    def write(self, piv: np.ndarray, row=_NO_COLUMNS, col=_NO_COLUMNS, val=0) -> None:
         """Take as the rows of this empty block the canonical RREF rows with
         increasing pivots piv and reduced values val at (row, col) off the
-        pivot columns, unchecked (`load` checks). Each part's `[I | R]` is
+        pivot columns (by default none), unchecked (`load` checks). Each part's `[I | R]` is
         filled from the entries, its R a view of one buffer for all parts.
         The rows of target parts are left out: those read their source's."""
         part = self._part_of[piv]
@@ -654,8 +653,7 @@ class _Block:
         out = _Block.__new__(_Block)
         for name in _Block.__slots__:
             setattr(out, name, getattr(self, name))
-        if self._parts is not None:
-            out._parts = out._views([_Echelon(e.arith, e.dim, e.pivots, e.free, e.R) for e in self._parts])
+        out._parts = out._views([_Echelon(e.arith, e.dim, e.pivots, e.free, e.R) for e in self._parts])
         return out
 
     def contains_matrix(self, m) -> Optional[int]:
@@ -675,29 +673,34 @@ class _Block:
         return first
 
 
-class Subspace:
-    """Graded subspace as one echelon block per degree. A multigraded one
-    splits its blocks by multidegree and takes multihomogeneous rows only;
-    the layout is fixed when the subspace is built. A lazy one (`_lazy`)
-    has a fill step and a cursor: `block`, `dim_at` and `copy` first fill
-    the degrees up to the one they read."""
+class Layout(Enum):
+    """How a subspace's blocks keep their rows: in one part, one part per
+    multidegree, or those parts with each target a view of its source."""
 
-    def __init__(self, spec: AlgebraSpec, full: bool = False, multigraded: bool = True, symmetric: bool = False):
-        """``symmetric``: the subspace is invariant under the permutations of
-        letters with equal nil exponents."""
+    ONE = "one part"
+    PARTS = "multidegree parts"
+    VIEWS = "parts with views"
+
+
+class Subspace:
+    """Graded subspace as one echelon block per degree, in the blocks'
+    `Layout`, fixed when the subspace is built. A lazy one (`_lazy`) has a
+    fill step and a cursor: `block` and `dim_at` first fill the degrees up
+    to the one they read."""
+
+    def __init__(self, spec: AlgebraSpec, layout: Layout = Layout.PARTS):
         self.spec = spec
         self.arith = _Arith(spec.field)
         self._blocks: dict[int, _Block] = {}
-        self._full = full
-        self.multigraded = multigraded
-        self.symmetric = symmetric
+        self.layout = layout
         self._fill: Optional[Callable[[Subspace, int], None]] = None
         self._done = spec.max_degree  # the cursor: degrees 1.._done are final
         self._within: tuple[Subspace, ...] = ()  # known to hold this one, nearest first
 
     @classmethod
     def full_space(cls, spec: AlgebraSpec) -> "Subspace":
-        return cls(spec, full=True, symmetric=True)
+        """A, whose fill writes each degree's basis words as identity rows."""
+        return cls(spec, Layout.VIEWS)._lazy(lambda s, d: s._block(d).write(np.arange(dim_component(spec, d))))
 
     def _lazy(self, fill: Callable[[Subspace, int], None]) -> "Subspace":
         """Make each degree f final only when read, by fill(self, f). The
@@ -724,11 +727,9 @@ class Subspace:
     def _block(self, d: int) -> _Block:
         """The degree-d block as it stands, made empty if missing."""
         if d not in self._blocks:
-            parts = orbits = None
-            if self.multigraded and not self._full:
-                parts = multidegree_parts(self.spec, d)
-                orbits = letter_orbits(self.spec, d) if self.symmetric else None
-            self._blocks[d] = _Block(self.arith, dim_component(self.spec, d), self._full, parts, orbits)
+            parts = None if self.layout is Layout.ONE else multidegree_parts(self.spec, d)
+            orbits = letter_orbits(self.spec, d) if self.layout is Layout.VIEWS else None
+            self._blocks[d] = _Block(self.arith, dim_component(self.spec, d), parts, orbits)
         return self._blocks[d]
 
     # -- queries -------------------------------------------------------------
@@ -742,10 +743,7 @@ class Subspace:
             return 0
         if self._done < d:
             self._reach(d)
-        blk = self._blocks.get(d)
-        if blk is None:
-            return dim_component(self.spec, d) if self._full else 0
-        return blk.rank
+        return self._blocks[d].rank if d in self._blocks else 0
 
     def dims(self, all_degrees: bool = False) -> list[tuple[int, int]]:
         """(degree, rank) table; by default only degrees with rank > 0."""
@@ -771,15 +769,9 @@ class Subspace:
             return []
         return [GradedVector._of(self.spec, {d: row}) for row in self.block(d).canonical_entries().dense(self.arith)]
 
-    def copy(self) -> "Subspace":
-        self._reach(self.spec.max_degree)
-        out = self._like()
-        out._blocks = {d: blk.copy() for d, blk in self._blocks.items()}
-        return out
-
     def _like(self) -> "Subspace":
         """An empty subspace of this one's layout."""
-        return Subspace(self.spec, full=self._full, multigraded=self.multigraded, symmetric=self.symmetric)
+        return Subspace(self.spec, self.layout)
 
     def __repr__(self) -> str:
         return f"Subspace({self.spec.m} gens, dims={self.dims()})"
@@ -824,7 +816,7 @@ def span(spec: AlgebraSpec, vectors: Iterable[GradedVector]) -> Subspace:
         for d, row in v.parts.items():
             rows.setdefault(d, []).append(row)
     mats = {d: np.stack(m) for d, m in rows.items()}
-    s = Subspace(spec, multigraded=all(_multihomogeneous(spec, d, m) for d, m in mats.items()))
+    s = Subspace(spec, Layout.PARTS if all(_multihomogeneous(spec, d, m) for d, m in mats.items()) else Layout.ONE)
     for d, m in mats.items():
         s.block(d).insert_matrix(m)
     return s

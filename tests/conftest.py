@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from nilpow import AlgebraSpec, Field
+from nilpow.linalg import Subspace
 
 settings.register_profile(
     "suite",
@@ -23,6 +24,11 @@ SUITE_PARAMS = [
 def make_suite_specs(field=None):
     field = field or Field.prime(32003)
     return [AlgebraSpec(m=m, nil=nil, field=field, max_degree=d) for m, nil, d in SUITE_PARAMS]
+
+
+def full_space(spec, layout):
+    """A in the given layout, with the fill of `Subspace.full_space`."""
+    return Subspace(spec, layout)._lazy(Subspace.full_space(spec)._fill)
 
 
 @pytest.fixture(scope="session")

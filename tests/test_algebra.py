@@ -26,11 +26,11 @@ from nilpow import (
     span,
 )
 from nilpow.algebra import _brackets, _derived_step, _insert_all, _multiples, _split_brackets, _sweep
-from nilpow.linalg import Entries, _Block, _Echelon
+from nilpow.linalg import Entries, Layout, _Block, _Echelon
 from nilpow.certify import nilpotency_index, random_homogeneous, random_lie_ideal
 from nilpow.errors import ArityMismatch
 
-from conftest import make_suite_specs
+from conftest import full_space, make_suite_specs
 from dense_oracle import Oracle
 
 S22 = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
@@ -241,9 +241,9 @@ def _canonical(s, d):
     st.integers(1, 3).flatmap(lambda m: st.lists(st.integers(1, 4), min_size=m, max_size=m)),
     st.integers(1, 9),
     st.sampled_from([5, 32003, P31, None]),
-    st.booleans(),
+    st.sampled_from(Layout),
 )
-def test_commutators_match_all_splits_sweep(nil, top, p, multigraded):
+def test_commutators_match_all_splits_sweep(nil, top, p, layout):
     # The closed form of [A, A] against the sweep of every split [A_p, A_q],
     # which uses neither the rotations nor [A, A] = [A_1, A]: the same rows,
     # entry for entry, in either block layout. D is lowered until the top
@@ -251,9 +251,9 @@ def test_commutators_match_all_splits_sweep(nil, top, p, multigraded):
     spec = AlgebraSpec(m=len(nil), nil=tuple(nil), field=Field(p), max_degree=top)
     while spec.max_degree > 1 and dim_component(spec, spec.max_degree) > (400 if p else 100):
         spec = AlgebraSpec(m=spec.m, nil=spec.nil, field=spec.field, max_degree=spec.max_degree - 1)
-    full = Subspace(spec, full=True, multigraded=multigraded, symmetric=True)
+    full = full_space(spec, layout)
     closed = _derived_step(spec, full, from_full=True)
-    swept = _derived_step(spec, full, from_full=False)  # symmetric, as the full space is
+    swept = _derived_step(spec, full, from_full=False)  # in the full space's layout
     for d in range(1, spec.max_degree + 1):
         assert _same_rows(_canonical(closed, d), _canonical(swept, d)), (spec, d)
 
@@ -368,11 +368,11 @@ def test_relabelled_tower_matches_eliminated_tower(spec):
     # symmetric, where every part is eliminated: equal dims and equal
     # canonical rows, entry for entry.
     relabelled, eliminated = DerivedTower(spec), DerivedTower(spec)
-    eliminated.levels[0] = Subspace(spec, full=True, symmetric=False)
+    eliminated.levels[0] = full_space(spec, Layout.PARTS)
     built = [lambda t, i=i: t.level(i) for i in (1, 2, 3)] + [lambda t, k=k: t.ideal(k) for k in (2, 3)]
     for get in built:
         a, b = get(relabelled), get(eliminated)
-        assert a.symmetric and not b.symmetric
+        assert a.layout is Layout.VIEWS and b.layout is Layout.PARTS
         assert a.dims(all_degrees=True) == b.dims(all_degrees=True)
         for d in range(1, spec.max_degree + 1):
             assert _same_rows(_canonical(a, d), b.block(d).entries()), (spec, d)
@@ -380,8 +380,7 @@ def test_relabelled_tower_matches_eliminated_tower(spec):
 
 def _uncapped_step(prev):
     """[prev, prev] swept with no ceiling: every part takes every candidate."""
-    out = Subspace(prev.spec, multigraded=prev.multigraded, symmetric=prev.symmetric)
-    return _sweep(out, lambda _, f: _split_brackets(prev, f))
+    return _sweep(prev._like(), lambda _, f: _split_brackets(prev, f))
 
 
 @pytest.mark.parametrize(
@@ -413,7 +412,7 @@ def test_ceiling_changes_no_step_of_a_lie_ideal(seed):
     spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=8)
     u = random_lie_ideal(spec, random.Random(seed))
     a, b = _derived_step(spec, u, from_full=False), _uncapped_step(u)
-    assert not a.multigraded and u.contains_subspace(a)
+    assert a.layout is Layout.ONE and u.contains_subspace(a)
     for d in range(1, spec.max_degree + 1):
         assert _same_rows(_canonical(a, d), _canonical(b, d)), (seed, d)
 
@@ -478,22 +477,21 @@ def test_commutator_quotient_counts_cyclic_words(m, nil, D):
         assert len(oracle.basis[d]) - level.dim_at(d) == len(classes), (m, nil, d)
 
 
-@pytest.mark.parametrize("multigraded", [True, False])
-def test_commutator_blocks_load_as_canonical(multigraded):
+@pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.name.lower())
+def test_commutator_blocks_load_as_canonical(layout):
     # `_Block.load` accepts only canonical RREF, and hands the same rows back.
     # The target parts of a symmetric [A, A] read their source's rows over
     # permuted columns, so its canonical rows are read with `canonical_entries`.
     spec = AlgebraSpec(m=3, nil=(2, 3, 2), max_degree=7)
-    full = Subspace(spec, full=True, multigraded=multigraded, symmetric=True)
-    level = _derived_step(spec, full, from_full=True)
-    fresh = Subspace(spec, multigraded=multigraded, symmetric=True)
+    level = _derived_step(spec, full_space(spec, layout), from_full=True)
+    fresh = Subspace(spec, layout)
     relabelled = 0
     for d in range(1, 8):
         rows = level.block(d).canonical_entries()
         relabelled += not _same_rows(level.block(d).entries(), rows)
         assert fresh.block(d).load(rows)
         assert _same_rows(fresh.block(d).canonical_entries(), rows)
-    assert bool(relabelled) == multigraded
+    assert bool(relabelled) == (layout is Layout.VIEWS)
 
 
 def test_closures_leave_their_level_untouched():
@@ -503,7 +501,7 @@ def test_closures_leave_their_level_untouched():
     # is eliminated.
     spec = AlgebraSpec(m=3, nil=(2, 2, 3), max_degree=8)
     t, eliminated = DerivedTower(spec), DerivedTower(spec)
-    eliminated.levels[0] = Subspace(spec, full=True)
+    eliminated.levels[0] = full_space(spec, Layout.PARTS)
     level = t.level(2)
 
     def rows():

@@ -30,6 +30,7 @@ from nilpow.algebra import eval_f, ideal_closure, lie_subalgebra_closure
 from nilpow.cache import subspace_from_payload, subspace_to_payload
 from nilpow.certify import random_homogeneous, random_lie_ideal
 from nilpow.errors import BoundExceedsTruncation, InternalSoundnessFailure, NotALieIdeal
+from nilpow.words import normal_words
 
 
 def test_nilpotency_index_k1_m2():
@@ -212,23 +213,46 @@ def test_certify_inconclusive_when_index_not_found():
 def test_certify_m3_builds_level_2_as_far_as_level_3_reads_it():
     # (3; 2,2,2) at D=10: level 2 starts in degree 4, so [A^(2), A^(2)] reads
     # it through degree 6, and no step of the INCONCLUSIVE certificate reads
-    # it further; the certificate keeps its golden bytes
+    # it further, nor level 0 at all; the certificate keeps its golden bytes
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=10)
     tower = DerivedTower(spec)
     cert = certify_generation(tower, 1)
-    assert [level._done for level in tower.levels] == [10, 10, 6, 10]
+    assert [level._done for level in tower.levels] == [0, 10, 6, 10]
     text = nilpow.cli._dump_json(nilpow.cli.certificate_to_dict(cert))
     golden = {c["argv"]: c["sha256"] for c in json.loads((Path(__file__).parent / "golden_hashes.json").read_text())}
     assert hashlib.sha256(text.encode()).hexdigest() == golden["certify --i 1 --generators 3 --nil 2,2,2 --max-degree 10"]
 
 
+@pytest.mark.parametrize("field", [Field.prime(32003), Field.rationals()], ids=["fp", "q"])
+def test_level_0_is_the_identity_in_the_degrees_read(field):
+    # level 0, the full space, is filled only through the degree read, each
+    # degree as the identity rows (canonical as stored, target parts too),
+    # and its ideal is all of A, so the quotient vanishes from degree 1
+    spec = AlgebraSpec(m=3, nil=(2, 2, 2), field=field, max_degree=6)
+    tower = DerivedTower(spec)
+    full = tower.level(0)
+    assert full._done == 0 and not full._blocks
+    full.block(4)
+    assert full._done == 4 and sorted(full._blocks) == [1, 2, 3, 4]
+    for d in range(1, 5):
+        blk = full.block(d)
+        assert blk.rank == blk.dim and blk.full
+        for e in (blk.entries(), blk.canonical_entries()):
+            assert e.shape == (blk.dim, blk.dim)
+            assert e.row.tolist() == e.col.tolist() == list(range(blk.dim))
+            assert e.val.tolist() == [field.one] * blk.dim
+            assert e.val.dtype == (np.int64 if field.p else object)
+    assert nilpotency_index(tower, 0).n == 1
+    words = [GradedVector.from_word(spec, w) for d in range(1, 5) for w in normal_words(spec, d)]
+    assert generating_set(tower, 0, 3) == words
+
+
 def _tower_short_above(spec, d):
     """Tower of spec whose level 2 lacks its degree-d block, levels 1-3 built."""
     tower = DerivedTower(spec)
-    tower.level(3)
-    short = tower.level(2).copy()
-    del short._blocks[d]
-    tower.levels[2] = short
+    for i in (3, 2):  # level 3 first: it reads level 2
+        tower.level(i).dims()
+    del tower.levels[2]._blocks[d]
     return tower
 
 

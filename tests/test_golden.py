@@ -9,9 +9,12 @@ the VERIFIED i=2 certificate of (2; 2,2) at D=41, and `certify --i 1` of
 benchmark's tower job, whose level 2 is built only through degree 6; and `check all
 --trials 20 --seed 1` over Q for (2; 3,3) at D=7 and (3; 2,2,2) at D=5,
 which pin the Fraction path of the bracket generator and of the element
-operations. A refactor that changes any certificate, dimension table or
-check report byte fails here. Regenerate the file only for an intended
-output change, and say why in CHANGES.md.
+operations. Three more pin orbit shapes of the letter permutations that
+the suite lacks: `dims --levels 3` of (3; 2,2,3) at D=9, where only x1
+and x2 swap, and of (4; 2,2,2,2) at D=8, and `check all --trials 20
+--seed 1` of (3; 2,2,3) at D=8. A refactor that changes any certificate,
+dimension table or check report byte fails here. Regenerate the file only
+for an intended output change, and say why in CHANGES.md.
 """
 
 import contextlib

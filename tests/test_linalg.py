@@ -15,8 +15,10 @@ from nilpow.errors import (
     InternalSoundnessFailure,
     SpecMismatch,
 )
+from nilpow.linalg import Layout
 from nilpow.words import letter_orbits, multidegree_parts
 
+from conftest import full_space
 from dense_oracle import Oracle
 
 S22 = AlgebraSpec(m=2, nil=(2, 2), max_degree=6)
@@ -139,7 +141,7 @@ def test_dims_and_equality():
 
 def test_contains_iff_no_growth():
     rng = random.Random(3)
-    s = Subspace(S22, multigraded=False)  # the random rows are not multihomogeneous
+    s = Subspace(S22, Layout.ONE)  # the random rows are not multihomogeneous
     for _ in range(20):
         v = GradedVector(
             S22, {d: {o: rng.randrange(32003) for o in range(2)} for d in rng.sample(range(1, 7), 2)}
@@ -202,13 +204,6 @@ def test_full_space_basis_vectors():
     full = Subspace.full_space(S22)
     basis = full.basis_vectors(3)
     assert [v.terms(3) for v in basis] == [[(0, 1)], [(1, 1)]]
-
-
-def test_copy_is_independent():
-    s = span(S22, [COMM])
-    c = s.copy()
-    c.block(2).insert_matrix(XY.parts[2][None, :])
-    assert s.dim_at(2) == 1 and c.dim_at(2) == 2
 
 
 def test_rationals_path():
@@ -442,7 +437,7 @@ def test_symmetric_block_guards():
     t0, t1 = orbits.target[:2].tolist()
     k = orbits.source[0]
     for a, b in [(t0, k), (t0, t1)]:
-        s = Subspace(spec, symmetric=True)
+        s = Subspace(spec, Layout.VIEWS)
         row = np.zeros((1, s.block(4).dim), dtype=np.int64)
         row[0, [cols[a][0], cols[b][0]]] = 1
         with pytest.raises(InternalSoundnessFailure):
@@ -451,7 +446,7 @@ def test_symmetric_block_guards():
     # a row in a target part only is dropped; the target shares its source's
     # rows, read over the images of the source's columns (``orbits.cols``),
     # and the block's rank and rows count them
-    blk = Subspace(spec, symmetric=True).block(4)
+    blk = Subspace(spec, Layout.VIEWS).block(4)
     unit = np.eye(blk.dim, dtype=np.int64)
     assert blk.insert_matrix(unit[orbits.cols[t0][:1]]) == 0
     assert blk._parts[t0] is blk._parts[k]
@@ -470,10 +465,10 @@ def test_relabelled_rows_leave_canonical():
     spec = AlgebraSpec(m=3, nil=(2, 2, 2), max_degree=8)
     level = DerivedTower(spec).level(2)
     eliminated = DerivedTower(spec)
-    eliminated.levels[0] = Subspace(spec, full=True)
+    eliminated.levels[0] = full_space(spec, Layout.PARTS)
     plain = eliminated.level(2)
-    assert level.symmetric and Subspace.full_space(spec).symmetric
-    assert not plain.symmetric and not span(spec, []).symmetric
+    assert level.layout is Subspace.full_space(spec).layout is Layout.VIEWS
+    assert plain.layout is span(spec, []).layout is Layout.PARTS
     changed = [d for d in range(1, 9) if not np.array_equal(_rows(level.block(d)), _rows(plain.block(d)))]
     assert changed
     for d in changed:
@@ -503,7 +498,7 @@ def test_canonical_rows_match_reference(nil, field, top, first):
     spaces = [tower.level(i) for i in range(first, 4)] + [tower.ideal(3)]
     relabelled = 0
     for s in spaces:
-        assert s.symmetric
+        assert s.layout is Layout.VIEWS
         for d, rank in s.dims():
             blk = s.block(d)
             ref, grew = reference_insert(field, [], _rows(blk).tolist())
@@ -557,12 +552,12 @@ def test_insert_outside_one_part_splits_no_more():
     # a span with a row outside one multidegree part keeps one part per block
     spec = AlgebraSpec(m=2, nil=(3, 3), max_degree=4)
     x, y, xy, yx = (GradedVector.from_word(spec, w) for w in [(1,), (2,), (1, 2), (2, 1)])
-    assert span(spec, [x, xy - yx]).multigraded
+    assert span(spec, [x, xy - yx]).layout is Layout.PARTS
     s = span(spec, [x, xy - yx, x + y])
-    assert not s.multigraded and s.dims() == [(1, 2), (2, 1)]
+    assert s.layout is Layout.ONE and s.dims() == [(1, 2), (2, 1)]
     s = span(spec, [x, xy - yx, x + y, xy])
     assert s.contains(yx) and not s.contains(GradedVector.from_word(spec, (1, 1)))
-    assert not span(spec, [x + y]).multigraded
+    assert span(spec, [x + y]).layout is Layout.ONE
 
 
 # -- candidate entries against dense rows ---------------------------------------
