@@ -38,10 +38,11 @@ part (one wider than one column that is not the first of its orbit)
 shares its source part's `_Echelon` and lists its columns as the images
 of the source's, in the source's order. So the target reads the source's
 rows relabelled: its rank, membership in it and its entries come through
-the permutation, no copy is made, and it is never stale. A sweep eliminates the sources only
-and leaves targets out of its insertions, as it leaves parts at their
-ceiling out: a part's ceiling is its rank in a block known to hold the
-candidates (`_Block.insert_matrix`), else its width.
+the permutation, no copy is made, and it is never stale. A sweep
+eliminates the sources only and leaves targets out of its insertions, as
+it leaves parts at their ceiling out: a part's ceiling is its rank in a
+block known to hold the candidates (`_Block.insert_matrix`), else its
+width.
 A target's rows are a reduced basis (the identity on its pivot columns)
 that need not be canonical RREF. Membership, containment and the readers
 of rows (the candidates of every closure) do not depend on the basis.
